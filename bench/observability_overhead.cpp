@@ -39,7 +39,7 @@ RunResult runKernel(simprof::ProfileMode mode, bool trace) {
   spec.teamsMode = omprt::ExecMode::kSPMD;
   spec.parallelMode = omprt::ExecMode::kSPMD;
   spec.simdlen = 32;
-  spec.faultSpec = "off";  // pin injection off regardless of env
+  spec.fault.spec = "off";  // pin injection off regardless of env
   spec.profile.mode = mode;
   bench::WallTimer timer;
   auto stats = dsl::targetTeamsDistributeParallelFor(

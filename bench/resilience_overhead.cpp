@@ -34,7 +34,7 @@ RunResult runKernel(uint64_t watchdogSteps) {
   spec.teamsMode = omprt::ExecMode::kSPMD;
   spec.parallelMode = omprt::ExecMode::kSPMD;
   spec.simdlen = 32;
-  spec.faultSpec = "off";  // pin injection off regardless of env
+  spec.fault.spec = "off";  // pin injection off regardless of env
   spec.watchdogSteps = watchdogSteps;
   bench::WallTimer timer;
   auto stats = dsl::targetTeamsDistributeParallelFor(

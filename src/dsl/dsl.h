@@ -38,72 +38,15 @@ namespace simtomp::dsl {
 using omprt::ExecMode;
 using omprt::OmpContext;
 
-struct LaunchSpec {
-  /// 0 = auto (tuner entry, else one team per SM).
-  uint32_t numTeams = 1;
-  /// 0 = auto (tuner entry, else 128 clipped to the architecture).
-  uint32_t threadsPerTeam = 128;
-  ExecMode teamsMode = ExecMode::kSPMD;
-  /// True: teamsMode is a placeholder the launch path may replace.
-  bool teamsModeAuto = false;
-  ExecMode parallelMode = ExecMode::kSPMD;
-  /// True: parallelMode is a placeholder the launch path may replace.
-  bool parallelModeAuto = false;
-  /// SIMD group size for parallel regions (1 = no third level; exactly
-  /// today's LLVM/OpenMP behaviour; 0 = auto via the tuner).
-  uint32_t simdlen = 1;
-  /// Launch-wide default chunk for dynamic worksharing loops whose
-  /// schedule clause leaves chunk 0 (0 = runtime default of 1).
-  uint64_t scheduleChunk = 0;
-  uint32_t sharingSpaceBytes = omprt::kDefaultSharingSpaceBytes;
+/// A target launch as the directive helpers below take it: the full
+/// omprt::TargetConfig (launch shape, tuning hints and the per-launch
+/// host knobs of gpusim::LaunchOptions) plus the dispatch choice.
+struct LaunchSpec : omprt::TargetConfig {
   /// Whether outlined regions enter the dispatch if-cascade (paper
   /// section 5.5); off models regions from foreign translation units.
   bool registerInCascade = true;
-  /// Host worker threads simulating independent teams (0 = auto,
-  /// 1 = serial); see omprt::TargetConfig::hostWorkers.
-  uint32_t hostWorkers = 0;
-  /// Correctness checking (simcheck); see gpusim::LaunchConfig::check.
-  simcheck::CheckConfig check{};
-  /// Stable kernel identity for the simtune cache ("" = not tunable).
-  std::string tuneKey;
-  /// Trip-count hint for the tuning-cache bucket; the distribute
-  /// helpers below fill it with their trip count when left 0.
-  uint64_t tripCount = 0;
-  /// Fault-injection plan (simfault); "" consults SIMTOMP_FAULT,
-  /// "off" pins injection off. See omprt::TargetConfig::fault.
-  std::string faultSpec;
-  /// Per-block watchdog step budget (0 = auto, simfault::kWatchdogOff
-  /// disables); see gpusim::LaunchConfig::watchdogSteps.
-  uint64_t watchdogSteps = 0;
-  /// Hierarchical profiling (simprof); kAuto consults SIMTOMP_PROF.
-  simprof::ProfileConfig profile{};
-  /// Convergence fast path (batched lane execution for hazard-free SIMD
-  /// bodies); see omprt::TargetConfig::fastPath. kAuto consults
-  /// SIMTOMP_FAST (default on). Modeled results are bit-identical
-  /// either way — this trades only host wall-time.
-  omprt::FastPathMode fastPath = omprt::FastPathMode::kAuto;
 
-  [[nodiscard]] omprt::TargetConfig targetConfig() const {
-    omprt::TargetConfig config;
-    config.teamsMode = teamsMode;
-    config.teamsModeAuto = teamsModeAuto;
-    config.numTeams = numTeams;
-    config.threadsPerTeam = threadsPerTeam;
-    config.simdlen = simdlen;
-    config.parallelMode = parallelMode;
-    config.parallelModeAuto = parallelModeAuto;
-    config.scheduleChunk = scheduleChunk;
-    config.sharingSpaceBytes = sharingSpaceBytes;
-    config.hostWorkers = hostWorkers;
-    config.check = check;
-    config.tuneKey = tuneKey;
-    config.tripCount = tripCount;
-    config.fault.spec = faultSpec;
-    config.watchdogSteps = watchdogSteps;
-    config.profile = profile;
-    config.fastPath = fastPath;
-    return config;
-  }
+  [[nodiscard]] omprt::TargetConfig targetConfig() const { return *this; }
   /// Region-level parallel configuration. Auto fields (simdlen 0,
   /// parallelModeAuto) stay auto here and resolve against the launch's
   /// TeamState defaults at region entry — i.e. against whatever the

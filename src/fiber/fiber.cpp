@@ -18,6 +18,22 @@
 #include <sanitizer/tsan_interface.h>
 #endif
 
+// AddressSanitizer likewise needs every stack switch announced, or an
+// exception unwinding on a fiber stack is checked against the wrong
+// stack bounds; and fiber stacks recycled from an arena still carry the
+// poisoned frames of fibers that were abandoned without unwinding.
+#if defined(__SANITIZE_ADDRESS__)
+#define SIMTOMP_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define SIMTOMP_ASAN 1
+#endif
+#endif
+#ifdef SIMTOMP_ASAN
+#include <sanitizer/asan_interface.h>
+#include <sanitizer/common_interface_defs.h>
+#endif
+
 namespace simtomp::fiber {
 
 namespace {
@@ -40,6 +56,23 @@ void tsanDestroyFiber(void*) {}
 void tsanSwitchTo(void*) {}
 void* tsanCurrentFiber() { return nullptr; }
 #endif
+
+#ifdef SIMTOMP_ASAN
+void asanStartSwitch(void** fake_stack, const void* bottom, size_t size) {
+  __sanitizer_start_switch_fiber(fake_stack, bottom, size);
+}
+void asanFinishSwitch(void* fake_stack, const void** bottom_old,
+                      size_t* size_old) {
+  __sanitizer_finish_switch_fiber(fake_stack, bottom_old, size_old);
+}
+void asanUnpoison(const char* stack, size_t size) {
+  ASAN_UNPOISON_MEMORY_REGION(stack, size);
+}
+#else
+void asanStartSwitch(void**, const void*, size_t) {}
+void asanFinishSwitch(void*, const void**, size_t*) {}
+void asanUnpoison(const char*, size_t) {}
+#endif
 }  // namespace
 
 Fiber::Fiber(size_t index, Entry entry, size_t stack_size,
@@ -47,6 +80,7 @@ Fiber::Fiber(size_t index, Entry entry, size_t stack_size,
     : index_(index), entry_(std::move(entry)) {
   if (external_stack != nullptr) {
     stack_data_ = external_stack;
+    asanUnpoison(stack_data_, stack_size);
   } else {
     owned_stack_.resize(stack_size);
     stack_data_ = owned_stack_.data();
@@ -62,6 +96,8 @@ void Fiber::trampoline() {
   SIMTOMP_CHECK(sched != nullptr, "fiber trampoline without a scheduler");
   Fiber* self = sched->current();
   SIMTOMP_CHECK(self != nullptr, "fiber trampoline without a current fiber");
+  asanFinishSwitch(nullptr, &sched->asan_stack_bottom_,
+                   &sched->asan_stack_size_);
   try {
     self->entry_();
   } catch (...) {
@@ -191,7 +227,10 @@ void FiberScheduler::switchToFiber(Fiber& f) {
     tsan_scheduler_fiber_ = tsanCurrentFiber();
   }
   tsanSwitchTo(f.tsan_fiber_);
+  void* fake_stack = nullptr;
+  asanStartSwitch(&fake_stack, f.stack_data_, f.stack_bytes_);
   swapcontext(&scheduler_context_, &f.context_);
+  asanFinishSwitch(fake_stack, nullptr, nullptr);
   current_ = prev_fiber;
   g_active_scheduler = prev_sched;
 }
@@ -202,7 +241,13 @@ void FiberScheduler::switchToScheduler() {
   tsanSwitchTo(g_active_scheduler != nullptr
                    ? g_active_scheduler->tsan_scheduler_fiber_
                    : nullptr);
+  // A finished fiber never resumes: let ASan drop its fake stack.
+  asanStartSwitch(
+      f->state_ == FiberState::kFinished ? nullptr : &f->asan_fake_stack_,
+      asan_stack_bottom_, asan_stack_size_);
   swapcontext(&f->context_, &scheduler_context_);
+  asanFinishSwitch(f->asan_fake_stack_, &asan_stack_bottom_,
+                   &asan_stack_size_);
 }
 
 namespace {

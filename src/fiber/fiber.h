@@ -67,6 +67,7 @@ class Fiber {
   const void* wait_tag_ = nullptr;
   bool started_ = false;
   void* tsan_fiber_ = nullptr;  ///< ThreadSanitizer fiber handle (tsan builds)
+  void* asan_fake_stack_ = nullptr;  ///< AddressSanitizer fake-stack handle
 };
 
 /// Drives a set of fibers to completion on the calling OS thread.
@@ -152,6 +153,10 @@ class FiberScheduler {
   std::vector<std::unique_ptr<Fiber>> fibers_;
   ucontext_t scheduler_context_{};
   void* tsan_scheduler_fiber_ = nullptr;
+  /// The stack run() executes on, as AddressSanitizer reported it on
+  /// the last switch into a fiber (asan builds).
+  const void* asan_stack_bottom_ = nullptr;
+  size_t asan_stack_size_ = 0;
   Fiber* current_ = nullptr;
   size_t finished_count_ = 0;
   bool running_ = false;

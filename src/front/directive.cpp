@@ -3,6 +3,7 @@
 #include <cctype>
 
 #include "simfault/fault.h"
+#include "support/parse.h"
 
 namespace simtomp::front {
 
@@ -17,7 +18,6 @@ class Lexer {
   struct Token {
     Kind kind = Kind::kEnd;
     std::string text;
-    uint64_t number = 0;
   };
 
   explicit Lexer(std::string_view text) : text_(text) { advance(); }
@@ -48,31 +48,28 @@ class Lexer {
               text_[pos_] == '_' || text_[pos_] == '#')) {
         ++pos_;
       }
-      current_ = {Kind::kIdent, std::string(text_.substr(start, pos_ - start)),
-                  0};
+      current_ = {Kind::kIdent, std::string(text_.substr(start, pos_ - start))};
       return;
     }
     if (std::isdigit(static_cast<unsigned char>(c))) {
-      uint64_t value = 0;
       size_t start = pos_;
       while (pos_ < text_.size() &&
              std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        value = value * 10 + static_cast<uint64_t>(text_[pos_] - '0');
         ++pos_;
       }
-      current_ = {Kind::kNumber, std::string(text_.substr(start, pos_ - start)),
-                  value};
+      current_ = {Kind::kNumber,
+                  std::string(text_.substr(start, pos_ - start))};
       return;
     }
     ++pos_;
     switch (c) {
-      case '(': current_ = {Kind::kLParen, "(", 0}; return;
-      case ')': current_ = {Kind::kRParen, ")", 0}; return;
-      case ',': current_ = {Kind::kComma, ",", 0}; return;
-      case ':': current_ = {Kind::kColon, ":", 0}; return;
-      case '+': current_ = {Kind::kPlus, "+", 0}; return;
+      case '(': current_ = {Kind::kLParen, "("}; return;
+      case ')': current_ = {Kind::kRParen, ")"}; return;
+      case ',': current_ = {Kind::kComma, ","}; return;
+      case ':': current_ = {Kind::kColon, ":"}; return;
+      case '+': current_ = {Kind::kPlus, "+"}; return;
       default:
-        current_ = {Kind::kIdent, std::string(1, c), 0};
+        current_ = {Kind::kIdent, std::string(1, c)};
         return;
     }
   }
@@ -93,6 +90,16 @@ Status expect(Lexer& lex, Kind kind, const char* what) {
   return Status::ok();
 }
 
+/// Take the current kNumber token as a value no greater than `max`.
+Result<uint64_t> takeNumber(Lexer& lex, uint64_t max, const char* clause) {
+  const Result<uint64_t> value = parseUnsigned(lex.take().text, max);
+  if (!value.isOk()) {
+    return Status(value.status().code(),
+                  std::string(clause) + ": " + value.status().message());
+  }
+  return value;
+}
+
 Result<uint64_t> parseUintArg(Lexer& lex, const char* clause) {
   Status s = expect(lex, Kind::kLParen, "'('");
   if (!s.isOk()) return s;
@@ -100,7 +107,8 @@ Result<uint64_t> parseUintArg(Lexer& lex, const char* clause) {
     return Status::invalidArgument(std::string(clause) +
                                    " expects an integer argument");
   }
-  const uint64_t value = lex.take().number;
+  const Result<uint64_t> value = takeNumber(lex, UINT32_MAX, clause);
+  if (!value.isOk()) return value;
   s = expect(lex, Kind::kRParen, "')'");
   if (!s.isOk()) return s;
   return value;
@@ -120,7 +128,9 @@ Result<UintOrAuto> parseUintOrAutoArg(Lexer& lex, const char* clause) {
     lex.take();
     out.isAuto = true;
   } else if (lex.peek().kind == Kind::kNumber) {
-    out.value = lex.take().number;
+    const Result<uint64_t> value = takeNumber(lex, UINT32_MAX, clause);
+    if (!value.isOk()) return value.status();
+    out.value = value.value();
   } else {
     return Status::invalidArgument(std::string(clause) +
                                    " expects an integer or 'auto'");
@@ -190,7 +200,7 @@ Status parseFault(Lexer& lex, DirectiveSpec& spec) {
   }
   const Result<simfault::FaultPlan> parsed = simfault::FaultPlan::parse(plan);
   if (!parsed.isOk()) return parsed.status();
-  spec.faultSpec = plan;
+  spec.options.fault.spec = plan;
   return Status::ok();
 }
 
@@ -199,10 +209,12 @@ Status parseWatchdog(Lexer& lex, DirectiveSpec& spec) {
   if (!s.isOk()) return s;
   if (lex.peek().kind == Kind::kIdent && lex.peek().text == "off") {
     lex.take();
-    spec.watchdogSteps = simfault::kWatchdogOff;
+    spec.options.watchdogSteps = simfault::kWatchdogOff;
   } else if (lex.peek().kind == Kind::kNumber) {
-    const uint64_t steps = lex.take().number;
-    spec.watchdogSteps = steps == 0 ? simfault::kWatchdogOff : steps;
+    const Result<uint64_t> steps = takeNumber(lex, UINT64_MAX, "watchdog");
+    if (!steps.isOk()) return steps.status();
+    spec.options.watchdogSteps =
+        steps.value() == 0 ? simfault::kWatchdogOff : steps.value();
   } else {
     return Status::invalidArgument("watchdog expects a step budget or 'off'");
   }
@@ -217,11 +229,11 @@ Status parseProfile(Lexer& lex, DirectiveSpec& spec) {
   }
   const std::string word = lex.take().text;
   if (word == "on") {
-    spec.profileMode = simprof::ProfileMode::kOn;
+    spec.options.profile.mode = simprof::ProfileMode::kOn;
   } else if (word == "off") {
-    spec.profileMode = simprof::ProfileMode::kOff;
+    spec.options.profile.mode = simprof::ProfileMode::kOff;
   } else if (word == "auto") {
-    spec.profileMode = simprof::ProfileMode::kAuto;
+    spec.options.profile.mode = simprof::ProfileMode::kAuto;
   } else {
     return Status::invalidArgument("unknown profile mode '" + word + "'");
   }
@@ -249,7 +261,9 @@ Status parseSchedule(Lexer& lex, DirectiveSpec& spec) {
     if (lex.peek().kind != Kind::kNumber) {
       return Status::invalidArgument("schedule chunk must be an integer");
     }
-    spec.schedule.chunk = lex.take().number;
+    const Result<uint64_t> chunk = takeNumber(lex, UINT64_MAX, "schedule");
+    if (!chunk.isOk()) return chunk.status();
+    spec.schedule.chunk = chunk.value();
   }
   spec.hasSchedule = true;
   return expect(lex, Kind::kRParen, "')'");
@@ -476,9 +490,7 @@ dsl::LaunchSpec DirectiveSpec::toLaunchSpec(
   spec.parallelModeAuto =
       !parallelModeExplicit && (tuned || parallelModeAuto);
   if (hasSchedule) spec.scheduleChunk = schedule.chunk;
-  spec.faultSpec = faultSpec;
-  spec.watchdogSteps = watchdogSteps;
-  spec.profile.mode = profileMode;
+  static_cast<gpusim::LaunchOptions&>(spec) = options;
   return spec;
 }
 

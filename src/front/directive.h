@@ -71,15 +71,12 @@ struct DirectiveSpec {
   // that was not given explicitly auto; individual clauses can also opt
   // in with an `auto` argument, e.g. simdlen(auto) or num_teams(auto).
   std::string tuneKey;
-  // Fault injection / watchdog (extension clauses; see src/simfault).
-  // `fault(plan)` carries a SIMTOMP_FAULT-style plan ("off" pins
-  // injection off); `watchdog(n|off)` sets the per-block step budget.
-  std::string faultSpec;
-  uint64_t watchdogSteps = 0;     ///< 0 = auto; simfault::kWatchdogOff = off
-  // Profiling (extension clause; see src/simprof). `profile(on|off)`
-  // pins hierarchical profiling for this launch; absent (or
-  // `profile(auto)`) defers to the SIMTOMP_PROF environment variable.
-  simprof::ProfileMode profileMode = simprof::ProfileMode::kAuto;
+  // Per-launch host knobs (extension clauses). `fault(plan)` sets
+  // options.fault.spec to a SIMTOMP_FAULT-style plan ("off" pins
+  // injection off); `watchdog(n|off)` sets options.watchdogSteps;
+  // `profile(on|off|auto)` sets options.profile.mode. Knobs no clause
+  // set stay auto and resolve from their environment variables.
+  gpusim::LaunchOptions options;
   bool numTeamsAuto = false;      ///< num_teams(auto)
   bool threadLimitAuto = false;   ///< thread_limit(auto)
   bool simdlenAuto = false;       ///< simdlen(auto)

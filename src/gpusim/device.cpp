@@ -76,10 +76,9 @@ Result<KernelStats> Device::launch(const LaunchConfig& config,
   // pre-launch device loss must leave the previous launch's check
   // report published (nothing ran), so it returns before the check
   // state below is touched.
-  const simfault::WatchdogResolution watchdog =
-      simfault::resolveWatchdogSteps(config.watchdogSteps);
+  const LaunchOptions knobs = resolveLaunchOptions(config);
   Result<simfault::LaunchArm> armed =
-      injector_.arm(config.fault, config.numBlocks);
+      injector_.arm(knobs.fault, config.numBlocks);
   if (!armed.isOk()) return fail(armed.status());
   const simfault::LaunchArm arm = std::move(armed).value();
   if (arm.lostPre) {
@@ -87,15 +86,10 @@ Result<KernelStats> Device::launch(const LaunchConfig& config,
         "[simfault] injected device loss before launch; nothing ran"));
   }
 
-  const simcheck::CheckResolution check =
-      simcheck::resolveCheckMode(config.check.mode);
-  const bool checking = check.effective != simcheck::CheckMode::kOff;
-  last_check_mode_ = check.effective;
-
-  const simprof::ProfileResolution prof =
-      simprof::resolveProfileMode(config.profile.mode);
-  const bool profiling = prof.effective == simprof::ProfileMode::kOn;
-  last_profile_mode_ = prof.effective;
+  const bool checking = knobs.check.mode != simcheck::CheckMode::kOff;
+  last_check_mode_ = knobs.check.mode;
+  const bool profiling = knobs.profile.mode == simprof::ProfileMode::kOn;
+  last_profile_mode_ = knobs.profile.mode;
 
   std::vector<BlockOutcome> outcomes(config.numBlocks);
   const auto runBlock = [&](uint32_t b) {
@@ -105,7 +99,7 @@ Result<KernelStats> Device::launch(const LaunchConfig& config,
                          config.threadsPerBlock);
       if (checking) {
         out.checker = std::make_unique<simcheck::BlockChecker>(
-            config.check, b, config.threadsPerBlock, arch_.warpSize);
+            knobs.check, b, config.threadsPerBlock, arch_.warpSize);
         engine.setChecker(out.checker.get());
       }
       if (profiling) {
@@ -114,7 +108,9 @@ Result<KernelStats> Device::launch(const LaunchConfig& config,
             /*capture_spans=*/trace_ != nullptr);
         engine.setProfiler(out.profiler.get());
       }
-      engine.setWatchdog(watchdog.steps);
+      engine.setWatchdog(knobs.watchdogSteps == simfault::kWatchdogOff
+                             ? 0
+                             : knobs.watchdogSteps);
       engine.setFault(arm.forBlock(b));
       if (setup) setup(engine);
       out.status = engine.run(kernel);
@@ -135,8 +131,7 @@ Result<KernelStats> Device::launch(const LaunchConfig& config,
     }
   };
 
-  const uint32_t workers =
-      std::min(resolveHostWorkers(config.hostWorkers), config.numBlocks);
+  const uint32_t workers = std::min(knobs.hostWorkers, config.numBlocks);
   if (workers <= 1) {
     for (uint32_t b = 0; b < config.numBlocks; ++b) {
       runBlock(b);
@@ -279,7 +274,7 @@ Result<KernelStats> Device::launch(const LaunchConfig& config,
   last_profile_.finalize(stats.cycles);
   metrics.observe(simprof::metric::kLaunchCycles, stats.cycles);
   SIMTOMP_DEBUG("kernel done: %s", stats.summary().c_str());
-  if (check.effective == simcheck::CheckMode::kFatal &&
+  if (knobs.check.mode == simcheck::CheckMode::kFatal &&
       !last_check_report_.clean()) {
     return fail(Status::failedPrecondition(
         "simcheck found " + std::to_string(last_check_report_.total()) +

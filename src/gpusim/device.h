@@ -15,6 +15,7 @@
 #include "gpusim/arch.h"
 #include "gpusim/block.h"
 #include "gpusim/cost_model.h"
+#include "gpusim/knobs.h"
 #include "gpusim/memory.h"
 #include "gpusim/stats.h"
 #include "gpusim/thread.h"
@@ -26,39 +27,20 @@
 
 namespace simtomp::gpusim {
 
-struct LaunchConfig {
+/// Grid shape plus the per-launch host knobs (gpusim/knobs.h), which
+/// Device::launch resolves on every launch. Checking, fault injection,
+/// the watchdog and profiling charge no modeled cycles: stats are
+/// bit-identical with any of them on or off.
+struct LaunchConfig : LaunchOptions {
+  LaunchConfig() = default;
+  LaunchConfig(uint32_t blocks, uint32_t threads)
+      : numBlocks(blocks), threadsPerBlock(threads) {}
+
   uint32_t numBlocks = 1;
   /// Threads per block. Need not be a warp multiple: a partial final
   /// warp is supported (its member mask has fewer lanes, and full-mask
   /// warp collectives synchronize only the existing lanes).
   uint32_t threadsPerBlock = 32;
-  /// Host threads executing independent blocks (simulation wall-clock
-  /// only; modeled cycles are unaffected). 0 = auto: the
-  /// SIMTOMP_HOST_WORKERS environment variable if set, else
-  /// hardware_concurrency. 1 = today's serial path.
-  uint32_t hostWorkers = 0;
-  /// Correctness checking (simcheck). Default kAuto resolves the
-  /// SIMTOMP_CHECK environment variable on every launch; findings land
-  /// in Device::lastCheckReport(), and kFatal additionally fails the
-  /// launch when the report is not clean. Checking charges no modeled
-  /// cycles — stats are bit-identical with checking on or off.
-  simcheck::CheckConfig check{};
-  /// Fault injection (simfault). An empty `fault.spec` consults the
-  /// SIMTOMP_FAULT environment variable on every launch;
-  /// `fault.simdActive` is filled by the omprt launch layer so
-  /// when=simd plans can be evaluated at arm time.
-  simfault::FaultConfig fault{};
-  /// Per-block watchdog step budget. 0 = auto (SIMTOMP_WATCHDOG env or
-  /// the built-in default); simfault::kWatchdogOff disables the
-  /// watchdog. Injected faults charge no modeled cycles, and the budget
-  /// check lives in the fiber scheduler loop, off the device-side hot
-  /// path — stats are bit-identical with the watchdog on or off.
-  uint64_t watchdogSteps = 0;
-  /// Hierarchical profiling (simprof). Default kAuto resolves the
-  /// SIMTOMP_PROF environment variable on every launch; the construct
-  /// tree lands in Device::lastProfile(). Profiling charges no modeled
-  /// cycles — stats are bit-identical with profiling on or off.
-  simprof::ProfileConfig profile{};
 };
 
 /// Optional per-block hook: runs on the host before a block starts, e.g.

@@ -1,9 +1,6 @@
 #include "gpusim/executor.h"
 
 #include <algorithm>
-#include <cstdlib>
-
-#include "support/log.h"
 
 namespace simtomp::gpusim {
 
@@ -13,21 +10,6 @@ namespace {
 // pool's own capacity.
 thread_local bool g_inside_pool_worker = false;
 }  // namespace
-
-uint32_t resolveHostWorkers(uint32_t requested) {
-  if (requested > 0) return requested;
-  if (const char* env = std::getenv("SIMTOMP_HOST_WORKERS")) {
-    char* end = nullptr;
-    const long value = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && value >= 1 &&
-        value <= static_cast<long>(BlockExecutor::kMaxHelpers) + 1) {
-      return static_cast<uint32_t>(value);
-    }
-    SIMTOMP_WARN("ignoring invalid SIMTOMP_HOST_WORKERS=\"%s\"", env);
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<uint32_t>(hw);
-}
 
 BlockExecutor& BlockExecutor::global() {
   static BlockExecutor pool;

@@ -30,12 +30,6 @@
 
 namespace simtomp::gpusim {
 
-/// Resolve the effective host worker count for a launch: an explicit
-/// `requested` > 0 wins, else the SIMTOMP_HOST_WORKERS environment
-/// variable (re-read on every launch so tests can flip it), else
-/// std::thread::hardware_concurrency(). Always at least 1.
-uint32_t resolveHostWorkers(uint32_t requested);
-
 /// Persistent worker pool for independent block (or device) tasks.
 ///
 /// parallelFor() runs fn(0), ..., fn(count-1) with up to `workers`

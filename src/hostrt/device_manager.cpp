@@ -51,17 +51,6 @@ DeviceManager::DeviceManager(std::vector<gpusim::ArchSpec> specs,
   last_resilience_.resize(devices_.size());
 }
 
-void DeviceManager::applyDefaults(omprt::TargetConfig& config) const {
-  std::shared_lock lock(defaults_mutex_);
-  if (config.hostWorkers == 0) config.hostWorkers = default_host_workers_;
-  if (config.check.mode == simcheck::CheckMode::kAuto) {
-    config.check = default_check_;
-  }
-  if (config.profile.mode == simprof::ProfileMode::kAuto) {
-    config.profile = default_profile_;
-  }
-}
-
 Status DeviceManager::resolveTuning(size_t n, omprt::TargetConfig& config,
                                     gpusim::Device* device,
                                     const omprt::TargetRegionFn* region) {
@@ -75,9 +64,9 @@ Status DeviceManager::resolveTuning(size_t n, omprt::TargetConfig& config,
     requested_mode = default_tune_mode_;
     tuner = default_tuner_;
   }
-  const simtune::TuneResolution resolution =
-      simtune::resolveTuneMode(requested_mode);
-  if (resolution.effective == simtune::TuneMode::kOff) return Status::ok();
+  const simtune::TuneMode mode =
+      gpusim::resolveKnob(gpusim::kTuneKnob, requested_mode).value;
+  if (mode == simtune::TuneMode::kOff) return Status::ok();
   if (tuner == nullptr) {
     // Lazy default-tuner creation: re-check under the exclusive lock so
     // concurrent launches agree on one instance.
@@ -99,7 +88,7 @@ Status DeviceManager::resolveTuning(size_t n, omprt::TargetConfig& config,
   // kTune runs a trial search when the caller can run trials (the
   // synchronous launch path — deferred launches never tune, since the
   // trial launches would reorder against queued work).
-  if (resolution.effective == simtune::TuneMode::kTune && device != nullptr &&
+  if (mode == simtune::TuneMode::kTune && device != nullptr &&
       region != nullptr) {
     simtune::TuneRequest request;
     request.strategy = simtune::TuneStrategy::kHillClimb;
@@ -115,14 +104,10 @@ Status DeviceManager::resolveTuning(size_t n, omprt::TargetConfig& config,
 omprt::TargetConfig DeviceManager::effectiveConfig(
     size_t n, omprt::TargetConfig config) {
   SIMTOMP_CHECK(n < devices_.size(), "device number out of range");
-  applyDefaults(config);
   (void)resolveTuning(n, config, /*device=*/nullptr, /*region=*/nullptr);
   omprt::resolveAutoConfig(devices_[n]->arch(), config);
-  config.check = simcheck::CheckConfig{
-      simcheck::resolveCheckMode(config.check.mode).effective,
-      config.check.maxDiagnostics};
-  config.profile.mode =
-      simprof::resolveProfileMode(config.profile.mode).effective;
+  static_cast<gpusim::LaunchOptions&>(config) =
+      gpusim::resolveLaunchOptions(config);
   return config;
 }
 
@@ -137,12 +122,11 @@ Result<gpusim::KernelStats> DeviceManager::launchOn(
                                " is quarantined (circuit breaker open)");
   }
   omprt::TargetConfig effective = config;
-  applyDefaults(effective);
   const Status tuned = resolveTuning(n, effective, devices_[n].get(), &region);
   if (!tuned.isOk()) return tuned;
-  const simfault::ResilienceResolution resilience =
-      simfault::resolveResilienceMode(defaultResilienceMode());
-  if (resilience.effective == simfault::ResilienceMode::kOff) {
+  const gpusim::Resolved<simfault::ResilienceMode> resilience =
+      gpusim::resolveKnob(gpusim::kResilienceKnob, defaultResilienceMode());
+  if (resilience.value == simfault::ResilienceMode::kOff) {
     return omprt::launchTarget(*devices_[n], effective, region);
   }
   return launchResilient(n, std::move(effective), region);
@@ -277,7 +261,6 @@ std::future<Result<gpusim::KernelStats>> DeviceManager::launchOnAsync(
         " is quarantined (circuit breaker open)"));
     return refused.get_future();
   }
-  applyDefaults(config);
   // Deferred launches resolve from the tuning cache only (see
   // resolveTuning); a miss falls back to launchTarget's heuristics.
   (void)resolveTuning(n, config, /*device=*/nullptr, /*region=*/nullptr);

@@ -39,54 +39,21 @@ class DeviceManager {
   [[nodiscard]] DataEnvironment& dataEnv(size_t n) { return *envs_.at(n); }
   [[nodiscard]] TargetTaskQueue& taskQueue(size_t n) { return *queues_.at(n); }
 
-  // The setDefault* family may be called while launches are running on
-  // other threads (simserve reconfigures the manager it fronts), so the
-  // default fields are guarded by a shared_mutex: launches read them
-  // under a shared lock, setters write under an exclusive one, and the
-  // getters return copies taken under the shared lock.
-
-  /// Default hostWorkers applied to launches whose config leaves it 0
-  /// (auto). All devices share the process-wide BlockExecutor pool, so
-  /// concurrent `device(n)` launches (sync from different host threads,
-  /// or nowait tasks from the per-device helper threads) interleave
-  /// their blocks over the same workers instead of serializing.
-  void setDefaultHostWorkers(uint32_t workers) {
-    std::unique_lock lock(defaults_mutex_);
-    default_host_workers_ = workers;
-  }
-  [[nodiscard]] uint32_t defaultHostWorkers() const {
-    std::shared_lock lock(defaults_mutex_);
-    return default_host_workers_;
-  }
-
-  /// Default simcheck config applied to launches whose config leaves
-  /// the mode kAuto (mirrors setDefaultHostWorkers).
-  void setDefaultCheck(simcheck::CheckConfig check) {
-    std::unique_lock lock(defaults_mutex_);
-    default_check_ = check;
-  }
-  [[nodiscard]] simcheck::CheckConfig defaultCheck() const {
-    std::shared_lock lock(defaults_mutex_);
-    return default_check_;
-  }
-
-  /// Default simprof config applied to launches whose config leaves the
-  /// mode kAuto (mirrors setDefaultCheck). An unset default stays
-  /// kAuto, so SIMTOMP_PROF still decides per launch.
-  void setDefaultProfile(simprof::ProfileConfig profile) {
-    std::unique_lock lock(defaults_mutex_);
-    default_profile_ = profile;
-  }
-  [[nodiscard]] simprof::ProfileConfig defaultProfile() const {
-    std::shared_lock lock(defaults_mutex_);
-    return default_profile_;
-  }
+  // The per-launch knobs (hostWorkers, check, fault, watchdog,
+  // profile, fastPath) come from each launch's config and the
+  // environment (gpusim/knobs.h); the manager adds none of its own.
+  // The two setters below may be called while launches run on other
+  // threads, so their fields are guarded by a shared_mutex: launches
+  // read them under a shared lock, setters write under an exclusive
+  // one, and the getters return copies taken under the shared lock.
+  // All devices share the process-wide BlockExecutor pool, so
+  // concurrent `device(n)` launches interleave their blocks over the
+  // same host workers instead of serializing.
 
   /// Default autotuner consulted by launches that carry a tune key and
-  /// auto launch-shape fields (mirrors setDefaultHostWorkers /
-  /// setDefaultCheck). `mode` kAuto defers to the SIMTOMP_TUNE env var
-  /// on every launch; an explicit mode pins tuning on or off. When no
-  /// tuner was set but the resolved mode enables tuning, a default
+  /// auto launch-shape fields. `mode` kAuto defers to the SIMTOMP_TUNE
+  /// knob on every launch; an explicit mode pins tuning on or off. When
+  /// no tuner was set but the resolved mode enables tuning, a default
   /// tuner (cache path from SIMTOMP_TUNE_CACHE) is created lazily on
   /// first use, so `SIMTOMP_TUNE=1` works with zero code changes.
   void setDefaultTuner(std::shared_ptr<simtune::Tuner> tuner,
@@ -95,19 +62,11 @@ class DeviceManager {
     default_tuner_ = std::move(tuner);
     default_tune_mode_ = mode;
   }
-  [[nodiscard]] std::shared_ptr<simtune::Tuner> defaultTuner() const {
-    std::shared_lock lock(defaults_mutex_);
-    return default_tuner_;
-  }
-  [[nodiscard]] simtune::TuneMode defaultTuneMode() const {
-    std::shared_lock lock(defaults_mutex_);
-    return default_tune_mode_;
-  }
 
-  /// Resilience policy driving the synchronous launch path (mirrors
-  /// setDefaultCheck / setDefaultTuner). `mode` kAuto defers to the
-  /// SIMTOMP_RESILIENCE env var on every launch (default: on). When the
-  /// resolved mode is on, launchOn runs the graceful-degradation chain
+  /// Resilience policy driving the synchronous launch path. `mode` kAuto
+  /// defers to the SIMTOMP_RESILIENCE knob on every launch (default:
+  /// on). When the resolved mode is on, launchOn runs the degradation
+  /// chain
   /// — retry with capped (modeled) backoff for transient UNAVAILABLE
   /// faults, SIMD -> generic mode fallback, host-serial reference — and
   /// publishes a ResilienceReport. Deferred launches (launchOnAsync)
@@ -169,10 +128,10 @@ class DeviceManager {
   }
 
   /// The configuration launchOn(n, config, ...) would actually launch
-  /// with: manager defaults (hostWorkers, check) applied, tuner cache
-  /// consulted (never trials) and the remaining auto fields resolved
-  /// heuristically. Exposed so tests and `simtomp_info --tune` can
-  /// observe default-plumbing precedence without launching anything.
+  /// with: tuner cache consulted (never trials), the remaining auto
+  /// shape fields resolved heuristically and every knob resolved.
+  /// Exposed so tests and schedulers can observe the resolution
+  /// without launching anything.
   [[nodiscard]] omprt::TargetConfig effectiveConfig(size_t n,
                                                     omprt::TargetConfig config);
 
@@ -189,8 +148,6 @@ class DeviceManager {
   void drainAll();
 
  private:
-  /// Apply manager defaults to a launch config (hostWorkers, check).
-  void applyDefaults(omprt::TargetConfig& config) const;
   /// Tuner-aware resolution of auto launch-shape fields. Cache-only
   /// unless `device` is non-null and the effective mode is kTune, in
   /// which case a cache miss runs a trial search on that device (so
@@ -213,9 +170,6 @@ class DeviceManager {
   /// Guards every default_* field (and resilience_mode_) below: shared
   /// on the launch paths, exclusive in the setters.
   mutable std::shared_mutex defaults_mutex_;
-  uint32_t default_host_workers_ = 0;  ///< 0 = auto (env / hardware)
-  simcheck::CheckConfig default_check_{};  ///< kAuto = env / off
-  simprof::ProfileConfig default_profile_{};  ///< kAuto = env / off
   std::shared_ptr<simtune::Tuner> default_tuner_;  ///< may be lazily created
   simtune::TuneMode default_tune_mode_ = simtune::TuneMode::kAuto;
   simfault::ResiliencePolicy default_resilience_{};

@@ -1,28 +1,8 @@
 #include "omprt/convergence.h"
 
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
 
 namespace simtomp::omprt {
-
-bool resolveFastPath(FastPathMode mode) {
-  switch (mode) {
-    case FastPathMode::kOn:
-      return true;
-    case FastPathMode::kOff:
-      return false;
-    case FastPathMode::kAuto:
-      break;
-  }
-  if (const char* env = std::getenv("SIMTOMP_FAST")) {
-    if (std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0 ||
-        std::strcmp(env, "false") == 0) {
-      return false;
-    }
-  }
-  return true;
-}
 
 ConvergenceCache& ConvergenceCache::global() {
   static ConvergenceCache cache;

@@ -28,14 +28,13 @@
 #include <shared_mutex>
 #include <unordered_map>
 
+#include "gpusim/knobs.h"
+
 namespace simtomp::omprt {
 
-/// Launch-level fast-path switch. kAuto consults SIMTOMP_FAST
+/// Launch-level fast-path switch. kAuto consults the SIMTOMP_FAST knob
 /// ("0"/"off"/"false" disable; anything else, or unset, enables).
-enum class FastPathMode : uint8_t { kAuto, kOn, kOff };
-
-/// Resolve a FastPathMode to on/off (reads the environment for kAuto).
-[[nodiscard]] bool resolveFastPath(FastPathMode mode);
+using FastPathMode = gpusim::FastPathMode;
 
 /// Process-wide verdict cache, keyed by outlined body function pointer.
 /// Registration order in the dispatcher cascade is append-only, so a

@@ -68,21 +68,18 @@ Result<gpusim::KernelStats> launchTarget(gpusim::Device& device,
   launch.threadsPerBlock =
       config.threadsPerTeam +
       (config.teamsMode == ExecMode::kGeneric ? device.arch().warpSize : 0);
-  launch.hostWorkers = config.hostWorkers;
-  launch.check = config.check;
-  launch.fault = config.fault;
+  static_cast<gpusim::LaunchOptions&>(launch) =
+      gpusim::resolveLaunchOptions(config);
   // when=simd fault plans key off the *effective* launch shape, so the
   // generic-mode fallback (simdlen 1) genuinely escapes them.
   launch.fault.simdActive = config.simdlen > 1;
-  launch.watchdogSteps = config.watchdogSteps;
-  launch.profile = config.profile;
 
   // Launch-wide defaults for region-level auto fields; never auto
   // themselves (resolveAutoConfig ran above).
   const ParallelConfig default_parallel{config.parallelMode, config.simdlen,
                                         /*modeAuto=*/false};
 
-  const bool fast_path = resolveFastPath(config.fastPath);
+  const bool fast_path = launch.fastPath == FastPathMode::kOn;
 
   // Each block's TeamState lives in that block's arena, dying with the
   // engine: no per-launch state vector, and under host-parallel

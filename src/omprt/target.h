@@ -23,7 +23,10 @@ namespace simtomp::omprt {
 /// 1,024 bytes to 2,048 to accommodate SIMD groups (section 5.3.1).
 inline constexpr uint32_t kDefaultSharingSpaceBytes = 2048;
 
-struct TargetConfig {
+/// A target region's launch shape plus the per-launch host knobs
+/// (gpusim::LaunchOptions: hostWorkers, check, fault, watchdogSteps,
+/// profile, fastPath), which launchTarget hands to the device.
+struct TargetConfig : gpusim::LaunchOptions {
   ExecMode teamsMode = ExecMode::kSPMD;
   /// When true, teamsMode is a placeholder the launch path may replace
   /// (tuner entry, else the SPMD heuristic). Explicit modes always win.
@@ -47,35 +50,14 @@ struct TargetConfig {
   /// schedule clause leaves chunk 0 (0 = runtime default).
   uint64_t scheduleChunk = 0;
   uint32_t sharingSpaceBytes = kDefaultSharingSpaceBytes;
-  /// Host worker threads for independent teams (0 = auto: the
-  /// SIMTOMP_HOST_WORKERS env var, else hardware_concurrency; 1 =
-  /// serial). Affects simulation wall-clock only — modeled cycles and
-  /// all counters are identical for any value.
-  uint32_t hostWorkers = 0;
-  /// Correctness checking (simcheck); see gpusim::LaunchConfig::check.
-  simcheck::CheckConfig check{};
   /// Stable kernel identity for the simtune cache ("" = not tunable;
-  /// auto fields then resolve heuristically). Mirrors the hostWorkers /
-  /// check plumbing: DeviceManager consults its default tuner and the
-  /// SIMTOMP_TUNE env var for launches that carry a key + auto fields.
+  /// auto fields then resolve heuristically). DeviceManager consults
+  /// its default tuner and the SIMTOMP_TUNE knob for launches that
+  /// carry a key + auto fields.
   std::string tuneKey;
   /// Trip-count hint for the tuning-cache bucket (0 = unknown). The
   /// dsl target helpers fill this with the distribute trip count.
   uint64_t tripCount = 0;
-  /// Fault-injection plan (simfault); empty spec consults SIMTOMP_FAULT.
-  /// launchTarget fills fault.simdActive from the effective simdlen so
-  /// when=simd plans stop firing after the generic-mode fallback.
-  simfault::FaultConfig fault{};
-  /// Per-block watchdog step budget; see gpusim::LaunchConfig.
-  uint64_t watchdogSteps = 0;
-  /// Hierarchical profiling (simprof); see gpusim::LaunchConfig::profile.
-  simprof::ProfileConfig profile{};
-  /// Convergence fast path (batched lane execution for hazard-free SIMD
-  /// bodies). Affects host wall-time only: modeled cycles, counters,
-  /// traces, profiles and simcheck verdicts are bit-identical either
-  /// way. kAuto consults SIMTOMP_FAST (default on). Fault-armed blocks
-  /// always take the lane-per-fiber path regardless of this setting.
-  FastPathMode fastPath = FastPathMode::kAuto;
 
   [[nodiscard]] Status validate(const gpusim::ArchSpec& arch) const;
 };

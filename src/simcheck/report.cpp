@@ -1,7 +1,5 @@
 #include "simcheck/report.h"
 
-#include <cstdlib>
-#include <cstring>
 #include <sstream>
 
 namespace simtomp::simcheck {
@@ -16,16 +14,6 @@ std::string_view diagKindName(DiagKind kind) {
     case DiagKind::kSharingUnpublishedRead: return "sharing-unpublished-read";
     case DiagKind::kSharingOverflowLeak: return "sharing-overflow-leak";
     case DiagKind::kUninitSharedRead: return "uninit-shared-read";
-  }
-  return "unknown";
-}
-
-std::string_view checkModeName(CheckMode mode) {
-  switch (mode) {
-    case CheckMode::kAuto: return "auto";
-    case CheckMode::kOff: return "off";
-    case CheckMode::kReport: return "report";
-    case CheckMode::kFatal: return "fatal";
   }
   return "unknown";
 }
@@ -101,33 +89,6 @@ std::string CheckReport::toString() const {
   }
   for (const Diagnostic& d : diagnostics) out << "\n  " << d.toString();
   return out.str();
-}
-
-CheckResolution resolveCheckMode(CheckMode requested) {
-  CheckResolution r;
-  if (requested != CheckMode::kAuto) {
-    r.effective = requested;
-    r.source = "explicit";
-    return r;
-  }
-  const char* env = std::getenv("SIMTOMP_CHECK");
-  if (env == nullptr) {
-    r.effective = CheckMode::kOff;
-    r.source = "default";
-    return r;
-  }
-  r.envValue = env;
-  r.source = "SIMTOMP_CHECK";
-  if (std::strcmp(env, "1") == 0 || std::strcmp(env, "on") == 0 ||
-      std::strcmp(env, "report") == 0) {
-    r.effective = CheckMode::kReport;
-  } else if (std::strcmp(env, "2") == 0 || std::strcmp(env, "fatal") == 0) {
-    r.effective = CheckMode::kFatal;
-  } else {
-    // "0", "off", or anything unrecognized: checking stays off.
-    r.effective = CheckMode::kOff;
-  }
-  return r;
 }
 
 }  // namespace simtomp::simcheck

@@ -25,14 +25,13 @@ namespace simtomp::simcheck {
 
 /// How a launch should be checked.
 enum class CheckMode : uint8_t {
-  kAuto = 0,  ///< resolve from SIMTOMP_CHECK env var (default: off)
+  kAuto = 0,  ///< resolve from the SIMTOMP_CHECK knob (default: off)
   kOff,       ///< no checking, zero overhead (one null-pointer branch)
   kReport,    ///< collect findings into Device::lastCheckReport()
   kFatal,     ///< additionally fail the launch when findings exist
 };
 
-/// Per-launch checking configuration; rides on gpusim::LaunchConfig the
-/// same way hostWorkers does (plumbed through TargetConfig/LaunchSpec).
+/// Per-launch checking configuration; one of gpusim::LaunchOptions.
 struct CheckConfig {
   CheckMode mode = CheckMode::kAuto;
   /// Findings beyond this many are counted but not stored verbatim.
@@ -53,7 +52,6 @@ enum class DiagKind : uint8_t {
 inline constexpr size_t kNumDiagKinds = 8;
 
 [[nodiscard]] std::string_view diagKindName(DiagKind kind);
-[[nodiscard]] std::string_view checkModeName(CheckMode mode);
 
 /// Which address space a finding refers to.
 enum class MemSpace : uint8_t { kNone = 0, kShared, kGlobal, kSynthetic };
@@ -97,20 +95,5 @@ struct CheckReport {
   /// Multi-line report with every stored diagnostic.
   [[nodiscard]] std::string toString() const;
 };
-
-/// How a CheckMode request resolved to an effective mode — kept so
-/// `simtomp_info --check` and CI logs can show where the mode came from.
-struct CheckResolution {
-  CheckMode effective = CheckMode::kOff;  ///< never kAuto
-  const char* source = "default";  ///< "explicit" | "SIMTOMP_CHECK" | "default"
-  std::string envValue;            ///< raw env text when consulted
-};
-
-/// Resolve `requested` against the SIMTOMP_CHECK environment variable.
-/// An explicit (non-auto) request always wins; kAuto consults the env
-/// var afresh on every call (so one process can flip checking between
-/// launches): "0"/"off" → off, "1"/"on"/"report" → report,
-/// "2"/"fatal" → fatal; unset or unrecognized → off.
-[[nodiscard]] CheckResolution resolveCheckMode(CheckMode requested);
 
 }  // namespace simtomp::simcheck

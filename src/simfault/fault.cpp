@@ -1,9 +1,9 @@
 #include "simfault/fault.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "simprof/metrics.h"
+#include "support/parse.h"
 
 namespace simtomp::simfault {
 namespace {
@@ -21,17 +21,6 @@ constexpr KindName kKindNames[] = {
     {FaultKind::kBarrierCorrupt, "barrier_corrupt"},
     {FaultKind::kSharingExhausted, "sharing_exhausted"},
 };
-
-bool parseUint64(std::string_view text, uint64_t* out) {
-  if (text.empty()) return false;
-  uint64_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *out = value;
-  return true;
-}
 
 Status planError(std::string detail) {
   return Status::invalidArgument("fault plan: " + std::move(detail));
@@ -65,7 +54,6 @@ Result<FaultSpec> parseEntry(std::string_view entry) {
     }
     const std::string_view key = option.substr(0, eq);
     const std::string_view value = option.substr(eq + 1);
-    uint64_t number = 0;
     if (key == "when") {
       if (value == "any") {
         spec.when = FaultWhen::kAny;
@@ -77,20 +65,26 @@ Result<FaultSpec> parseEntry(std::string_view entry) {
       }
       continue;
     }
-    if (!parseUint64(value, &number)) {
-      return planError("option '" + std::string(key) + "=" +
-                       std::string(value) + "' expects a number");
-    }
+    uint32_t* narrow = nullptr;  // the 32-bit options; step is 64-bit
     if (key == "block") {
-      spec.block = static_cast<uint32_t>(number);
-    } else if (key == "step") {
-      spec.step = number;
+      narrow = &spec.block;
     } else if (key == "count") {
-      spec.count = static_cast<uint32_t>(number);
+      narrow = &spec.count;
     } else if (key == "after") {
-      spec.afterLaunch = static_cast<uint32_t>(number);
-    } else {
+      narrow = &spec.afterLaunch;
+    } else if (key != "step") {
       return planError("unknown option '" + std::string(key) + "'");
+    }
+    const Result<uint64_t> number =
+        parseUnsigned(value, narrow != nullptr ? UINT32_MAX : UINT64_MAX);
+    if (!number.isOk()) {
+      return planError("option '" + std::string(key) + "': " +
+                       number.status().message());
+    }
+    if (narrow != nullptr) {
+      *narrow = static_cast<uint32_t>(number.value());
+    } else {
+      spec.step = number.value();
     }
   }
   return spec;
@@ -162,56 +156,6 @@ Result<FaultPlan> FaultPlan::parse(std::string_view text) {
   return plan;
 }
 
-FaultResolution resolveFaultSpec(const std::string& requested) {
-  FaultResolution resolution;
-  if (!requested.empty()) {
-    resolution.source = "explicit";
-    resolution.spec =
-        (requested == "off" || requested == "none") ? "" : requested;
-    return resolution;
-  }
-  if (const char* env = std::getenv("SIMTOMP_FAULT")) {
-    resolution.envValue = env;
-    resolution.source = "SIMTOMP_FAULT";
-    if (resolution.envValue != "off" && resolution.envValue != "none" &&
-        resolution.envValue != "0") {
-      resolution.spec = resolution.envValue;
-    }
-    return resolution;
-  }
-  return resolution;
-}
-
-WatchdogResolution resolveWatchdogSteps(uint64_t requested) {
-  WatchdogResolution resolution;
-  if (requested == kWatchdogOff) {
-    resolution.source = "explicit";
-    resolution.steps = 0;
-    return resolution;
-  }
-  if (requested != 0) {
-    resolution.source = "explicit";
-    resolution.steps = requested;
-    return resolution;
-  }
-  if (const char* env = std::getenv("SIMTOMP_WATCHDOG")) {
-    resolution.envValue = env;
-    resolution.source = "SIMTOMP_WATCHDOG";
-    uint64_t steps = 0;
-    if (resolution.envValue == "off" ||
-        (parseUint64(resolution.envValue, &steps) && steps == 0)) {
-      resolution.steps = 0;
-    } else if (parseUint64(resolution.envValue, &steps)) {
-      resolution.steps = steps;
-    } else {
-      resolution.steps = kDefaultWatchdogSteps;  // unrecognized: default on
-    }
-    return resolution;
-  }
-  resolution.steps = kDefaultWatchdogSteps;
-  return resolution;
-}
-
 const BlockFaultArm* LaunchArm::forBlock(uint32_t block) const {
   const auto it = std::lower_bound(
       blockFaults.begin(), blockFaults.end(), block,
@@ -222,8 +166,7 @@ const BlockFaultArm* LaunchArm::forBlock(uint32_t block) const {
 
 Result<LaunchArm> Injector::arm(const FaultConfig& config,
                                 uint32_t numBlocks) {
-  const FaultResolution resolved = resolveFaultSpec(config.spec);
-  Result<FaultPlan> parsed = FaultPlan::parse(resolved.spec);
+  Result<FaultPlan> parsed = FaultPlan::parse(config.spec);
   if (!parsed.isOk()) return parsed.status();
   const FaultPlan& plan = parsed.value();
 

@@ -81,26 +81,14 @@ struct FaultPlan {
   static Result<FaultPlan> parse(std::string_view text);
 };
 
-/// Per-launch fault request; rides gpusim::LaunchConfig the same way
-/// CheckConfig does. `spec` empty means "consult SIMTOMP_FAULT".
-/// `simdActive` is filled by the launch layer (omprt) so when=simd
-/// predicates can be evaluated at arm time.
+/// Per-launch fault request; rides gpusim::LaunchOptions the same way
+/// CheckConfig does. `spec` empty means auto: gpusim's knob resolver
+/// consults SIMTOMP_FAULT. `simdActive` is filled by the launch layer
+/// (omprt) so when=simd predicates can be evaluated at arm time.
 struct FaultConfig {
   std::string spec;
   bool simdActive = false;
 };
-
-/// Where a fault spec came from, for logs and simtomp_info.
-struct FaultResolution {
-  std::string spec;                ///< effective plan text (may be empty)
-  const char* source = "default";  ///< "explicit" | "SIMTOMP_FAULT" | "default"
-  std::string envValue;            ///< raw env text when consulted
-};
-
-/// Resolve `requested` against SIMTOMP_FAULT. A non-empty request
-/// always wins ("off"/"none" resolve to the empty plan without
-/// consulting the env); an empty request reads the env var afresh.
-[[nodiscard]] FaultResolution resolveFaultSpec(const std::string& requested);
 
 /// Sentinel: watchdog explicitly disabled on the launch config.
 inline constexpr uint64_t kWatchdogOff = UINT64_MAX;
@@ -108,19 +96,6 @@ inline constexpr uint64_t kWatchdogOff = UINT64_MAX;
 /// far above any legitimate kernel in this repo (the largest bench
 /// block runs ~2e5 scheduler steps) yet cheap to hit in a livelock.
 inline constexpr uint64_t kDefaultWatchdogSteps = uint64_t{1} << 26;
-
-/// Where the watchdog budget came from.
-struct WatchdogResolution {
-  uint64_t steps = 0;              ///< 0 = watchdog disabled
-  const char* source = "default";  ///< "explicit"|"SIMTOMP_WATCHDOG"|"default"
-  std::string envValue;
-};
-
-/// Resolve a per-launch step budget. `requested` 0 means auto:
-/// consult SIMTOMP_WATCHDOG ("off"/"0" disables, a number is the
-/// budget), else use kDefaultWatchdogSteps. kWatchdogOff disables
-/// explicitly. Any other value is the explicit budget.
-[[nodiscard]] WatchdogResolution resolveWatchdogSteps(uint64_t requested);
 
 /// Faults armed for one specific block of one launch attempt. The
 /// BlockEngine holds a pointer to this for the duration of the block,
@@ -162,7 +137,8 @@ struct LaunchArm {
 class Injector {
  public:
   /// Arm `config` for the next launch attempt (the attempt ordinal
-  /// advances even when nothing fires). Returns the armed faults, or
+  /// advances even when nothing fires). `config.spec` is taken as
+  /// resolved: "" arms nothing. Returns the armed faults, or
   /// kInvalidArgument for an unparsable plan.
   Result<LaunchArm> arm(const FaultConfig& config, uint32_t numBlocks);
 

@@ -1,7 +1,6 @@
 #include "simfault/resilience.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 namespace simtomp::simfault {
 
@@ -33,36 +32,6 @@ std::string_view recoveryStageName(RecoveryStage stage) {
     case RecoveryStage::kHostSerial: return "host_serial";
   }
   return "unknown";
-}
-
-std::string_view resilienceModeName(ResilienceMode mode) {
-  switch (mode) {
-    case ResilienceMode::kAuto: return "auto";
-    case ResilienceMode::kOff: return "off";
-    case ResilienceMode::kOn: return "on";
-  }
-  return "unknown";
-}
-
-ResilienceResolution resolveResilienceMode(ResilienceMode requested) {
-  ResilienceResolution resolution;
-  if (requested != ResilienceMode::kAuto) {
-    resolution.effective = requested;
-    resolution.source = "explicit";
-    return resolution;
-  }
-  if (const char* env = std::getenv("SIMTOMP_RESILIENCE")) {
-    resolution.envValue = env;
-    resolution.source = "SIMTOMP_RESILIENCE";
-    if (resolution.envValue == "0" || resolution.envValue == "off") {
-      resolution.effective = ResilienceMode::kOff;
-    } else {
-      resolution.effective = ResilienceMode::kOn;
-    }
-    return resolution;
-  }
-  resolution.effective = ResilienceMode::kOn;
-  return resolution;
 }
 
 std::string AttemptRecord::toString() const {

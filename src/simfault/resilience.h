@@ -48,7 +48,6 @@ enum class ResilienceMode : uint8_t {
 
 [[nodiscard]] std::string_view deviceHealthName(DeviceHealth health);
 [[nodiscard]] std::string_view recoveryStageName(RecoveryStage stage);
-[[nodiscard]] std::string_view resilienceModeName(ResilienceMode mode);
 
 /// Knobs of the degradation chain.
 struct ResiliencePolicy {
@@ -58,18 +57,6 @@ struct ResiliencePolicy {
   bool modeFallback = true;    ///< allow SIMD -> generic fallback
   bool hostSerial = true;      ///< allow the host-serial reference rung
 };
-
-/// How a ResilienceMode request resolved, for logs and simtomp_info.
-struct ResilienceResolution {
-  ResilienceMode effective = ResilienceMode::kOn;  ///< never kAuto
-  const char* source = "default";  ///< "explicit"|"SIMTOMP_RESILIENCE"|...
-  std::string envValue;
-};
-
-/// Resolve `requested` against SIMTOMP_RESILIENCE ("0"/"off" -> off,
-/// "1"/"on" -> on; unset or unrecognized -> on). Explicit wins.
-[[nodiscard]] ResilienceResolution resolveResilienceMode(
-    ResilienceMode requested);
 
 /// The modeled capped-exponential-backoff schedule every retry path in
 /// the repo shares: min(base << (attempt - 1), cap) for attempt >= 1

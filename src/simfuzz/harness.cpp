@@ -368,9 +368,7 @@ SimRun runOnSim(const FuzzProgram& p, const RunOptions& opt) {
   const GlobalSpan<double> acc = all.subspan(n - 1, 1);
 
   dsl::LaunchSpec spec = p.launchSpec();
-  spec.hostWorkers = opt.hostWorkers;
-  spec.fastPath = opt.fastPath;
-  if (!opt.faultSpec.empty()) spec.faultSpec = opt.faultSpec;
+  static_cast<gpusim::LaunchOptions&>(spec) = opt;
 
   auto stats = launchDispatch(dev, p, spec, out, out2, acc);
   simprof::MetricsRegistry::global().add(simprof::metric::kFuzzRunsTotal);
@@ -402,7 +400,7 @@ DiffResult diffProgram(const FuzzProgram& p, const DiffOptions& opt) {
     ro.arch = archById(cell.archId);
     ro.hostWorkers = cell.hostWorkers;
     ro.fastPath = cell.fastPath;
-    ro.faultSpec = opt.faultSpec;
+    if (!opt.faultSpec.empty()) ro.fault.spec = opt.faultSpec;
     const SimRun run = runOnSim(p, ro);
     ++result.runs;
 

@@ -43,13 +43,19 @@ struct SimRun {
   std::string checkSummary;
 };
 
-struct RunOptions {
+/// One cell's launch: the arch plus the host knobs, which replace the
+/// program's own. Every knob starts pinned (1 worker, fast path off,
+/// checking in report mode, no faults), so no SIMTOMP_* env var can
+/// reach a cell; a non-"off" fault.spec is the simfault-oracle mode.
+struct RunOptions : gpusim::LaunchOptions {
+  RunOptions() {
+    hostWorkers = 1;
+    fastPath = omprt::FastPathMode::kOff;
+    check.mode = simcheck::CheckMode::kReport;
+    fault.spec = "off";
+  }
+
   gpusim::ArchSpec arch = gpusim::ArchSpec::testTiny();
-  uint32_t hostWorkers = 1;
-  omprt::FastPathMode fastPath = omprt::FastPathMode::kOff;
-  /// Non-empty: overrides the program's pinned "off" fault spec (the
-  /// simfault-oracle mode of the fuzzer).
-  std::string faultSpec;
 };
 
 /// The host-serial reference: closed forms only, never sees the

@@ -137,7 +137,7 @@ dsl::LaunchSpec FuzzProgram::launchSpec() const {
   // Environment-independent by construction: checking pinned on
   // (explicit beats SIMTOMP_CHECK), fault injection pinned off.
   spec.check.mode = simcheck::CheckMode::kReport;
-  spec.faultSpec = "off";
+  spec.fault.spec = "off";
   return spec;
 }
 

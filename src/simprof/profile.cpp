@@ -1,9 +1,7 @@
 #include "simprof/profile.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
 
 #include "support/log.h"
 #include "support/status.h"
@@ -34,23 +32,6 @@ std::string_view profileModeName(ProfileMode mode) {
     case ProfileMode::kOn: return "on";
   }
   return "unknown";
-}
-
-ProfileResolution resolveProfileMode(ProfileMode requested) {
-  if (requested != ProfileMode::kAuto) {
-    return {requested, "explicit", {}};
-  }
-  if (const char* env = std::getenv("SIMTOMP_PROF")) {
-    std::string lower;
-    for (const char c : std::string_view(env)) {
-      lower.push_back(static_cast<char>(std::tolower(c)));
-    }
-    const ProfileMode mode = (lower == "1" || lower == "on")
-                                 ? ProfileMode::kOn
-                                 : ProfileMode::kOff;
-    return {mode, "SIMTOMP_PROF", env};
-  }
-  return {ProfileMode::kOff, "default", {}};
 }
 
 // ---- ProfileNode ----

@@ -50,31 +50,17 @@ inline constexpr size_t kNumConstructs = static_cast<size_t>(Construct::kCount);
 
 /// How a launch should be profiled. Mirrors simcheck::CheckMode.
 enum class ProfileMode : uint8_t {
-  kAuto = 0,  ///< resolve from the SIMTOMP_PROF env var (default: off)
+  kAuto = 0,  ///< resolve from the SIMTOMP_PROF knob (default: off)
   kOff,       ///< no profiling, zero overhead (one null-pointer branch)
   kOn,        ///< build the construct tree into Device::lastProfile()
 };
 
 [[nodiscard]] std::string_view profileModeName(ProfileMode mode);
 
-/// Per-launch profiling configuration; rides on gpusim::LaunchConfig
-/// the same way hostWorkers / check do.
+/// Per-launch profiling configuration; one of gpusim::LaunchOptions.
 struct ProfileConfig {
   ProfileMode mode = ProfileMode::kAuto;
 };
-
-/// How a ProfileMode request resolved — kept so `simtomp_info` and CI
-/// logs can show where the mode came from (mirrors CheckResolution).
-struct ProfileResolution {
-  ProfileMode effective = ProfileMode::kOff;  ///< never kAuto
-  const char* source = "default";  ///< "explicit" | "SIMTOMP_PROF" | "default"
-  std::string envValue;            ///< raw env text when consulted
-};
-
-/// Resolve `requested` against the SIMTOMP_PROF environment variable.
-/// An explicit (non-auto) request always wins; kAuto consults the env
-/// var afresh on every call: "1"/"on" -> on, anything else -> off.
-[[nodiscard]] ProfileResolution resolveProfileMode(ProfileMode requested);
 
 /// One node of the construct tree. All cycle fields of non-root nodes
 /// are *thread-cycles*: per-(thread, visit) modeled-timeline spans,

@@ -14,6 +14,16 @@ namespace {
 
 constexpr size_t kNpos = std::numeric_limits<size_t>::max();
 
+/// The config a request launches with: its batch's resolved config,
+/// with the per-request knobs put back. The fault plan and watchdog
+/// budget belong to the request, not the kernel fingerprint.
+omprt::TargetConfig withRequestKnobs(omprt::TargetConfig resolved,
+                                     const omprt::TargetConfig& request) {
+  resolved.fault = request.fault;
+  resolved.watchdogSteps = request.watchdogSteps;
+  return resolved;
+}
+
 }  // namespace
 
 std::string_view requestStateName(RequestState state) {
@@ -258,12 +268,8 @@ size_t LaunchService::firstEligible(const PriorityClass& cls) const {
 void LaunchService::dispatchLocked(Request& request, size_t device,
                                    const omprt::TargetConfig& resolved,
                                    bool batch_follower) {
-  omprt::TargetConfig cfg = resolved;
-  // Per-request knobs survive batch resolution: the fault plan and
-  // watchdog budget belong to the request, not the kernel fingerprint.
-  cfg.fault = request.config.fault;
-  cfg.watchdogSteps = request.config.watchdogSteps;
-  request.future = mgr_->taskQueue(device).enqueue(cfg, request.region);
+  request.future = mgr_->taskQueue(device).enqueue(
+      withRequestKnobs(resolved, request.config), request.region);
   request.state = RequestState::kDispatched;
   request.device = static_cast<uint32_t>(device);
   request.batchFollower = batch_follower;
@@ -587,12 +593,10 @@ Status LaunchService::migrateLocked(const std::vector<uint64_t>& ids) {
     metrics.observe(simprof::metric::kServeRetryBackoffCycles, backoff);
     const size_t device = shardDevice_[request.shard];
     const uint32_t from_device = request.device;
-    const omprt::TargetConfig resolved =
-        mgr_->effectiveConfig(device, request.config);
-    omprt::TargetConfig cfg = resolved;
-    cfg.fault = request.config.fault;
-    cfg.watchdogSteps = request.config.watchdogSteps;
-    request.future = mgr_->taskQueue(device).enqueue(cfg, request.region);
+    request.future = mgr_->taskQueue(device).enqueue(
+        withRequestKnobs(mgr_->effectiveConfig(device, request.config),
+                         request.config),
+        request.region);
     request.device = static_cast<uint32_t>(device);
     request.state = RequestState::kDispatched;
     dispatchOrder_.push_back(id);

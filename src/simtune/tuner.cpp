@@ -75,40 +75,8 @@ constexpr uint64_t kFailedTrial = UINT64_MAX;
 
 }  // namespace
 
-std::string_view tuneModeName(TuneMode mode) {
-  switch (mode) {
-    case TuneMode::kAuto: return "auto";
-    case TuneMode::kOff: return "off";
-    case TuneMode::kCache: return "cache";
-    case TuneMode::kTune: return "tune";
-  }
-  return "?";
-}
-
 std::string_view tuneStrategyName(TuneStrategy strategy) {
   return strategy == TuneStrategy::kExhaustive ? "exhaustive" : "hillclimb";
-}
-
-TuneResolution resolveTuneMode(TuneMode requested) {
-  TuneResolution res;
-  if (requested != TuneMode::kAuto) {
-    res.effective = requested;
-    res.source = "explicit";
-    return res;
-  }
-  const char* env = std::getenv("SIMTOMP_TUNE");
-  if (env == nullptr) return res;  // default off
-  res.envValue = env;
-  res.source = "SIMTOMP_TUNE";
-  const std::string_view v = res.envValue;
-  if (v == "1" || v == "on" || v == "cache") {
-    res.effective = TuneMode::kCache;
-  } else if (v == "2" || v == "tune" || v == "trial") {
-    res.effective = TuneMode::kTune;
-  } else {
-    res.effective = TuneMode::kOff;  // "0", "off", or unrecognized
-  }
-  return res;
 }
 
 std::string TuneCandidate::toString() const {
@@ -226,7 +194,8 @@ Result<TuneOutcome> Tuner::search(const TuneKey& key,
     return Status::invalidArgument(
         "tuning axes enumerate to an empty launch space");
   }
-  const uint32_t workers = gpusim::resolveHostWorkers(request.hostWorkers);
+  const uint32_t workers =
+      gpusim::resolveKnob(gpusim::kHostWorkersKnob, request.hostWorkers).value;
   uint32_t budget =
       request.maxTrials == 0 ? UINT32_MAX : request.maxTrials;
 

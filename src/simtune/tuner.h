@@ -34,29 +34,8 @@
 
 namespace simtomp::simtune {
 
-/// How a launch wants tuning, mirroring simcheck::CheckMode.
-enum class TuneMode : uint8_t {
-  kAuto = 0,  ///< resolve from the SIMTOMP_TUNE env var (default: off)
-  kOff,       ///< auto fields resolve heuristically; no cache, no trials
-  kCache,     ///< resolve from the tuning cache; miss → heuristics
-  kTune,      ///< resolve from the cache; miss → run a trial search
-};
-
-[[nodiscard]] std::string_view tuneModeName(TuneMode mode);
-
-/// How a TuneMode request resolved — kept so `simtomp_info --tune` and
-/// CI logs can show where the mode came from.
-struct TuneResolution {
-  TuneMode effective = TuneMode::kOff;  ///< never kAuto
-  const char* source = "default";  ///< "explicit" | "SIMTOMP_TUNE" | "default"
-  std::string envValue;            ///< raw env text when consulted
-};
-
-/// Resolve `requested` against the SIMTOMP_TUNE environment variable.
-/// An explicit (non-auto) request always wins; kAuto consults the env
-/// var afresh on every call: "0"/"off" → off, "1"/"on"/"cache" → cache,
-/// "2"/"tune"/"trial" → tune; unset or unrecognized → off.
-[[nodiscard]] TuneResolution resolveTuneMode(TuneMode requested);
+/// How a launch wants tuning; resolved through gpusim::kTuneKnob.
+using TuneMode = gpusim::TuneMode;
 
 /// One point of the launch space.
 struct TuneCandidate {
@@ -119,8 +98,8 @@ struct TuneRequest {
   /// candidate list; hill-climb stops descending when the budget is
   /// spent and returns the best candidate seen.
   uint32_t maxTrials = 0;
-  /// Host workers for trial fan-out (0 = auto via SIMTOMP_HOST_WORKERS;
-  /// see gpusim::resolveHostWorkers). Affects wall-clock only.
+  /// Host workers for trial fan-out (0 = auto via the
+  /// SIMTOMP_HOST_WORKERS knob). Affects wall-clock only.
   uint32_t hostWorkers = 0;
   /// Forwarded to every trial, so tuning can double as a check sweep.
   simcheck::CheckConfig check{};

@@ -1,0 +1,38 @@
+// Range-checked parsing of the unsigned integers in knob, clause and
+// fault-plan text. One parser for every text surface, so none of them
+// can wrap around: "4294967328" must be rejected where a uint32_t is
+// expected, not silently become 32.
+#pragma once
+
+#include <cstdint>
+#include <string>
+#include <string_view>
+
+#include "support/status.h"
+
+namespace simtomp {
+
+/// Parse `text` as a decimal unsigned integer no greater than `max`.
+/// Only the digits 0-9 are accepted (no sign, no whitespace). Empty or
+/// non-digit text is kInvalidArgument; a value above `max` (including
+/// one that does not fit 64 bits) is kOutOfRange.
+[[nodiscard]] inline Result<uint64_t> parseUnsigned(std::string_view text,
+                                                    uint64_t max = UINT64_MAX) {
+  if (text.empty()) return Status::invalidArgument("expected a number");
+  uint64_t value = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') {
+      return Status::invalidArgument("'" + std::string(text) +
+                                     "' is not an unsigned integer");
+    }
+    const auto digit = static_cast<uint64_t>(c - '0');
+    if (digit > max || value > (max - digit) / 10) {
+      return Status::outOfRange("'" + std::string(text) + "' exceeds " +
+                                std::to_string(max));
+    }
+    value = value * 10 + digit;
+  }
+  return value;
+}
+
+}  // namespace simtomp

@@ -41,6 +41,23 @@ TEST(DirectiveParseTest, IntegerClauses) {
   EXPECT_EQ(spec.value().collapse, 2u);
 }
 
+// A clause value beyond its field's range is an error, never a wrapped
+// value: num_teams(2^32 + 32) must not launch 32 teams.
+TEST(DirectiveParseTest, IntegerClauseOverflowIsRejected) {
+  const auto teams = parseDirective("target teams num_teams(4294967328)");
+  ASSERT_FALSE(teams.isOk());
+  EXPECT_EQ(teams.status().code(), StatusCode::kOutOfRange);
+  EXPECT_TRUE(parseDirective("target teams num_teams(4294967295)").isOk());
+}
+
+// watchdog(2^64) must not wrap to 0, which means "watchdog off".
+TEST(DirectiveParseTest, WatchdogOverflowIsRejected) {
+  const auto steps =
+      parseDirective("target teams watchdog(18446744073709551616)");
+  ASSERT_FALSE(steps.isOk());
+  EXPECT_EQ(steps.status().code(), StatusCode::kOutOfRange);
+}
+
 TEST(DirectiveParseTest, ScheduleClauses) {
   auto dynamic = parseDirective("parallel for schedule(dynamic,4)");
   ASSERT_TRUE(dynamic.isOk());
@@ -242,10 +259,10 @@ TEST(DirectiveParseTest, FaultClauseCarriesValidatedPlan) {
       "target teams distribute parallel for simd "
       "fault(trap:block=0:step=50:when=simd)");
   ASSERT_TRUE(spec.isOk()) << spec.status().toString();
-  EXPECT_EQ(spec.value().faultSpec, "trap:block=0:step=50:when=simd");
+  EXPECT_EQ(spec.value().options.fault.spec, "trap:block=0:step=50:when=simd");
   const dsl::LaunchSpec launch =
       spec.value().toLaunchSpec(ArchSpec::testTiny());
-  EXPECT_EQ(launch.faultSpec, "trap:block=0:step=50:when=simd");
+  EXPECT_EQ(launch.fault.spec, "trap:block=0:step=50:when=simd");
   EXPECT_EQ(launch.targetConfig().fault.spec,
             "trap:block=0:step=50:when=simd");
 }
@@ -253,11 +270,12 @@ TEST(DirectiveParseTest, FaultClauseCarriesValidatedPlan) {
 TEST(DirectiveParseTest, FaultClauseOffAndMultiEntry) {
   auto off = parseDirective("target teams fault(off)");
   ASSERT_TRUE(off.isOk());
-  EXPECT_EQ(off.value().faultSpec, "off");
+  EXPECT_EQ(off.value().options.fault.spec, "off");
   auto multi =
       parseDirective("target teams fault(device_lost_pre:count=1;livelock)");
   ASSERT_TRUE(multi.isOk()) << multi.status().toString();
-  EXPECT_EQ(multi.value().faultSpec, "device_lost_pre:count=1;livelock");
+  EXPECT_EQ(multi.value().options.fault.spec,
+            "device_lost_pre:count=1;livelock");
 }
 
 TEST(DirectiveParseTest, FaultClauseRejectsBadPlans) {
@@ -269,13 +287,13 @@ TEST(DirectiveParseTest, FaultClauseRejectsBadPlans) {
 TEST(DirectiveParseTest, WatchdogClause) {
   auto steps = parseDirective("target teams watchdog(100000)");
   ASSERT_TRUE(steps.isOk()) << steps.status().toString();
-  EXPECT_EQ(steps.value().watchdogSteps, 100000u);
+  EXPECT_EQ(steps.value().options.watchdogSteps, 100000u);
   auto off = parseDirective("target teams watchdog(off)");
   ASSERT_TRUE(off.isOk());
-  EXPECT_EQ(off.value().watchdogSteps, simfault::kWatchdogOff);
+  EXPECT_EQ(off.value().options.watchdogSteps, simfault::kWatchdogOff);
   auto zero = parseDirective("target teams watchdog(0)");
   ASSERT_TRUE(zero.isOk());
-  EXPECT_EQ(zero.value().watchdogSteps, simfault::kWatchdogOff);
+  EXPECT_EQ(zero.value().options.watchdogSteps, simfault::kWatchdogOff);
   EXPECT_FALSE(parseDirective("target teams watchdog(soon)").isOk());
   // Lowering carries the budget into the launch config.
   const dsl::LaunchSpec launch =
@@ -286,17 +304,18 @@ TEST(DirectiveParseTest, WatchdogClause) {
 TEST(DirectiveParseTest, ProfileClause) {
   auto on = parseDirective("target teams profile(on)");
   ASSERT_TRUE(on.isOk()) << on.status().toString();
-  EXPECT_EQ(on.value().profileMode, simprof::ProfileMode::kOn);
+  EXPECT_EQ(on.value().options.profile.mode, simprof::ProfileMode::kOn);
   auto off = parseDirective("target teams profile(off)");
   ASSERT_TRUE(off.isOk());
-  EXPECT_EQ(off.value().profileMode, simprof::ProfileMode::kOff);
+  EXPECT_EQ(off.value().options.profile.mode, simprof::ProfileMode::kOff);
   auto auto_mode = parseDirective("target teams profile(auto)");
   ASSERT_TRUE(auto_mode.isOk());
-  EXPECT_EQ(auto_mode.value().profileMode, simprof::ProfileMode::kAuto);
+  EXPECT_EQ(auto_mode.value().options.profile.mode,
+            simprof::ProfileMode::kAuto);
   // Unset defaults to auto (SIMTOMP_PROF decides per launch).
   auto unset = parseDirective("target teams");
   ASSERT_TRUE(unset.isOk());
-  EXPECT_EQ(unset.value().profileMode, simprof::ProfileMode::kAuto);
+  EXPECT_EQ(unset.value().options.profile.mode, simprof::ProfileMode::kAuto);
   // Lowering carries the mode into the launch config.
   const dsl::LaunchSpec launch = on.value().toLaunchSpec(ArchSpec::testTiny());
   EXPECT_EQ(launch.profile.mode, simprof::ProfileMode::kOn);

@@ -11,6 +11,7 @@
 
 #include "gpusim/device.h"
 #include "gpusim/executor.h"
+#include "gpusim/knobs.h"
 
 namespace simtomp::gpusim {
 namespace {
@@ -43,28 +44,28 @@ class ScopedHostWorkersEnv {
 
 TEST(ResolveHostWorkersTest, ExplicitRequestWins) {
   ScopedHostWorkersEnv env("16");
-  EXPECT_EQ(resolveHostWorkers(3), 3u);
-  EXPECT_EQ(resolveHostWorkers(1), 1u);
+  EXPECT_EQ(resolveKnob(kHostWorkersKnob, 3).value, 3u);
+  EXPECT_EQ(resolveKnob(kHostWorkersKnob, 1).value, 1u);
 }
 
 TEST(ResolveHostWorkersTest, EnvVarUsedWhenAuto) {
   ScopedHostWorkersEnv env("5");
-  EXPECT_EQ(resolveHostWorkers(0), 5u);
+  EXPECT_EQ(resolveKnob(kHostWorkersKnob, 0).value, 5u);
 }
 
 TEST(ResolveHostWorkersTest, GarbageEnvFallsBackToHardware) {
   const uint32_t hw = std::max(1u, std::thread::hardware_concurrency());
   {
     ScopedHostWorkersEnv env("banana");
-    EXPECT_EQ(resolveHostWorkers(0), hw);
+    EXPECT_EQ(resolveKnob(kHostWorkersKnob, 0).value, hw);
   }
   {
     ScopedHostWorkersEnv env("0");
-    EXPECT_EQ(resolveHostWorkers(0), hw);
+    EXPECT_EQ(resolveKnob(kHostWorkersKnob, 0).value, hw);
   }
   {
     ScopedHostWorkersEnv env(nullptr);
-    EXPECT_EQ(resolveHostWorkers(0), hw);
+    EXPECT_EQ(resolveKnob(kHostWorkersKnob, 0).value, hw);
   }
 }
 

@@ -1,26 +1,23 @@
-// DeviceManager default-plumbing precedence, parameterized over every
-// channel that has the three-level layering:
+// DeviceManager precedence for the one launch input that still has a
+// manager level, the autotuner:
 //
-//   explicit launch config  >  setDefault* on the manager  >  env var
+//   explicit launch config  >  setDefaultTuner on the manager  >  env var
 //
-// The channels (hostWorkers / check / tuner) share one test body; each
-// parameter supplies how to set a value at each level and how to
-// observe which level won, via DeviceManager::effectiveConfig — no
-// kernel is launched.
+// Each level is observed via DeviceManager::effectiveConfig — no kernel
+// is launched. The per-launch knobs have no manager level (explicit >
+// env > built-in); tests/knobs_test.cpp covers them row by row.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
-#include <thread>
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
-#include "gpusim/executor.h"
 #include "hostrt/device_manager.h"
 #include "simtune/cache.h"
 #include "simtune/tuner.h"
@@ -30,28 +27,7 @@ namespace {
 
 using gpusim::ArchSpec;
 
-constexpr const char* kEnvVars[] = {"SIMTOMP_HOST_WORKERS", "SIMTOMP_CHECK",
-                                    "SIMTOMP_TUNE", "SIMTOMP_TUNE_CACHE",
-                                    "SIMTOMP_PROF"};
-
-struct Channel {
-  const char* name;
-  /// Prepare the base launch config (e.g. mark a field auto).
-  std::function<void(omprt::TargetConfig&)> prepBase;
-  /// Set the channel's env-var level.
-  std::function<void()> setEnv;
-  /// Set the channel's manager-default level.
-  std::function<void(DeviceManager&)> setManager;
-  /// Set the channel's explicit-config level.
-  std::function<void(omprt::TargetConfig&)> setExplicit;
-  /// Observe which level won (a small distinct integer per level).
-  std::function<int(DeviceManager&, const omprt::TargetConfig&)> observe;
-  /// Expected observation with nothing set (evaluated under clean env).
-  std::function<int()> expectDefault;
-  int expectEnv;
-  int expectManager;
-  int expectExplicit;
-};
+constexpr const char* kEnvVars[] = {"SIMTOMP_TUNE", "SIMTOMP_TUNE_CACHE"};
 
 // The seeded tuning-cache entries: the env-level cache file answers
 // simdlen 16, the manager-level tuner answers 8, the explicit config
@@ -72,115 +48,8 @@ std::string envCachePath() {
   return ::testing::TempDir() + "hostrt_defaults_tune_cache.json";
 }
 
-Channel hostWorkersChannel() {
-  Channel ch;
-  ch.name = "hostWorkers";
-  ch.prepBase = [](omprt::TargetConfig&) {};
-  ch.setEnv = [] { ::setenv("SIMTOMP_HOST_WORKERS", "3", 1); };
-  ch.setManager = [](DeviceManager& mgr) { mgr.setDefaultHostWorkers(2); };
-  ch.setExplicit = [](omprt::TargetConfig& c) { c.hostWorkers = 5; };
-  ch.observe = [](DeviceManager& mgr, const omprt::TargetConfig& c) {
-    // effectiveConfig leaves 0 (auto) when neither explicit nor manager
-    // level decided; the env level resolves at Device::launch via
-    // resolveHostWorkers, so chain it here the way the launch would.
-    return static_cast<int>(gpusim::resolveHostWorkers(
-        mgr.effectiveConfig(0, c).hostWorkers));
-  };
-  // With a clean env the auto fallback is hardware concurrency;
-  // evaluate it at stage time rather than hard-coding a machine value.
-  ch.expectDefault = [] {
-    return static_cast<int>(gpusim::resolveHostWorkers(0));
-  };
-  ch.expectEnv = 3;
-  ch.expectManager = 2;
-  ch.expectExplicit = 5;
-  return ch;
-}
-
-Channel checkChannel() {
-  Channel ch;
-  ch.name = "check";
-  ch.prepBase = [](omprt::TargetConfig&) {};
-  ch.setEnv = [] { ::setenv("SIMTOMP_CHECK", "2", 1); };  // fatal
-  ch.setManager = [](DeviceManager& mgr) {
-    simcheck::CheckConfig check;
-    check.mode = simcheck::CheckMode::kReport;
-    mgr.setDefaultCheck(check);
-  };
-  ch.setExplicit = [](omprt::TargetConfig& c) {
-    c.check.mode = simcheck::CheckMode::kOff;
-  };
-  ch.observe = [](DeviceManager& mgr, const omprt::TargetConfig& c) {
-    return static_cast<int>(mgr.effectiveConfig(0, c).check.mode);
-  };
-  ch.expectDefault = [] {
-    return static_cast<int>(simcheck::CheckMode::kOff);
-  };
-  ch.expectEnv = static_cast<int>(simcheck::CheckMode::kFatal);
-  ch.expectManager = static_cast<int>(simcheck::CheckMode::kReport);
-  ch.expectExplicit = static_cast<int>(simcheck::CheckMode::kOff);
-  return ch;
-}
-
-Channel tunerChannel() {
-  Channel ch;
-  ch.name = "tuner";
-  ch.prepBase = [](omprt::TargetConfig& c) {
-    c.tuneKey = "prec";
-    c.simdlen = 0;  // the one auto field the cache entries decide
-  };
-  ch.setEnv = [] {
-    // Cache-mode tuning via env, answering from a cache file: this is
-    // the zero-code-changes SIMTOMP_TUNE=1 path (lazy default tuner).
-    simtune::TuneCache file(envCachePath());
-    file.insert(precKey(), shapeWithSimdlen(16));
-    ASSERT_TRUE(file.save().isOk());
-    ::setenv("SIMTOMP_TUNE", "1", 1);
-    ::setenv("SIMTOMP_TUNE_CACHE", envCachePath().c_str(), 1);
-  };
-  ch.setManager = [](DeviceManager& mgr) {
-    auto cache = std::make_shared<simtune::TuneCache>();
-    cache->insert(precKey(), shapeWithSimdlen(8));
-    mgr.setDefaultTuner(std::make_shared<simtune::Tuner>(std::move(cache)),
-                        simtune::TuneMode::kCache);
-  };
-  ch.setExplicit = [](omprt::TargetConfig& c) { c.simdlen = 4; };
-  ch.observe = [](DeviceManager& mgr, const omprt::TargetConfig& c) {
-    return static_cast<int>(mgr.effectiveConfig(0, c).simdlen);
-  };
-  ch.expectDefault = [] { return 1; };  // heuristic: tuning is off
-  ch.expectEnv = 16;
-  ch.expectManager = 8;
-  ch.expectExplicit = 4;
-  return ch;
-}
-
-Channel profileChannel() {
-  Channel ch;
-  ch.name = "profile";
-  ch.prepBase = [](omprt::TargetConfig&) {};
-  ch.setEnv = [] { ::setenv("SIMTOMP_PROF", "1", 1); };  // on
-  // Only two non-auto modes exist, so the manager pins profiling *off*
-  // against the env's on — each stage still flips the observed value.
-  ch.setManager = [](DeviceManager& mgr) {
-    mgr.setDefaultProfile(simprof::ProfileConfig{simprof::ProfileMode::kOff});
-  };
-  ch.setExplicit = [](omprt::TargetConfig& c) {
-    c.profile.mode = simprof::ProfileMode::kOn;
-  };
-  ch.observe = [](DeviceManager& mgr, const omprt::TargetConfig& c) {
-    return static_cast<int>(mgr.effectiveConfig(0, c).profile.mode);
-  };
-  ch.expectDefault = [] {
-    return static_cast<int>(simprof::ProfileMode::kOff);
-  };
-  ch.expectEnv = static_cast<int>(simprof::ProfileMode::kOn);
-  ch.expectManager = static_cast<int>(simprof::ProfileMode::kOff);
-  ch.expectExplicit = static_cast<int>(simprof::ProfileMode::kOn);
-  return ch;
-}
-
-class DefaultsPrecedenceTest : public ::testing::TestWithParam<Channel> {
+/// Parameterized by channel name; the tuner is the only channel left.
+class DefaultsPrecedenceTest : public ::testing::TestWithParam<const char*> {
  protected:
   void SetUp() override {
     for (const char* var : kEnvVars) {
@@ -206,68 +75,76 @@ class DefaultsPrecedenceTest : public ::testing::TestWithParam<Channel> {
 };
 
 TEST_P(DefaultsPrecedenceTest, ExplicitBeatsManagerBeatsEnv) {
-  const Channel& ch = GetParam();
   omprt::TargetConfig base;
-  ch.prepBase(base);
+  base.tuneKey = "prec";
+  base.simdlen = 0;  // the one auto field the cache entries decide
+  const auto simdlen = [](DeviceManager& mgr, const omprt::TargetConfig& c) {
+    return mgr.effectiveConfig(0, c).simdlen;
+  };
+  const auto setManager = [](DeviceManager& mgr) {
+    auto cache = std::make_shared<simtune::TuneCache>();
+    cache->insert(precKey(), shapeWithSimdlen(8));
+    mgr.setDefaultTuner(std::make_shared<simtune::Tuner>(std::move(cache)),
+                        simtune::TuneMode::kCache);
+  };
 
-  // Stage 1: nothing set — the channel's built-in default.
+  // Stage 1: nothing set — heuristics, tuning is off.
   {
     DeviceManager mgr({ArchSpec::testTiny()});
-    EXPECT_EQ(ch.observe(mgr, base), ch.expectDefault()) << "stage: default";
+    EXPECT_EQ(simdlen(mgr, base), 1u) << "stage: default";
   }
-  // Stage 2: only the env var — env wins.
-  ch.setEnv();
+  // Stage 2: only the env var — env wins. Cache-mode tuning answering
+  // from a cache file: the zero-code-changes SIMTOMP_TUNE=1 path (lazy
+  // default tuner).
+  simtune::TuneCache file(envCachePath());
+  file.insert(precKey(), shapeWithSimdlen(16));
+  ASSERT_TRUE(file.save().isOk());
+  ::setenv("SIMTOMP_TUNE", "1", 1);
+  ::setenv("SIMTOMP_TUNE_CACHE", envCachePath().c_str(), 1);
   {
     DeviceManager mgr({ArchSpec::testTiny()});
-    EXPECT_EQ(ch.observe(mgr, base), ch.expectEnv) << "stage: env";
+    EXPECT_EQ(simdlen(mgr, base), 16u) << "stage: env";
   }
   // Stage 3: env + manager default — the manager default wins.
   {
     DeviceManager mgr({ArchSpec::testTiny()});
-    ch.setManager(mgr);
-    EXPECT_EQ(ch.observe(mgr, base), ch.expectManager) << "stage: manager";
+    setManager(mgr);
+    EXPECT_EQ(simdlen(mgr, base), 8u) << "stage: manager";
   }
   // Stage 4: env + manager + explicit config — explicit wins.
   {
     DeviceManager mgr({ArchSpec::testTiny()});
-    ch.setManager(mgr);
+    setManager(mgr);
     omprt::TargetConfig config = base;
-    ch.setExplicit(config);
-    EXPECT_EQ(ch.observe(mgr, config), ch.expectExplicit)
-        << "stage: explicit";
+    config.simdlen = 4;
+    EXPECT_EQ(simdlen(mgr, config), 4u) << "stage: explicit";
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllChannels, DefaultsPrecedenceTest,
-    ::testing::Values(hostWorkersChannel(), checkChannel(), tunerChannel(),
-                      profileChannel()),
-    [](const ::testing::TestParamInfo<Channel>& param_info) {
-      return std::string(param_info.param.name);
+    AllChannels, DefaultsPrecedenceTest, ::testing::Values("tuner"),
+    [](const ::testing::TestParamInfo<const char*>& param_info) {
+      return std::string(param_info.param);
     });
 
-// The setDefault* family is documented safe against concurrent
-// launches (simserve reconfigures the manager it fronts while tenants
-// keep submitting): every default field sits behind a shared_mutex.
-// This test hammers every setter from one thread while another
-// launches; it is part of the TSan suite (hostrt_ matches the stage-2
-// regex in tools/ci.sh), where a missing lock shows up as a reported
-// race rather than a flaky value.
+// setDefaultTuner and setDefaultResilience are documented safe against
+// concurrent launches: their fields sit behind a shared_mutex. This
+// test hammers both setters from one thread while another launches;
+// it is part of the TSan suite (hostrt_ matches the stage-2 regex in
+// tools/ci.sh), where a missing lock shows up as a reported race
+// rather than a flaky value.
 TEST(DefaultsConcurrencyTest, SettersDoNotRaceLaunches) {
   DeviceManager mgr({ArchSpec::testTiny()});
   std::atomic<bool> stop{false};
   std::thread setter([&] {
     uint32_t i = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      mgr.setDefaultHostWorkers(1 + (i % 4));
-      mgr.setDefaultCheck(simcheck::CheckConfig{
-          (i % 2) != 0u ? simcheck::CheckMode::kReport
-                        : simcheck::CheckMode::kOff,
-          16});
-      mgr.setDefaultProfile({});
       mgr.setDefaultTuner(std::make_shared<simtune::Tuner>(),
-                          simtune::TuneMode::kOff);
-      mgr.setDefaultResilience({}, simfault::ResilienceMode::kOff);
+                          (i % 2) != 0u ? simtune::TuneMode::kCache
+                                        : simtune::TuneMode::kOff);
+      mgr.setDefaultResilience({}, (i % 2) != 0u
+                                       ? simfault::ResilienceMode::kOn
+                                       : simfault::ResilienceMode::kOff);
       ++i;
     }
   });
@@ -275,8 +152,8 @@ TEST(DefaultsConcurrencyTest, SettersDoNotRaceLaunches) {
   config.teamsMode = omprt::ExecMode::kSPMD;
   config.numTeams = 1;
   config.threadsPerTeam = 64;
-  config.hostWorkers = 0;  // force the default_host_workers_ read path
-  config.check.mode = simcheck::CheckMode::kAuto;  // default_check_ read
+  config.tuneKey = "race";  // with an auto field: the default_tuner_ read
+  config.simdlen = 0;
   config.fault.spec = "off";
   for (int i = 0; i < 50; ++i) {
     const auto stats = mgr.launchOn(0, config, [](omprt::OmpContext&) {});

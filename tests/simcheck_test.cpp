@@ -21,6 +21,9 @@ namespace simtomp::simcheck {
 namespace {
 
 using gpusim::ArchSpec;
+using gpusim::kCheckKnob;
+using gpusim::resolveKnob;
+using gpusim::Resolved;
 using gpusim::BlockEngine;
 using gpusim::Device;
 using gpusim::LaunchConfig;
@@ -90,31 +93,32 @@ class ScopedEnv {
 TEST(CheckResolveTest, EnvValuesParsed) {
   {
     ScopedEnv env("SIMTOMP_CHECK", nullptr);
-    const CheckResolution r = resolveCheckMode(CheckMode::kAuto);
-    EXPECT_EQ(r.effective, CheckMode::kOff);
+    const Resolved<CheckMode> r = resolveKnob(kCheckKnob, CheckMode::kAuto);
+    EXPECT_EQ(r.value, CheckMode::kOff);
     EXPECT_STREQ(r.source, "default");
   }
   {
     ScopedEnv env("SIMTOMP_CHECK", "1");
-    const CheckResolution r = resolveCheckMode(CheckMode::kAuto);
-    EXPECT_EQ(r.effective, CheckMode::kReport);
+    const Resolved<CheckMode> r = resolveKnob(kCheckKnob, CheckMode::kAuto);
+    EXPECT_EQ(r.value, CheckMode::kReport);
     EXPECT_STREQ(r.source, "SIMTOMP_CHECK");
     EXPECT_EQ(r.envValue, "1");
   }
   {
     ScopedEnv env("SIMTOMP_CHECK", "fatal");
-    EXPECT_EQ(resolveCheckMode(CheckMode::kAuto).effective, CheckMode::kFatal);
+    EXPECT_EQ(resolveKnob(kCheckKnob, CheckMode::kAuto).value,
+              CheckMode::kFatal);
   }
   {
     ScopedEnv env("SIMTOMP_CHECK", "bogus");
-    EXPECT_EQ(resolveCheckMode(CheckMode::kAuto).effective, CheckMode::kOff);
+    EXPECT_EQ(resolveKnob(kCheckKnob, CheckMode::kAuto).value, CheckMode::kOff);
   }
 }
 
 TEST(CheckResolveTest, ExplicitRequestBeatsEnvironment) {
   ScopedEnv env("SIMTOMP_CHECK", "fatal");
-  const CheckResolution r = resolveCheckMode(CheckMode::kReport);
-  EXPECT_EQ(r.effective, CheckMode::kReport);
+  const Resolved<CheckMode> r = resolveKnob(kCheckKnob, CheckMode::kReport);
+  EXPECT_EQ(r.value, CheckMode::kReport);
   EXPECT_STREQ(r.source, "explicit");
 }
 
@@ -444,11 +448,10 @@ TEST(SimcheckPlumbingTest, TargetConfigCarriesModeToDevice) {
 }
 
 TEST(SimcheckPlumbingTest, DeviceManagerDefaultAppliesWhenAuto) {
-  ScopedEnv env("SIMTOMP_CHECK", nullptr);  // isolate from CI settings
+  // The SIMTOMP_CHECK knob decides a managed launch that leaves the
+  // mode auto.
+  ScopedEnv env("SIMTOMP_CHECK", "report");
   hostrt::DeviceManager manager({ArchSpec::testTiny()});
-  simcheck::CheckConfig check;
-  check.mode = CheckMode::kReport;
-  manager.setDefaultCheck(check);
   omprt::TargetConfig config;
   config.numTeams = 1;
   config.threadsPerTeam = 32;
@@ -456,7 +459,7 @@ TEST(SimcheckPlumbingTest, DeviceManagerDefaultAppliesWhenAuto) {
   ASSERT_TRUE(stats.isOk()) << stats.status().toString();
   EXPECT_EQ(manager.device(0).lastCheckMode(), CheckMode::kReport);
 
-  // An explicit per-launch mode beats the manager default.
+  // An explicit per-launch mode beats the environment.
   config.check.mode = CheckMode::kOff;
   stats = manager.launchOn(0, config, [](omprt::OmpContext&) {});
   ASSERT_TRUE(stats.isOk());

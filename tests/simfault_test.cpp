@@ -19,6 +19,10 @@ namespace simtomp::simfault {
 namespace {
 
 using gpusim::ArchSpec;
+using gpusim::kFaultKnob;
+using gpusim::kWatchdogKnob;
+using gpusim::resolveKnob;
+using gpusim::Resolved;
 using gpusim::Device;
 using gpusim::LaunchConfig;
 using gpusim::ThreadCtx;
@@ -110,33 +114,45 @@ TEST(FaultPlanTest, RejectsGarbage) {
   EXPECT_FALSE(FaultPlan::parse("trap:bogus=1").isOk());
 }
 
+// Plan numbers are range-checked against their fields: block=2^32 + 1
+// must be rejected, not truncated to block 1.
+TEST(FaultPlanTest, RejectsOutOfRangeNumbers) {
+  const auto wide = FaultPlan::parse("livelock:block=4294967297");
+  ASSERT_FALSE(wide.isOk());
+  EXPECT_EQ(wide.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(FaultPlan::parse("trap:step=18446744073709551616").isOk());
+  const auto max = FaultPlan::parse("livelock:block=4294967295");
+  ASSERT_TRUE(max.isOk()) << max.status().toString();
+  EXPECT_EQ(max.value().faults[0].block, UINT32_MAX);
+}
+
 // ---------------- env resolution ----------------
 
 TEST(FaultResolveTest, ExplicitWinsOverEnvironment) {
   ScopedEnv env("SIMTOMP_FAULT", "trap");
-  const FaultResolution r = resolveFaultSpec("livelock");
-  EXPECT_EQ(r.spec, "livelock");
+  const Resolved<std::string> r = resolveKnob(kFaultKnob, "livelock");
+  EXPECT_EQ(r.value, "livelock");
   EXPECT_STREQ(r.source, "explicit");
 }
 
 TEST(FaultResolveTest, ExplicitOffSuppressesEnvironment) {
   ScopedEnv env("SIMTOMP_FAULT", "trap");
-  const FaultResolution r = resolveFaultSpec("off");
-  EXPECT_TRUE(r.spec.empty());
+  const Resolved<std::string> r = resolveKnob(kFaultKnob, "off");
+  EXPECT_EQ(r.value, "off");
   EXPECT_STREQ(r.source, "explicit");
 }
 
 TEST(FaultResolveTest, EmptyRequestReadsEnvironment) {
   {
     ScopedEnv env("SIMTOMP_FAULT", "trap:block=1");
-    const FaultResolution r = resolveFaultSpec("");
-    EXPECT_EQ(r.spec, "trap:block=1");
+    const Resolved<std::string> r = resolveKnob(kFaultKnob, "");
+    EXPECT_EQ(r.value, "trap:block=1");
     EXPECT_STREQ(r.source, "SIMTOMP_FAULT");
   }
   {
     ScopedEnv env("SIMTOMP_FAULT", nullptr);
-    const FaultResolution r = resolveFaultSpec("");
-    EXPECT_TRUE(r.spec.empty());
+    const Resolved<std::string> r = resolveKnob(kFaultKnob, "");
+    EXPECT_EQ(r.value, "off");
     EXPECT_STREQ(r.source, "default");
   }
 }
@@ -144,28 +160,37 @@ TEST(FaultResolveTest, EmptyRequestReadsEnvironment) {
 TEST(WatchdogResolveTest, EnvAndExplicitPrecedence) {
   {
     ScopedEnv env("SIMTOMP_WATCHDOG", nullptr);
-    const WatchdogResolution r = resolveWatchdogSteps(0);
-    EXPECT_EQ(r.steps, kDefaultWatchdogSteps);
+    const Resolved<uint64_t> r = resolveKnob(kWatchdogKnob, 0);
+    EXPECT_EQ(r.value, kDefaultWatchdogSteps);
     EXPECT_STREQ(r.source, "default");
   }
   {
     ScopedEnv env("SIMTOMP_WATCHDOG", "12345");
-    const WatchdogResolution r = resolveWatchdogSteps(0);
-    EXPECT_EQ(r.steps, 12345u);
+    const Resolved<uint64_t> r = resolveKnob(kWatchdogKnob, 0);
+    EXPECT_EQ(r.value, 12345u);
     EXPECT_STREQ(r.source, "SIMTOMP_WATCHDOG");
   }
   {
     ScopedEnv env("SIMTOMP_WATCHDOG", "off");
-    EXPECT_EQ(resolveWatchdogSteps(0).steps, 0u);
+    EXPECT_EQ(resolveKnob(kWatchdogKnob, 0).value, kWatchdogOff);
   }
   {
     ScopedEnv env("SIMTOMP_WATCHDOG", "off");
     // Explicit budget beats the env.
-    const WatchdogResolution r = resolveWatchdogSteps(777);
-    EXPECT_EQ(r.steps, 777u);
+    const Resolved<uint64_t> r = resolveKnob(kWatchdogKnob, 777);
+    EXPECT_EQ(r.value, 777u);
     EXPECT_STREQ(r.source, "explicit");
   }
-  EXPECT_EQ(resolveWatchdogSteps(kWatchdogOff).steps, 0u);
+  EXPECT_EQ(resolveKnob(kWatchdogKnob, kWatchdogOff).value, kWatchdogOff);
+}
+
+// An env budget past 2^64 - 1 is unrecognized and takes the documented
+// fallback; it must not wrap to 0, which disables the watchdog.
+TEST(WatchdogResolveTest, OverflowingEnvTakesTheDefault) {
+  ScopedEnv env("SIMTOMP_WATCHDOG", "18446744073709551616");
+  const Resolved<uint64_t> r = resolveKnob(kWatchdogKnob, 0);
+  EXPECT_EQ(r.value, kDefaultWatchdogSteps);
+  EXPECT_STREQ(r.source, "SIMTOMP_WATCHDOG");
 }
 
 // ---------------- injector arming ----------------

@@ -139,7 +139,7 @@ TEST_F(MetricsTest, LaunchRecordsMetricsEvenWithProfilingOff) {
   spec.numTeams = 2;
   spec.threadsPerTeam = 64;
   spec.simdlen = 1;
-  spec.faultSpec = "off";
+  spec.fault.spec = "off";
   spec.profile.mode = ProfileMode::kOff;
   auto stats = dsl::targetTeamsDistributeParallelFor(
       dev, spec, 128, [](dsl::OmpContext& ctx, uint64_t) {

@@ -16,6 +16,9 @@
 namespace simtomp::simprof {
 namespace {
 
+using gpusim::kProfileKnob;
+using gpusim::resolveKnob;
+
 // ---------------- Names and mode resolution ----------------
 
 TEST(SimprofNamesTest, ConstructNamesUniqueAndNonEmpty) {
@@ -52,25 +55,28 @@ class ProfileEnvTest : public ::testing::Test {
 
 TEST_F(ProfileEnvTest, ExplicitModeAlwaysWins) {
   ::setenv("SIMTOMP_PROF", "1", 1);
-  EXPECT_EQ(resolveProfileMode(ProfileMode::kOff).effective,
+  EXPECT_EQ(resolveKnob(kProfileKnob, ProfileMode::kOff).value,
             ProfileMode::kOff);
-  EXPECT_STREQ(resolveProfileMode(ProfileMode::kOff).source, "explicit");
+  EXPECT_STREQ(resolveKnob(kProfileKnob, ProfileMode::kOff).source,
+               "explicit");
   ::setenv("SIMTOMP_PROF", "0", 1);
-  EXPECT_EQ(resolveProfileMode(ProfileMode::kOn).effective, ProfileMode::kOn);
+  EXPECT_EQ(resolveKnob(kProfileKnob, ProfileMode::kOn).value,
+            ProfileMode::kOn);
 }
 
 TEST_F(ProfileEnvTest, AutoConsultsEnv) {
-  EXPECT_EQ(resolveProfileMode(ProfileMode::kAuto).effective,
+  EXPECT_EQ(resolveKnob(kProfileKnob, ProfileMode::kAuto).value,
             ProfileMode::kOff);
   ::setenv("SIMTOMP_PROF", "1", 1);
-  EXPECT_EQ(resolveProfileMode(ProfileMode::kAuto).effective,
+  EXPECT_EQ(resolveKnob(kProfileKnob, ProfileMode::kAuto).value,
             ProfileMode::kOn);
-  EXPECT_STREQ(resolveProfileMode(ProfileMode::kAuto).source, "SIMTOMP_PROF");
+  EXPECT_STREQ(resolveKnob(kProfileKnob, ProfileMode::kAuto).source,
+               "SIMTOMP_PROF");
   ::setenv("SIMTOMP_PROF", "on", 1);
-  EXPECT_EQ(resolveProfileMode(ProfileMode::kAuto).effective,
+  EXPECT_EQ(resolveKnob(kProfileKnob, ProfileMode::kAuto).value,
             ProfileMode::kOn);
   ::setenv("SIMTOMP_PROF", "garbage", 1);
-  EXPECT_EQ(resolveProfileMode(ProfileMode::kAuto).effective,
+  EXPECT_EQ(resolveKnob(kProfileKnob, ProfileMode::kAuto).value,
             ProfileMode::kOff);
 }
 
@@ -213,7 +219,7 @@ gpusim::KernelStats launchProfiled(gpusim::Device& dev, ProfileMode mode,
   spec.parallelMode = omprt::ExecMode::kSPMD;
   spec.simdlen = 8;
   spec.hostWorkers = host_workers;
-  spec.faultSpec = "off";
+  spec.fault.spec = "off";
   spec.profile.mode = mode;
   auto stats = dsl::targetTeamsDistributeParallelFor(
       dev, spec, 1024, [](dsl::OmpContext& ctx, uint64_t) {

@@ -27,6 +27,9 @@ namespace {
 
 using gpusim::ArchSpec;
 using gpusim::CostModel;
+using gpusim::kTuneKnob;
+using gpusim::resolveKnob;
+using gpusim::Resolved;
 
 std::string tempPath(const char* name) {
   return ::testing::TempDir() + name;
@@ -194,29 +197,29 @@ class TuneModeEnvTest : public ::testing::Test {
 
 TEST_F(TuneModeEnvTest, AutoConsultsEnv) {
   ::unsetenv("SIMTOMP_TUNE");
-  EXPECT_EQ(resolveTuneMode(TuneMode::kAuto).effective, TuneMode::kOff);
+  EXPECT_EQ(resolveKnob(kTuneKnob, TuneMode::kAuto).value, TuneMode::kOff);
   for (const char* v : {"1", "on", "cache"}) {
     ::setenv("SIMTOMP_TUNE", v, 1);
-    const TuneResolution r = resolveTuneMode(TuneMode::kAuto);
-    EXPECT_EQ(r.effective, TuneMode::kCache) << v;
+    const Resolved<TuneMode> r = resolveKnob(kTuneKnob, TuneMode::kAuto);
+    EXPECT_EQ(r.value, TuneMode::kCache) << v;
     EXPECT_STREQ(r.source, "SIMTOMP_TUNE");
   }
   for (const char* v : {"2", "tune", "trial"}) {
     ::setenv("SIMTOMP_TUNE", v, 1);
-    EXPECT_EQ(resolveTuneMode(TuneMode::kAuto).effective, TuneMode::kTune)
+    EXPECT_EQ(resolveKnob(kTuneKnob, TuneMode::kAuto).value, TuneMode::kTune)
         << v;
   }
   for (const char* v : {"0", "off", "bogus"}) {
     ::setenv("SIMTOMP_TUNE", v, 1);
-    EXPECT_EQ(resolveTuneMode(TuneMode::kAuto).effective, TuneMode::kOff)
+    EXPECT_EQ(resolveKnob(kTuneKnob, TuneMode::kAuto).value, TuneMode::kOff)
         << v;
   }
 }
 
 TEST_F(TuneModeEnvTest, ExplicitRequestIgnoresEnv) {
   ::setenv("SIMTOMP_TUNE", "2", 1);
-  const TuneResolution r = resolveTuneMode(TuneMode::kOff);
-  EXPECT_EQ(r.effective, TuneMode::kOff);
+  const Resolved<TuneMode> r = resolveKnob(kTuneKnob, TuneMode::kOff);
+  EXPECT_EQ(r.value, TuneMode::kOff);
   EXPECT_STREQ(r.source, "explicit");
 }
 

@@ -11,6 +11,7 @@
 
 #include "support/lane_mask.h"
 #include "support/log.h"
+#include "support/parse.h"
 #include "support/rng.h"
 #include "support/status.h"
 
@@ -18,6 +19,30 @@ namespace simtomp {
 namespace {
 
 // ---------------- Status / Result ----------------
+
+TEST(ParseUnsignedTest, AcceptsDigitsUpToTheBound) {
+  EXPECT_EQ(parseUnsigned("0").value(), 0u);
+  EXPECT_EQ(parseUnsigned("18446744073709551615").value(), UINT64_MAX);
+  EXPECT_EQ(parseUnsigned("4294967295", UINT32_MAX).value(), UINT32_MAX);
+  EXPECT_EQ(parseUnsigned("65", 65).value(), 65u);
+}
+
+TEST(ParseUnsignedTest, RejectsOverflowInsteadOfWrapping) {
+  EXPECT_EQ(parseUnsigned("18446744073709551616").status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(parseUnsigned("4294967328", UINT32_MAX).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(parseUnsigned("66", 65).status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(parseUnsigned("7", 5).status().code(), StatusCode::kOutOfRange);
+}
+
+TEST(ParseUnsignedTest, RejectsNonDigits) {
+  for (const char* text : {"", "-1", "+1", " 1", "1 ", "0x10", "abc"}) {
+    EXPECT_EQ(parseUnsigned(text).status().code(),
+              StatusCode::kInvalidArgument)
+        << text;
+  }
+}
 
 TEST(StatusTest, DefaultIsOk) {
   Status s;

@@ -1,7 +1,11 @@
 #!/usr/bin/env bash
 # CI gate for the host-parallel block executor.
 #
-# Stage 1: regular build, full test suite.
+# Stage 1: knob lint, regular build, full test suite. The lint fails
+#          the build when std::getenv appears under src/ outside the
+#          knob module (src/gpusim/knobs.*) and the deployment-path
+#          readers (SIMTOMP_LOG, SIMTOMP_LOG_FILE, SIMTOMP_METRICS,
+#          SIMTOMP_TUNE_CACHE): every launch knob is a knob-table row.
 # Stage 2: ThreadSanitizer build; the concurrency-sensitive suites
 #          (gpusim_*, omprt_*) run with SIMTOMP_HOST_WORKERS=8 so every
 #          launch actually spreads blocks over 8 host workers — a data
@@ -70,6 +74,11 @@
 #          recorder; the serve_observability_overhead bench then
 #          asserts tracing never perturbs the modeled stats dump or
 #          replay report and emits BENCH_serve_observability.json.
+# Stage 13: ASan+UBSan build; the text-parsing, fault-injection and
+#          knob suites (front_, support_, simfault_, simserve_mix,
+#          hostrt_defaults, knobs_) run with every report fatal,
+#          including exceptions unwinding on arena-allocated fiber
+#          stacks.
 #
 # Usage: tools/ci.sh [build-dir-prefix]   (default: build-ci)
 set -euo pipefail
@@ -78,7 +87,14 @@ cd "$(dirname "$0")/.."
 prefix="${1:-build-ci}"
 jobs="$(nproc 2>/dev/null || echo 2)"
 
-echo "=== stage 1: regular build + full ctest ==="
+echo "=== stage 1: knob lint, regular build + full ctest ==="
+if grep -rn 'std::getenv' src \
+    | grep -v '^src/gpusim/knobs\.' \
+    | grep -vE 'getenv\("SIMTOMP_(LOG|LOG_FILE|METRICS|TUNE_CACHE)"\)'; then
+  echo "ci.sh: std::getenv outside the knob module (src/gpusim/knobs.*);" \
+    "add a knob-table row instead" >&2
+  exit 1
+fi
 cmake -B "${prefix}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "${prefix}" -j "${jobs}"
 ctest --test-dir "${prefix}" --output-on-failure -j "${jobs}"
@@ -479,5 +495,15 @@ print(f"{bench['trace_events']} trace events "
       f"host overhead x{bench['host_overhead']:.3f} (informational)")
 EOF
 echo "observability zero-perturbation guard passed"
+
+echo "=== stage 13: ASan+UBSan build, parser/fault/knob suites ==="
+cmake -B "${prefix}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DSIMTOMP_SANITIZE=address -DSIMTOMP_BUILD_BENCH=OFF \
+  -DSIMTOMP_BUILD_EXAMPLES=OFF
+cmake --build "${prefix}-asan" -j "${jobs}"
+ASAN_OPTIONS="halt_on_error=1 detect_leaks=1" \
+UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
+  ctest --test-dir "${prefix}-asan" --output-on-failure -j "${jobs}" \
+  -R '^(front|support|simfault|simserve_mix|hostrt_defaults|knobs)_'
 
 echo "=== ci.sh: all stages passed ==="

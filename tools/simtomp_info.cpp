@@ -34,12 +34,11 @@
 #include "apps/tunable.h"
 #include "gpusim/arch.h"
 #include "gpusim/cost_model.h"
+#include "gpusim/knobs.h"
 #include "gpusim/occupancy.h"
 #include "gpusim/stats.h"
 #include "omprt/target.h"
-#include "simcheck/report.h"
 #include "simprof/metrics.h"
-#include "simprof/profile.h"
 #include "simtune/cache.h"
 #include "simtune/tuner.h"
 
@@ -99,56 +98,38 @@ void groupTable(uint32_t threads) {
   }
 }
 
-void checkInfo() {
-  const char* env = std::getenv("SIMTOMP_CHECK");
-  std::printf("simcheck resolution for this environment:\n");
-  std::printf("  SIMTOMP_CHECK            = %s\n",
-              env != nullptr ? env : "(unset)");
-  // A launch that leaves CheckConfig at its default (auto) consults
-  // the environment; an explicit mode on the LaunchConfig always wins.
-  const simcheck::CheckResolution auto_mode =
-      simcheck::resolveCheckMode(simcheck::CheckMode::kAuto);
+/// One knob's resolution block, rendered from the knob table: the env
+/// value, what an auto launch resolves to, and each explicit mode.
+template <typename T>
+void knobInfo(const char* subsystem, const gpusim::Knob<T>& knob) {
+  const auto name = [&knob](const T& v) {
+    return gpusim::knobValueName(knob, v);
+  };
+  // An explicit mode on the launch config always wins; a launch that
+  // leaves the knob auto consults the environment.
+  const gpusim::Resolved<T> auto_mode =
+      gpusim::resolveKnob(knob, knob.autoValue);
+  std::printf("%s resolution for this environment:\n", subsystem);
+  std::printf("  %-24s = %s\n", knob.env,
+              auto_mode.source == knob.env ? auto_mode.envValue.c_str()
+                                           : "(unset)");
   std::printf("  default  %-6s launches  -> %-6s  [from %s]\n", "(auto)",
-              std::string(simcheck::checkModeName(auto_mode.effective))
-                  .c_str(),
-              auto_mode.source);
-  for (const simcheck::CheckMode mode :
-       {simcheck::CheckMode::kOff, simcheck::CheckMode::kReport,
-        simcheck::CheckMode::kFatal}) {
-    const simcheck::CheckResolution r = simcheck::resolveCheckMode(mode);
+              name(auto_mode.value).c_str(), auto_mode.source);
+  for (const T& mode : gpusim::knobValues(knob)) {
+    const gpusim::Resolved<T> r = gpusim::resolveKnob(knob, mode);
     std::printf("  explicit %-6s launches  -> %-6s  [from %s]\n",
-                std::string(simcheck::checkModeName(mode)).c_str(),
-                std::string(simcheck::checkModeName(r.effective)).c_str(),
-                r.source);
+                name(mode).c_str(), name(r.value).c_str(), r.source);
   }
-  std::printf(
-      "accepted SIMTOMP_CHECK values: 0/off, 1/on/report, 2/fatal\n");
+  std::printf("accepted %s values: %s\n", knob.env,
+              gpusim::knobAcceptedValues(knob).c_str());
+  std::printf("%s: %s\n", knob.env, knob.doc);
 }
 
 void tuneInfo() {
-  const char* env = std::getenv("SIMTOMP_TUNE");
+  knobInfo("simtune", gpusim::kTuneKnob);
   const char* cache_env = std::getenv("SIMTOMP_TUNE_CACHE");
-  std::printf("simtune resolution for this environment:\n");
-  std::printf("  SIMTOMP_TUNE             = %s\n",
-              env != nullptr ? env : "(unset)");
   std::printf("  SIMTOMP_TUNE_CACHE       = %s\n",
               cache_env != nullptr ? cache_env : "(unset)");
-  const simtune::TuneResolution auto_mode =
-      simtune::resolveTuneMode(simtune::TuneMode::kAuto);
-  std::printf("  default  %-6s launches  -> %-6s  [from %s]\n", "(auto)",
-              std::string(simtune::tuneModeName(auto_mode.effective)).c_str(),
-              auto_mode.source);
-  for (const simtune::TuneMode mode :
-       {simtune::TuneMode::kOff, simtune::TuneMode::kCache,
-        simtune::TuneMode::kTune}) {
-    const simtune::TuneResolution r = simtune::resolveTuneMode(mode);
-    std::printf("  explicit %-6s launches  -> %-6s  [from %s]\n",
-                std::string(simtune::tuneModeName(mode)).c_str(),
-                std::string(simtune::tuneModeName(r.effective)).c_str(),
-                r.source);
-  }
-  std::printf(
-      "accepted SIMTOMP_TUNE values: 0/off, 1/on/cache, 2/tune/trial\n");
 
   simtune::TuneCache cache(simtune::resolveCachePath(""));
   if (cache.persistent()) {
@@ -178,30 +159,6 @@ void tuneInfo() {
                   app.name.c_str(), key.bucket);
     }
   }
-}
-
-void profInfo() {
-  const char* env = std::getenv("SIMTOMP_PROF");
-  std::printf("simprof resolution for this environment:\n");
-  std::printf("  SIMTOMP_PROF             = %s\n",
-              env != nullptr ? env : "(unset)");
-  const simprof::ProfileResolution auto_mode =
-      simprof::resolveProfileMode(simprof::ProfileMode::kAuto);
-  std::printf("  default  %-6s launches  -> %-6s  [from %s]\n", "(auto)",
-              std::string(simprof::profileModeName(auto_mode.effective))
-                  .c_str(),
-              auto_mode.source);
-  for (const simprof::ProfileMode mode :
-       {simprof::ProfileMode::kOff, simprof::ProfileMode::kOn}) {
-    const simprof::ProfileResolution r = simprof::resolveProfileMode(mode);
-    std::printf("  explicit %-6s launches  -> %-6s  [from %s]\n",
-                std::string(simprof::profileModeName(mode)).c_str(),
-                std::string(simprof::profileModeName(r.effective)).c_str(),
-                r.source);
-  }
-  std::printf("accepted SIMTOMP_PROF values: 0/off, 1/on\n");
-  std::printf(
-      "SIMTOMP_METRICS=<path> dumps the metrics registry at exit\n");
 }
 
 // The next two render straight from the authoritative tables
@@ -249,7 +206,7 @@ int main(int argc, char** argv) {
   }
   if (std::strcmp(argv[1], "--check") == 0 ||
       std::strcmp(argv[1], "check") == 0) {
-    checkInfo();
+    knobInfo("simcheck", gpusim::kCheckKnob);
     return 0;
   }
   if (std::strcmp(argv[1], "--tune") == 0 ||
@@ -259,7 +216,9 @@ int main(int argc, char** argv) {
   }
   if (std::strcmp(argv[1], "--prof") == 0 ||
       std::strcmp(argv[1], "prof") == 0) {
-    profInfo();
+    knobInfo("simprof", gpusim::kProfileKnob);
+    std::printf(
+        "SIMTOMP_METRICS=<path> dumps the metrics registry at exit\n");
     return 0;
   }
   if (std::strcmp(argv[1], "--counters") == 0 ||

@@ -232,15 +232,14 @@ int main(int argc, char** argv) {
   if (launch.profile.mode != simprof::ProfileMode::kOff) {
     setenv("SIMTOMP_PROF", "1", 1);
   }
-  if (!launch.faultSpec.empty()) {
-    setenv("SIMTOMP_FAULT", launch.faultSpec.c_str(), 1);
+  if (!launch.fault.spec.empty()) {
+    setenv("SIMTOMP_FAULT", launch.fault.spec.c_str(), 1);
   }
   if (launch.watchdogSteps != 0) {
-    const std::string steps =
-        launch.watchdogSteps == simfault::kWatchdogOff
-            ? "off"
-            : std::to_string(launch.watchdogSteps);
-    setenv("SIMTOMP_WATCHDOG", steps.c_str(), 1);
+    setenv("SIMTOMP_WATCHDOG",
+           gpusim::knobValueName(gpusim::kWatchdogKnob, launch.watchdogSteps)
+               .c_str(),
+           1);
   }
 
   gpusim::TraceRecorder recorder;

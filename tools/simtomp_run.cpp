@@ -192,9 +192,9 @@ Status resolveLaunchTuning(const std::string& kernel, gpusim::Device& device,
                             launch.threadsPerTeam == 0 || launch.simdlen == 0 ||
                             launch.teamsModeAuto || launch.parallelModeAuto;
   if (!wants_tuning) return Status::ok();
-  const simtune::TuneResolution mode =
-      simtune::resolveTuneMode(simtune::TuneMode::kAuto);
-  if (mode.effective == simtune::TuneMode::kOff) return Status::ok();
+  const gpusim::Resolved<simtune::TuneMode> mode =
+      gpusim::resolveKnob(gpusim::kTuneKnob, simtune::TuneMode::kAuto);
+  if (mode.value == simtune::TuneMode::kOff) return Status::ok();
 
   apps::TunableApp app =
       apps::tunableByName(corpusNameFor(kernel), device.arch(), false);
@@ -206,7 +206,7 @@ Status resolveLaunchTuning(const std::string& kernel, gpusim::Device& device,
   if (tuner.resolveConfig(device.arch(), device.costModel(), config)) {
     std::printf("  tuning     : key %s resolved from cache (%s=%s)\n",
                 config.tuneKey.c_str(), mode.source, mode.envValue.c_str());
-  } else if (mode.effective == simtune::TuneMode::kTune) {
+  } else if (mode.value == simtune::TuneMode::kTune) {
     simtune::TuneRequest request;
     request.strategy = simtune::TuneStrategy::kHillClimb;
     request.maxTrials = 64;
@@ -225,14 +225,7 @@ Status resolveLaunchTuning(const std::string& kernel, gpusim::Device& device,
                 config.tuneKey.c_str());
     return Status::ok();
   }
-  launch.numTeams = config.numTeams;
-  launch.threadsPerTeam = config.threadsPerTeam;
-  launch.simdlen = config.simdlen;
-  launch.teamsMode = config.teamsMode;
-  launch.teamsModeAuto = config.teamsModeAuto;
-  launch.parallelMode = config.parallelMode;
-  launch.parallelModeAuto = config.parallelModeAuto;
-  launch.scheduleChunk = config.scheduleChunk;
+  static_cast<omprt::TargetConfig&>(launch) = config;
   return Status::ok();
 }
 
@@ -256,15 +249,14 @@ int main(int argc, char** argv) {
   // The app adapters build their launches internally, so the fault and
   // watchdog clauses reach them through the environment knobs the
   // launch path already consults.
-  if (!launch.faultSpec.empty()) {
-    setenv("SIMTOMP_FAULT", launch.faultSpec.c_str(), 1);
+  if (!launch.fault.spec.empty()) {
+    setenv("SIMTOMP_FAULT", launch.fault.spec.c_str(), 1);
   }
   if (launch.watchdogSteps != 0) {
-    const std::string steps =
-        launch.watchdogSteps == simfault::kWatchdogOff
-            ? "off"
-            : std::to_string(launch.watchdogSteps);
-    setenv("SIMTOMP_WATCHDOG", steps.c_str(), 1);
+    setenv("SIMTOMP_WATCHDOG",
+           gpusim::knobValueName(gpusim::kWatchdogKnob, launch.watchdogSteps)
+               .c_str(),
+           1);
   }
   const Status tuned = resolveLaunchTuning(kernel, device, launch);
   if (!tuned.isOk()) {
