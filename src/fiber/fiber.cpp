@@ -1,12 +1,74 @@
 #include "fiber/fiber.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "support/log.h"
 
-// ThreadSanitizer cannot follow swapcontext() on its own; tell it about
-// every fiber and every switch so tsan builds of the host-parallel
-// executor stay free of false positives.
+#if !defined(__x86_64__)
+#error "simtomp fibers switch stacks in x86-64 assembly: port simtomp_fiber_switch (src/fiber/fiber.cpp) to this target"
+#endif
+
+// simtomp_fiber_switch(save_sp, to_sp): push the callee-saved registers,
+// MXCSR and the x87 control word onto the current stack, store rsp in
+// *save_sp, load to_sp, pop the same frame off it in reverse order and
+// return into whatever called the switch that saved to_sp. A stack that
+// was never switched out gets a hand-built frame instead
+// (FiberScheduler::switchToFiber). Frame, from the saved rsp upwards:
+//   +0 x87 control word   +8 MXCSR   +16 r15  +24 r14  +32 r13
+//   +40 r12  +48 rbx  +56 rbp  +64 return address
+extern "C" void simtomp_fiber_switch(void** save_sp, void* to_sp);
+asm(R"(
+  .pushsection .text
+  .globl simtomp_fiber_switch
+  .hidden simtomp_fiber_switch
+  .type simtomp_fiber_switch, @function
+  .p2align 4
+simtomp_fiber_switch:
+  .cfi_startproc
+  pushq %rbp
+  .cfi_adjust_cfa_offset 8
+  pushq %rbx
+  .cfi_adjust_cfa_offset 8
+  pushq %r12
+  .cfi_adjust_cfa_offset 8
+  pushq %r13
+  .cfi_adjust_cfa_offset 8
+  pushq %r14
+  .cfi_adjust_cfa_offset 8
+  pushq %r15
+  .cfi_adjust_cfa_offset 8
+  subq $16, %rsp
+  .cfi_adjust_cfa_offset 16
+  stmxcsr 8(%rsp)
+  fnstcw (%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr 8(%rsp)
+  fldcw (%rsp)
+  addq $16, %rsp
+  .cfi_adjust_cfa_offset -16
+  popq %r15
+  .cfi_adjust_cfa_offset -8
+  popq %r14
+  .cfi_adjust_cfa_offset -8
+  popq %r13
+  .cfi_adjust_cfa_offset -8
+  popq %r12
+  .cfi_adjust_cfa_offset -8
+  popq %rbx
+  .cfi_adjust_cfa_offset -8
+  popq %rbp
+  .cfi_adjust_cfa_offset -8
+  ret
+  .cfi_endproc
+  .size simtomp_fiber_switch, .-simtomp_fiber_switch
+  .popsection
+)");
+
+// ThreadSanitizer cannot follow a hand-written stack switch on its
+// own; tell it about every fiber and every switch so tsan builds of the
+// host-parallel executor stay free of false positives.
 #if defined(__SANITIZE_THREAD__)
 #define SIMTOMP_TSAN 1
 #elif defined(__has_feature)
@@ -217,11 +279,19 @@ void FiberScheduler::switchToFiber(Fiber& f) {
   f.state_ = FiberState::kRunning;
   if (!f.started_) {
     f.started_ = true;
-    getcontext(&f.context_);
-    f.context_.uc_stack.ss_sp = f.stack_data_;
-    f.context_.uc_stack.ss_size = f.stack_bytes_;
-    f.context_.uc_link = nullptr;  // fibers exit via switchToScheduler()
-    makecontext(&f.context_, &Fiber::trampoline, 0);
+    // First entry: a frame simtomp_fiber_switch pops into trampoline()
+    // as if trampoline had been called, so rsp + 8 is 16-byte aligned
+    // at its entry. Above its return slot sits a null fake return
+    // address that ends unwinding and backtraces. Fibers exit via
+    // switchToScheduler(), never by returning.
+    const auto top = (reinterpret_cast<uintptr_t>(f.stack_data_) +
+                      f.stack_bytes_) & ~uintptr_t{15};
+    auto* frame = reinterpret_cast<uint64_t*>(top) - 10;
+    std::fill_n(frame, 10, 0);
+    frame[0] = 0x037F;  // x87 control word: exceptions masked, nearest
+    frame[1] = 0x1F80;  // MXCSR: the same
+    frame[8] = reinterpret_cast<uint64_t>(&Fiber::trampoline);
+    f.sp_ = frame;
   }
   if (tsan_scheduler_fiber_ == nullptr) {
     tsan_scheduler_fiber_ = tsanCurrentFiber();
@@ -229,7 +299,7 @@ void FiberScheduler::switchToFiber(Fiber& f) {
   tsanSwitchTo(f.tsan_fiber_);
   void* fake_stack = nullptr;
   asanStartSwitch(&fake_stack, f.stack_data_, f.stack_bytes_);
-  swapcontext(&scheduler_context_, &f.context_);
+  simtomp_fiber_switch(&scheduler_sp_, f.sp_);
   asanFinishSwitch(fake_stack, nullptr, nullptr);
   current_ = prev_fiber;
   g_active_scheduler = prev_sched;
@@ -245,7 +315,7 @@ void FiberScheduler::switchToScheduler() {
   asanStartSwitch(
       f->state_ == FiberState::kFinished ? nullptr : &f->asan_fake_stack_,
       asan_stack_bottom_, asan_stack_size_);
-  swapcontext(&f->context_, &scheduler_context_);
+  simtomp_fiber_switch(&f->sp_, scheduler_sp_);
   asanFinishSwitch(f->asan_fake_stack_, &asan_stack_bottom_,
                    &asan_stack_size_);
 }

@@ -1,4 +1,4 @@
-// Cooperative fibers over POSIX ucontext.
+// Cooperative fibers with a hand-written stack switch.
 //
 // Every simulated GPU thread owns a fiber, so the runtime's state
 // machines (paper Figs. 5-7) execute literally: a worker thread parks
@@ -13,6 +13,12 @@
 // unblockAll(tag). If the scheduler ever finds no runnable fiber while
 // unfinished fibers remain, that is a deadlock in the simulated program
 // (e.g. a barrier not reached by all participants) and run() reports it.
+//
+// A switch saves only what the x86-64 System V ABI asks a callee to
+// keep: rbp, rbx, r12-r15, MXCSR and the x87 control word, then swaps
+// rsp (fiber.cpp). No signal mask is saved, so a switch makes no
+// system call. The simulator is Linux x86-64 only; another target
+// must port that one routine.
 #pragma once
 
 #include <cstddef>
@@ -25,9 +31,6 @@
 #include <vector>
 
 #include "support/status.h"
-
-// ucontext.h is POSIX; the simulator is Linux-only by design.
-#include <ucontext.h>
 
 namespace simtomp::fiber {
 
@@ -62,7 +65,7 @@ class Fiber {
   std::vector<char> owned_stack_;  ///< empty when the stack is external
   char* stack_data_ = nullptr;
   size_t stack_bytes_ = 0;
-  ucontext_t context_{};
+  void* sp_ = nullptr;  ///< saved stack pointer while switched out
   FiberState state_ = FiberState::kReady;
   const void* wait_tag_ = nullptr;
   bool started_ = false;
@@ -75,7 +78,7 @@ class Fiber {
 /// Thread confinement: a scheduler and its fibers belong to the OS
 /// thread that constructed the scheduler (under host-parallel block
 /// execution, the worker that runs the block). spawn/run/yield/block/
-/// unblockAll assert they are called on that thread — ucontext stacks
+/// unblockAll assert they are called on that thread — fiber stacks
 /// must never migrate between host threads.
 class FiberScheduler {
  public:
@@ -151,7 +154,7 @@ class FiberScheduler {
   StackAllocator stack_allocator_;
   std::thread::id owner_thread_ = std::this_thread::get_id();
   std::vector<std::unique_ptr<Fiber>> fibers_;
-  ucontext_t scheduler_context_{};
+  void* scheduler_sp_ = nullptr;  ///< run()'s stack while a fiber runs
   void* tsan_scheduler_fiber_ = nullptr;
   /// The stack run() executes on, as AddressSanitizer reported it on
   /// the last switch into a fiber (asan builds).

@@ -25,6 +25,8 @@ struct BlockOutcome {
   uint64_t busySum = 0;
   uint64_t maxThreadTime = 0;
   uint64_t peakSharedBytes = 0;
+  uint64_t fiberSwitches = 0;
+  uint64_t fibersSpawned = 0;
   CounterSet counters;
   /// Owned here (not by the engine) so findings and the global-memory
   /// footprint survive into the block-order merge — the engine itself
@@ -119,6 +121,8 @@ Result<KernelStats> Device::launch(const LaunchConfig& config,
         out.busySum = engine.busySum();
         out.maxThreadTime = engine.maxThreadTime();
         out.peakSharedBytes = engine.sharedMemory().peakUsed();
+        out.fiberSwitches = engine.scheduler().stepCount();
+        out.fibersSpawned = engine.scheduler().fiberCount();
         out.counters = engine.counters();
       }
     } catch (const StatusException& e) {
@@ -195,6 +199,8 @@ Result<KernelStats> Device::launch(const LaunchConfig& config,
   /// Block residency intervals on the modeled timeline, for the
   /// "active blocks" counter track (deep tracing).
   std::vector<std::pair<uint64_t, uint64_t>> block_windows;
+  uint64_t fiber_switches = 0;
+  uint64_t fibers_spawned = 0;
   for (uint32_t b = 0; b < config.numBlocks; ++b) {
     BlockOutcome& out = outcomes[b];
     if (out.exception) std::rethrow_exception(out.exception);
@@ -230,6 +236,8 @@ Result<KernelStats> Device::launch(const LaunchConfig& config,
     stats.peakSharedBytes =
         std::max(stats.peakSharedBytes, out.peakSharedBytes);
     stats.counters.merge(out.counters);
+    fiber_switches += out.fiberSwitches;
+    fibers_spawned += out.fibersSpawned;
   }
 
   if (trace_ != nullptr && !block_windows.empty()) {
@@ -280,6 +288,8 @@ Result<KernelStats> Device::launch(const LaunchConfig& config,
         "simcheck found " + std::to_string(last_check_report_.total()) +
         " issue(s): " + last_check_report_.summary()));
   }
+  metrics.add(simprof::metric::kFiberSwitchesTotal, fiber_switches);
+  metrics.add(simprof::metric::kFibersSpawnedTotal, fibers_spawned);
   return stats;
 }
 

@@ -42,6 +42,10 @@ constexpr MetricDef kCatalog[] = {
      "High-water mark of bytes staged through any sharing space"},
     {metric::kSharingOverflowsTotal, MetricType::kCounter,
      "Sharing-space overflows to global memory"},
+    {metric::kFiberSwitchesTotal, MetricType::kCounter,
+     "Fiber switches (scheduler steps) of successful launches"},
+    {metric::kFibersSpawnedTotal, MetricType::kCounter,
+     "Fibers (simulated GPU threads) spawned by successful launches"},
     {metric::kServeRequestsTotal, MetricType::kCounter,
      "Launch requests submitted to any simserve LaunchService"},
     {metric::kServeAcceptedTotal, MetricType::kCounter,

@@ -3,9 +3,10 @@
 // A fixed catalog of runtime metrics (launches, tune-cache hits, fault
 // injections, resilience retries, sharing-space high-water mark, ...)
 // with Prometheus text exposition and a sorted-key JSON snapshot. All
-// values derive from deterministic modeled quantities and every update
-// is a commutative atomic add / max, so snapshots are byte-identical
-// for any SIMTOMP_HOST_WORKERS.
+// values derive from deterministic quantities (modeled ones, or host
+// work counted per block) and every update is a commutative atomic
+// add / max, so snapshots are byte-identical for any
+// SIMTOMP_HOST_WORKERS.
 //
 // The catalog is the single source of truth: `simtomp_info --metrics`
 // lists it, the registry allocates from it, and the writers iterate it
@@ -70,6 +71,11 @@ inline constexpr std::string_view kSharingHighWaterBytes =
     "simtomp_sharing_space_high_water_bytes";
 inline constexpr std::string_view kSharingOverflowsTotal =
     "simtomp_sharing_overflows_total";
+// Host work: what the simulator did on the host to run a launch.
+inline constexpr std::string_view kFiberSwitchesTotal =
+    "simtomp_fiber_switches_total";
+inline constexpr std::string_view kFibersSpawnedTotal =
+    "simtomp_fibers_spawned_total";
 // simserve launch-service metrics (service-level; per-tenant breakdowns
 // live in simserve::TenantStats, which the fixed catalog cannot hold).
 inline constexpr std::string_view kServeRequestsTotal =
@@ -128,7 +134,7 @@ class MetricsRegistry {
   /// Histogram buckets: upper bounds 4^1 .. 4^14 cycles, plus +Inf.
   static constexpr size_t kHistogramBuckets = 15;
   /// Catalog size (static_asserted against allMetricDefs()).
-  static constexpr size_t kNumMetrics = 36;
+  static constexpr size_t kNumMetrics = 38;
 
   static MetricsRegistry& global();
 

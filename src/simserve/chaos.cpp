@@ -415,7 +415,8 @@ void runSeed(const ChaosConfig& cfg, uint64_t seed, ChaosReport& out) {
       run.violationsBefore == 0) {
     if (ServiceTracer* tracer = service.tracer()) {
       tracer->onFailureTrigger("invariant_violation");
-      (void)tracer->dumpFlightToFile(cfg.flightPath, "invariant_violation");
+      (void)tracer->dumpFlightToFile(cfg.flightPath, /*physical=*/true,
+                                     "invariant_violation");
     }
   }
 

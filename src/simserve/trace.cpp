@@ -259,7 +259,7 @@ void ServiceTracer::onFailureTrigger(std::string_view reason) {
   if (config_.autoDumpPath.empty()) return;
   // Rewrite (not append): the recorder semantics are "the window
   // around the latest failure", which is what a post-mortem wants.
-  (void)dumpFlightToFile(config_.autoDumpPath, reason);
+  (void)dumpFlightToFile(config_.autoDumpPath, /*physical=*/true, reason);
 }
 
 void ServiceTracer::writeTimelineLocked(std::ostream& out, uint64_t id,
@@ -363,12 +363,13 @@ void ServiceTracer::dumpFlight(std::ostream& out, bool physical,
 }
 
 Status ServiceTracer::dumpFlightToFile(const std::string& path,
+                                       bool physical,
                                        std::string_view trigger) const {
   std::ofstream out(path);
   if (!out) {
     return Status::invalidArgument("cannot open flight dump file: " + path);
   }
-  dumpFlight(out, /*physical=*/true, trigger);
+  dumpFlight(out, physical, trigger);
   if (!out.good()) {
     return Status::internal("I/O error writing flight dump: " + path);
   }

@@ -181,7 +181,9 @@ class ServiceTracer {
   /// physical mode.
   void dumpFlight(std::ostream& out, bool physical,
                   std::string_view trigger = "on_demand") const;
+  /// dumpFlight() into `path`, rewriting it.
   [[nodiscard]] Status dumpFlightToFile(const std::string& path,
+                                        bool physical,
                                         std::string_view trigger) const;
   /// Export per-tenant tracks (one span per request on the modeled
   /// clock, migration instants, a queue-depth counter) into a

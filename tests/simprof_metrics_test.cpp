@@ -152,5 +152,40 @@ TEST_F(MetricsTest, LaunchRecordsMetricsEvenWithProfilingOff) {
   EXPECT_EQ(reg.histogramSum(metric::kLaunchCycles), stats.value().cycles);
 }
 
+TEST_F(MetricsTest, SuccessfulLaunchesCountFiberHostWork) {
+  auto& reg = MetricsRegistry::global();
+  const auto launch = [](uint32_t workers, const char* fault) {
+    gpusim::Device dev;
+    dsl::LaunchSpec spec;
+    spec.numTeams = 4;
+    spec.threadsPerTeam = 64;
+    spec.simdlen = 1;
+    spec.hostWorkers = workers;
+    spec.fault.spec = fault;
+    spec.fastPath = gpusim::FastPathMode::kOff;
+    return dsl::targetTeamsDistributeParallelFor(
+               dev, spec, 256,
+               [](dsl::OmpContext& ctx, uint64_t) { ctx.gpu().work(1); })
+        .isOk();
+  };
+  ASSERT_TRUE(launch(1, "off"));
+  const uint64_t switches = reg.value(metric::kFiberSwitchesTotal);
+  EXPECT_EQ(reg.value(metric::kFibersSpawnedTotal), 4u * 64u);
+  EXPECT_GE(switches, 4u * 64u) << "every fiber is switched to at least once";
+
+  // Block-order merge: the same counts at any host worker count.
+  reg.reset();
+  ASSERT_TRUE(launch(4, "off"));
+  EXPECT_EQ(reg.value(metric::kFiberSwitchesTotal), switches);
+  EXPECT_EQ(reg.value(metric::kFibersSpawnedTotal), 4u * 64u);
+
+  // A failed launch adds nothing.
+  reg.reset();
+  EXPECT_FALSE(launch(1, "trap:step=1"));
+  EXPECT_EQ(reg.value(metric::kLaunchFailuresTotal), 1u);
+  EXPECT_EQ(reg.value(metric::kFiberSwitchesTotal), 0u);
+  EXPECT_EQ(reg.value(metric::kFibersSpawnedTotal), 0u);
+}
+
 }  // namespace
 }  // namespace simtomp::simprof

@@ -5,7 +5,9 @@
 // failure-triggered auto-dump and the Perfetto export.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -63,10 +65,11 @@ std::string replayStats(const Mix& mix, bool trace, uint32_t workers,
   return out.str();
 }
 
-/// Replay with tracing on and return every canonical dump surface
-/// concatenated: timelines, SLO burn, histograms, flight recorder.
-std::string traceSurfaces(const Mix& mix, uint32_t workers,
-                          uint32_t shards) {
+/// Replay `mix` with tracing on and return what `dump` writes from the
+/// finished service's tracer.
+std::string tracedReplay(
+    const Mix& mix, uint32_t workers, uint32_t shards,
+    const std::function<void(const ServiceTracer&, std::ostream&)>& dump) {
   std::vector<ArchSpec> specs(4, ArchSpec::testTiny());
   hostrt::DeviceManager mgr(std::move(specs));
   ServiceConfig config;
@@ -79,13 +82,38 @@ std::string traceSurfaces(const Mix& mix, uint32_t workers,
   const Result<ReplayReport> report = replayMix(service, mix, options);
   EXPECT_TRUE(report.isOk()) << report.status().toString();
   std::ostringstream out;
-  ServiceTracer* tracer = service.tracer();
+  const ServiceTracer* tracer = service.tracer();
   EXPECT_NE(tracer, nullptr);
-  tracer->dumpTimelines(out, /*physical=*/false);
-  tracer->dumpTenantSummary(out);
-  tracer->dumpHistograms(out);
-  tracer->dumpFlight(out, /*physical=*/false);
+  if (tracer != nullptr) dump(*tracer, out);
   return out.str();
+}
+
+/// Every canonical dump surface concatenated: timelines, SLO burn,
+/// histograms, flight recorder.
+std::string traceSurfaces(const Mix& mix, uint32_t workers,
+                          uint32_t shards) {
+  return tracedReplay(mix, workers, shards,
+                      [](const ServiceTracer& tracer, std::ostream& out) {
+                        tracer.dumpTimelines(out, /*physical=*/false);
+                        tracer.dumpTenantSummary(out);
+                        tracer.dumpHistograms(out);
+                        tracer.dumpFlight(out, /*physical=*/false);
+                      });
+}
+
+/// The on-demand flight file `simtomp_serve trace --flight` writes
+/// without --physical, read back.
+std::string onDemandFlightFile(const Mix& mix, uint32_t shards) {
+  const std::string path = testing::TempDir() + "simserve_trace_flight.txt";
+  return tracedReplay(
+      mix, 1, shards, [&](const ServiceTracer& tracer, std::ostream& out) {
+        EXPECT_TRUE(tracer.dumpFlightToFile(path, /*physical=*/false,
+                                            "on_demand")
+                        .isOk());
+        std::ifstream in(path);
+        out << in.rdbuf();
+        std::remove(path.c_str());
+      });
 }
 
 TEST(ServeTraceTest, TracingDoesNotPerturbTheStatsDump) {
@@ -117,6 +145,15 @@ TEST(ServeTraceTest, CanonicalSurfacesCarryNoPhysicalIdentity) {
   // into the canonical (byte-compare) dump mode.
   EXPECT_EQ(base.find("device="), std::string::npos);
   EXPECT_EQ(base.find("shard="), std::string::npos);
+}
+
+TEST(ServeTraceTest, OnDemandFlightFileIsByteIdenticalAcrossShards) {
+  const Mix mix = pressuredMix();
+  const std::string base = onDemandFlightFile(mix, 4);
+  EXPECT_NE(base.find("# simserve flight recorder v1 trigger=on_demand"),
+            std::string::npos);
+  EXPECT_EQ(base.find("device="), std::string::npos);
+  EXPECT_EQ(base, onDemandFlightFile(mix, 13));
 }
 
 TEST(ServeTraceTest, TimelineRecordsBatchRolesAndDeadlineVerdicts) {

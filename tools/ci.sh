@@ -7,7 +7,9 @@
 #          readers (SIMTOMP_LOG, SIMTOMP_LOG_FILE, SIMTOMP_METRICS,
 #          SIMTOMP_TUNE_CACHE): every launch knob is a knob-table row.
 # Stage 2: ThreadSanitizer build; the concurrency-sensitive suites
-#          (gpusim_*, omprt_*) run with SIMTOMP_HOST_WORKERS=8 so every
+#          (gpusim_, omprt_, simfault_, fastpath_, hostrt_, simserve_,
+#          simfuzz_, simprof_, and fiber_ for the hand-written stack
+#          switch) run with SIMTOMP_HOST_WORKERS=8 so every
 #          launch actually spreads blocks over 8 host workers — a data
 #          race in the simulator surfaces here as a test failure even
 #          on a single-core CI machine.
@@ -74,11 +76,12 @@
 #          recorder; the serve_observability_overhead bench then
 #          asserts tracing never perturbs the modeled stats dump or
 #          replay report and emits BENCH_serve_observability.json.
-# Stage 13: ASan+UBSan build; the text-parsing, fault-injection and
-#          knob suites (front_, support_, simfault_, simserve_mix,
-#          hostrt_defaults, knobs_) run with every report fatal,
-#          including exceptions unwinding on arena-allocated fiber
-#          stacks.
+# Stage 13: ASan+UBSan build; the text-parsing, fault-injection,
+#          knob and fiber suites (front_, support_, simfault_,
+#          simserve_mix, hostrt_defaults, knobs_, fiber_) run with every
+#          report fatal, including exceptions unwinding on
+#          arena-allocated fiber stacks and the hand-written stack
+#          switch.
 #
 # Usage: tools/ci.sh [build-dir-prefix]   (default: build-ci)
 set -euo pipefail
@@ -99,14 +102,14 @@ cmake -B "${prefix}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "${prefix}" -j "${jobs}"
 ctest --test-dir "${prefix}" --output-on-failure -j "${jobs}"
 
-echo "=== stage 2: TSan build, gpusim+omprt suites at 8 host workers ==="
+echo "=== stage 2: TSan build, gpusim+omprt+fiber suites at 8 host workers ==="
 cmake -B "${prefix}-tsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DSIMTOMP_SANITIZE=thread -DSIMTOMP_BUILD_BENCH=OFF \
   -DSIMTOMP_BUILD_EXAMPLES=OFF
 cmake --build "${prefix}-tsan" -j "${jobs}"
 SIMTOMP_HOST_WORKERS=8 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
   ctest --test-dir "${prefix}-tsan" --output-on-failure -j 1 \
-  -R '^(gpusim|omprt|simfault|fastpath|hostrt|simserve|simfuzz|simprof)_'
+  -R '^(gpusim|omprt|simfault|fastpath|hostrt|simserve|simfuzz|simprof|fiber)_'
 
 echo "=== stage 3: simcheck gate (SIMTOMP_CHECK=1 over simulator suites) ==="
 SIMTOMP_CHECK=1 \
@@ -496,7 +499,7 @@ print(f"{bench['trace_events']} trace events "
 EOF
 echo "observability zero-perturbation guard passed"
 
-echo "=== stage 13: ASan+UBSan build, parser/fault/knob suites ==="
+echo "=== stage 13: ASan+UBSan build, parser/fault/knob/fiber suites ==="
 cmake -B "${prefix}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DSIMTOMP_SANITIZE=address -DSIMTOMP_BUILD_BENCH=OFF \
   -DSIMTOMP_BUILD_EXAMPLES=OFF
@@ -504,6 +507,6 @@ cmake --build "${prefix}-asan" -j "${jobs}"
 ASAN_OPTIONS="halt_on_error=1 detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
   ctest --test-dir "${prefix}-asan" --output-on-failure -j "${jobs}" \
-  -R '^(front|support|simfault|simserve_mix|hostrt_defaults|knobs)_'
+  -R '^(front|support|simfault|simserve_mix|hostrt_defaults|knobs|fiber)_'
 
 echo "=== ci.sh: all stages passed ==="

@@ -257,7 +257,8 @@ int runTrace(int argc, char** argv) {
   tracer->dumpHistograms(std::cout);
   tracer->dumpFlight(std::cout, physical);
   if (!flight_path.empty()) {
-    const Status st = tracer->dumpFlightToFile(flight_path, "on_demand");
+    const Status st =
+        tracer->dumpFlightToFile(flight_path, physical, "on_demand");
     if (!st.isOk()) {
       std::fprintf(stderr, "simtomp_serve: %s\n", st.toString().c_str());
       return 1;
