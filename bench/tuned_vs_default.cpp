@@ -23,13 +23,11 @@ using namespace simtomp;
 
 namespace {
 
-constexpr size_t kScratchBytes = 64ull * 1024 * 1024;
-
 uint64_t runCandidate(const apps::TunableApp& app,
                       const gpusim::ArchSpec& arch,
                       const gpusim::CostModel& cost,
                       const simtune::TuneCandidate& candidate) {
-  gpusim::Device device(arch, cost, kScratchBytes);
+  gpusim::Device device(arch, cost);
   const auto stats = bench::checkOk(
       app.trial(device, candidate, simcheck::CheckConfig{}),
       app.name.c_str());
@@ -47,7 +45,6 @@ simtune::TunedShape tuneApp(const apps::TunableApp& app,
   request.strategy = strategy;
   request.maxTrials = maxTrials;
   request.tripCount = app.tripCount;
-  request.scratchMemBytes = kScratchBytes;
   const auto outcome = bench::checkOk(
       tuner.tune(app.name, arch, cost, app.axes, app.trial, request),
       app.name.c_str());

@@ -1,6 +1,8 @@
 // Device: the whole simulated GPU.
 //
-// Owns global memory and schedules kernel launches. Blocks are placed
+// Owns global memory and schedules kernel launches. Construction touches
+// none of the global-memory arena (see DeviceMemory): a Device costs the
+// pages its launches and host copies touch. Blocks are placed
 // greedily onto the SM with the least accumulated work (round-robin when
 // balanced), each SM running its blocks back-to-back; the kernel's
 // modeled time is the busiest SM plus a fixed launch latency. This is

@@ -1,6 +1,10 @@
 #include "gpusim/memory.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <new>
 
 namespace simtomp::gpusim {
 
@@ -88,7 +92,27 @@ size_t FreeListAllocator::bytesInUse() const {
   return total;
 }
 
-DeviceMemory::DeviceMemory(size_t bytes) : arena_(bytes), allocator_(bytes) {}
+DeviceMemory::DeviceMemory(size_t bytes) : allocator_(bytes) {
+  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  if (bytes > SIZE_MAX - 3 * page) throw std::bad_alloc();
+  const size_t body = alignUp(bytes, page);
+  // Map everything inaccessible, then open the arena between the guard
+  // pages. The arena is private and writable, so the kernel charges it
+  // to the commit limit here (no MAP_NORESERVE): an arena it cannot
+  // back fails now, not at some later first touch.
+  void* map = mmap(nullptr, body + 2 * page, PROT_NONE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (map == MAP_FAILED) throw std::bad_alloc();
+  mapping_ = static_cast<std::byte*>(map);
+  mapping_bytes_ = body + 2 * page;
+  arena_ = mapping_ + page;
+  if (mprotect(arena_, body, PROT_READ | PROT_WRITE) != 0) {
+    munmap(mapping_, mapping_bytes_);
+    throw std::bad_alloc();
+  }
+}
+
+DeviceMemory::~DeviceMemory() { munmap(mapping_, mapping_bytes_); }
 
 Result<DevPtr> DeviceMemory::allocate(size_t bytes, size_t align) {
   std::lock_guard<std::mutex> lock(mutex_);

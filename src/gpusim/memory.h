@@ -3,7 +3,11 @@
 // DeviceMemory models the GPU global memory: a byte arena managed by a
 // first-fit free-list allocator. Device code addresses it through typed
 // GlobalSpan<T> views that charge the cost model on every access; host
-// code (setup/verification) uses the uncharged raw accessors.
+// code (setup/verification) uses the uncharged raw accessors. The arena
+// is a private anonymous mapping: the kernel commits a page when a
+// launch or a host copy first touches it, so a Device costs what its
+// launches touch, and a fresh arena reads as zero everywhere, as a GPU's
+// global memory exists before the first kernel.
 //
 // SharedMemory models one block's on-chip scratchpad with the same
 // allocator (individual allocations can be freed, which region-scoped
@@ -54,9 +58,15 @@ class FreeListAllocator {
   std::vector<Block> live_;       // sorted by offset
 };
 
+/// Global memory: `bytes` of arena between two PROT_NONE guard pages,
+/// so a host or device access past either end of the (page-rounded)
+/// arena faults in every build. Construction reserves the arena against
+/// the system's commit limit but touches none of it; an arena the
+/// system cannot provide throws std::bad_alloc.
 class DeviceMemory {
  public:
   explicit DeviceMemory(size_t bytes);
+  ~DeviceMemory();
 
   DeviceMemory(const DeviceMemory&) = delete;
   DeviceMemory& operator=(const DeviceMemory&) = delete;
@@ -66,19 +76,21 @@ class DeviceMemory {
   /// Free a pointer returned by allocate(). Double frees are detected.
   Status free(DevPtr ptr);
 
-  [[nodiscard]] size_t capacity() const { return arena_.size(); }
+  [[nodiscard]] size_t capacity() const { return allocator_.capacity(); }
   [[nodiscard]] size_t bytesInUse() const;
   [[nodiscard]] size_t liveAllocations() const;
 
   /// Raw host-side access (no cost charged); used by the host runtime
   /// for H2D/D2H copies and by tests for verification.
-  [[nodiscard]] std::byte* raw(DevPtr ptr) { return arena_.data() + ptr; }
+  [[nodiscard]] std::byte* raw(DevPtr ptr) { return arena_ + ptr; }
   [[nodiscard]] const std::byte* raw(DevPtr ptr) const {
-    return arena_.data() + ptr;
+    return arena_ + ptr;
   }
 
  private:
-  std::vector<std::byte> arena_;
+  std::byte* mapping_ = nullptr;  // leading guard page, arena, trailing guard
+  size_t mapping_bytes_ = 0;
+  std::byte* arena_ = nullptr;  // page-aligned
   FreeListAllocator allocator_;
   mutable std::mutex mutex_;
 };

@@ -214,7 +214,7 @@ Result<TuneOutcome> Tuner::search(const TuneKey& key,
     std::vector<std::string> errors(batch.size());
     gpusim::BlockExecutor::global().parallelFor(
         static_cast<uint32_t>(batch.size()), workers, [&](uint32_t i) {
-          gpusim::Device scratch(arch, cost, request.scratchMemBytes);
+          gpusim::Device scratch(arch, cost);
           const Result<gpusim::KernelStats> r =
               trial(scratch, batch[i], request.check);
           if (r.isOk()) {
@@ -434,10 +434,9 @@ Result<TuneOutcome> Tuner::tuneTarget(gpusim::Device& device,
   };
 
   // Trials run on the caller's device, which forbids overlap: force a
-  // serial fan-out and shrink the (unused) scratch arenas.
+  // serial fan-out.
   TuneRequest serial = request;
   serial.hostWorkers = 1;
-  serial.scratchMemBytes = 1024 * 1024;
   if (serial.tripCount == 0) serial.tripCount = config.tripCount;
 
   Result<TuneOutcome> result =

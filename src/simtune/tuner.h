@@ -107,10 +107,6 @@ struct TuneRequest {
   uint64_t tripCount = 0;
   /// Re-tune even when the cache already has an entry.
   bool skipCache = false;
-  /// Global-memory arena of each scratch Device. Much smaller than
-  /// Device::kDefaultGlobalMem because the arena is eagerly allocated
-  /// and several trial devices are alive at once.
-  size_t scratchMemBytes = 64ull * 1024 * 1024;
 };
 
 struct TuneOutcome {

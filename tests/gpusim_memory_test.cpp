@@ -1,8 +1,11 @@
 // Unit tests for the device memory subsystem: free-list allocator,
 // DeviceMemory, SharedMemory, and the typed span views.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -10,6 +13,7 @@
 #include "gpusim/block.h"
 #include "gpusim/device.h"
 #include "gpusim/memory.h"
+#include "hostrt/device_manager.h"
 #include "support/rng.h"
 
 namespace simtomp::gpusim {
@@ -146,6 +150,56 @@ TEST(DeviceMemoryTest, TracksUsage) {
   EXPECT_EQ(mem.bytesInUse(), 256u);
 }
 
+TEST(DeviceMemoryTest, FreshArenaReadsZeroAtBothEnds) {
+  DeviceMemory mem(Device::kDefaultGlobalMem);
+  EXPECT_EQ(*mem.raw(0), std::byte{0});
+  EXPECT_EQ(*mem.raw(mem.capacity() - 1), std::byte{0});
+
+  // First fit: the second allocation starts mid-arena.
+  auto low = mem.allocate(mem.capacity() / 2, 16);
+  auto mid = mem.allocate(4096, 16);
+  ASSERT_TRUE(low.isOk());
+  ASSERT_TRUE(mid.isOk());
+  EXPECT_EQ(mid.value(), mem.capacity() / 2);
+  std::byte* bytes = mem.raw(mid.value());
+  for (size_t i = 0; i < 4096; ++i) {
+    ASSERT_EQ(bytes[i], std::byte{0}) << "byte " << i;
+  }
+
+  // Freed memory is not scrubbed: a re-allocation at the same offset
+  // sees what was written before the free.
+  bytes[0] = std::byte{0x5a};
+  bytes[4095] = std::byte{0xa5};
+  ASSERT_TRUE(mem.free(mid.value()).isOk());
+  auto again = mem.allocate(4096, 16);
+  ASSERT_TRUE(again.isOk());
+  ASSERT_EQ(again.value(), mid.value());
+  EXPECT_EQ(mem.raw(again.value())[0], std::byte{0x5a});
+  EXPECT_EQ(mem.raw(again.value())[4095], std::byte{0xa5});
+}
+
+TEST(DeviceMemoryTest, OverrunPastArenaEndFaults) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  DeviceMemory mem(1 << 20);
+  EXPECT_DEATH(
+      { *reinterpret_cast<volatile std::byte*>(mem.raw(mem.capacity())) =
+            std::byte{1}; },
+      "");
+}
+
+TEST(DeviceMemoryTest, UnderrunBeforeArenaStartFaults) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  DeviceMemory mem(1 << 20);
+  EXPECT_DEATH(
+      { *reinterpret_cast<volatile std::byte*>(mem.raw(0) - 1) =
+            std::byte{1}; },
+      "");
+}
+
+TEST(DeviceMemoryTest, ImpossibleArenaThrowsBadAlloc) {
+  EXPECT_THROW(DeviceMemory(1ull << 50), std::bad_alloc);
+}
+
 TEST(SharedMemoryTest, AllocateFreeReuse) {
   SharedMemory shared(1024);
   std::byte* a = shared.allocate(512, 16);
@@ -246,6 +300,32 @@ TEST(DeviceTest, AllocateArrayReturnsTypedView) {
   EXPECT_EQ(arr.value().raw(99), 7u);
   EXPECT_TRUE(dev.freeArray(arr.value().data()).isOk());
   EXPECT_EQ(dev.memory().bytesInUse(), 0u);
+}
+
+long minorFaults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
+
+TEST(DeviceTest, ConstructionCommitsNoArenaPages) {
+  const auto constructAll = [] {
+    Device dev;
+    hostrt::DeviceManager manager(
+        std::vector<ArchSpec>(4, ArchSpec::nvidiaA100()));
+    EXPECT_EQ(dev.memory().capacity(), Device::kDefaultGlobalMem);
+    EXPECT_EQ(manager.numDevices(), 4u);
+  };
+  constructAll();  // warm up: code pages, heap, worker threads
+  const long before = minorFaults();
+  constructAll();
+  // A zero-filled arena takes one fault per page: 131072 per device
+  // with 4 KiB pages. Allow 1% of the five arenas' pages, which covers
+  // what a sanitizer runtime faults in for the manager's threads (about
+  // 1.2k under TSan).
+  const long arena_pages =
+      static_cast<long>(Device::kDefaultGlobalMem) / sysconf(_SC_PAGESIZE);
+  EXPECT_LT(minorFaults() - before, 5 * arena_pages / 100);
 }
 
 TEST(DeviceMemoryTest, ConcurrentAllocFreeStress) {
