@@ -3,7 +3,6 @@
 #include <thread>
 
 #include "gpusim/executor.h"
-#include "support/log.h"
 #include "support/parse.h"
 
 namespace simtomp::gpusim {
@@ -18,8 +17,6 @@ std::optional<uint32_t> parseHostWorkers(std::string_view text) {
   const Result<uint64_t> n =
       parseUnsigned(text, BlockExecutor::kMaxHelpers + 1);
   if (n.isOk() && n.value() >= 1) return static_cast<uint32_t>(n.value());
-  SIMTOMP_WARN("ignoring invalid SIMTOMP_HOST_WORKERS=\"%s\"",
-               std::string(text).c_str());
   return std::nullopt;
 }
 

@@ -15,9 +15,10 @@
 //
 // The env var is re-read on every resolution, so a process can flip
 // a knob between launches. Unset and unrecognized env text both give
-// the built-in value. A resolved value is never auto, so resolving it
-// again returns it unchanged: omprt, hostrt and gpusim may each
-// resolve the same options.
+// the built-in value; unrecognized text also logs a warning. A
+// resolved value is never auto, so resolving it again returns it
+// unchanged: omprt, hostrt and gpusim may each resolve the same
+// options.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +33,7 @@
 #include "simfault/fault.h"
 #include "simfault/resilience.h"
 #include "simprof/profile.h"
+#include "support/log.h"
 
 namespace simtomp::gpusim {
 
@@ -114,6 +116,25 @@ extern const Knob<FastPathMode> kFastPathKnob;
 extern const Knob<TuneMode> kTuneKnob;
 extern const Knob<simfault::ResilienceMode> kResilienceKnob;
 
+/// The value `text` spells for `knob`: one of its fixed words, else
+/// what parseOther makes of it; nullopt = unrecognized. The env
+/// resolver and the command-line flags share this one matcher.
+template <typename T>
+[[nodiscard]] std::optional<T> matchKnob(const Knob<T>& knob,
+                                         std::string_view text) {
+  std::string folded(text);
+  if (knob.foldCase) {
+    for (char& c : folded) {
+      if (c >= 'A' && c <= 'Z') c += 'a' - 'A';
+    }
+  }
+  for (const Spelling<T>& word : knob.spellings) {
+    if (folded == word.text) return word.value;
+  }
+  if (knob.parseOther == nullptr) return std::nullopt;
+  return knob.parseOther(text);
+}
+
 /// Resolve one knob: explicit > env > built-in.
 template <typename T>
 [[nodiscard]] Resolved<T> resolveKnob(
@@ -121,23 +142,12 @@ template <typename T>
   if (requested != knob.autoValue) return {requested, "explicit", {}};
   const char* env = std::getenv(knob.env);
   if (env == nullptr) return {knob.builtin(), "default", {}};
-  Resolved<T> out{{}, knob.env, env};
-  std::string text = env;
-  if (knob.foldCase) {
-    for (char& c : text) {
-      if (c >= 'A' && c <= 'Z') c += 'a' - 'A';
-    }
+  std::optional<T> matched = matchKnob(knob, env);
+  if (!matched.has_value()) {
+    SIMTOMP_WARN("ignoring invalid %s=\"%s\"", knob.env, env);
+    matched = knob.builtin();
   }
-  for (const Spelling<T>& word : knob.spellings) {
-    if (text == word.text) {
-      out.value = word.value;
-      return out;
-    }
-  }
-  std::optional<T> parsed;
-  if (knob.parseOther != nullptr) parsed = knob.parseOther(env);
-  out.value = parsed.has_value() ? *std::move(parsed) : knob.builtin();
-  return out;
+  return {*std::move(matched), knob.env, env};
 }
 
 /// Every knob of `options` resolved to a concrete value.

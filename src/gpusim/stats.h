@@ -38,7 +38,7 @@ enum class Counter : uint8_t {
 inline constexpr size_t kNumCounters = static_cast<size_t>(Counter::kCount);
 
 std::string_view counterName(Counter c);
-/// One-line description for `simtomp_info --counters` (same table the
+/// One-line description for `simtomp info counters` (same table the
 /// profiler/metrics surfaces render from, so names cannot drift).
 std::string_view counterDescription(Counter c);
 /// Inverse of counterName; returns kCount for unknown names.

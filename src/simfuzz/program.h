@@ -16,7 +16,7 @@
 //
 // Programs serialize to a canonical one-line text form that parses
 // back losslessly; minimized counterexamples ship as these lines
-// (tools/simtomp_fuzz repro), and the seeded regression corpus in
+// (`simtomp fuzz repro`), and the seeded regression corpus in
 // tests/ pins them verbatim.
 #pragma once
 

@@ -8,14 +8,14 @@
 // add / max, so snapshots are byte-identical for any
 // SIMTOMP_HOST_WORKERS.
 //
-// The catalog is the single source of truth: `simtomp_info --metrics`
+// The catalog is the single source of truth: `simtomp info metrics`
 // lists it, the registry allocates from it, and the writers iterate it
 // — names cannot drift.
 //
 // SIMTOMP_METRICS=<path> arranges a dual dump of the global registry
 // at process exit (for long fault/tune runs): Prometheus text at
-// <path> and the JSON snapshot at <path>.json. `simtomp_info
-// --metrics=prom|json` prints either format on demand.
+// <path> and the JSON snapshot at <path>.json. `simtomp info
+// metrics=prom|json` prints either format on demand.
 #pragma once
 
 #include <array>
@@ -32,7 +32,7 @@ enum class MetricType : uint8_t { kCounter = 0, kGauge, kHistogram };
 [[nodiscard]] std::string_view metricTypeName(MetricType type);
 
 /// One catalog entry: stable name (Prometheus conventions), kind and a
-/// one-line description shared with `simtomp_info --metrics`.
+/// one-line description shared with `simtomp info metrics`.
 struct MetricDef {
   std::string_view name;
   MetricType type = MetricType::kCounter;

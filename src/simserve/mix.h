@@ -1,4 +1,4 @@
-// Request mixes: the recorded workload format simtomp_serve replays.
+// Request mixes: the recorded workload format `simtomp serve` replays.
 //
 // A mix is a line-oriented script of tenant declarations, launch
 // requests and scheduler steps:

@@ -46,7 +46,7 @@
 //
 // The flight dump is written automatically (to TraceConfig::
 // autoDumpPath) on failed launches and breaker opens, and by the
-// chaos harness on invariant violations; `simtomp_serve trace` prints
+// chaos harness on invariant violations; `simtomp serve trace` prints
 // the on-demand surfaces (per-request timelines, per-tenant SLO burn,
 // queue-delay/batch-size histograms) and exports per-tenant Perfetto
 // tracks through gpusim::TraceRecorder.

@@ -167,7 +167,7 @@ class Tuner {
                      const gpusim::CostModel& cost,
                      omprt::TargetConfig& config);
 
-  // Counters for simtomp_info --tune and the warm-cache tests.
+  // Counters for `simtomp info tune` and the warm-cache tests.
   [[nodiscard]] uint64_t trialLaunches() const { return trial_launches_; }
   [[nodiscard]] uint64_t cacheHits() const { return cache_hits_; }
   [[nodiscard]] uint64_t cacheMisses() const { return cache_misses_; }

@@ -1,5 +1,5 @@
 // Tests for the counter name table and KernelStats serialization: the
-// table must cover every counter exactly once (simtomp_info --counters,
+// table must cover every counter exactly once (simtomp info counters,
 // the profiler and the JSON writer all render from it), and toJson must
 // round-trip every counter by name.
 #include <gtest/gtest.h>

@@ -23,7 +23,7 @@ namespace {
 
 using gpusim::ArchSpec;
 
-/// The matrix kernel of tools/simtomp_fault: three-level structure so
+/// The matrix kernel of `simtomp fault matrix`: three-level structure so
 /// generic-mode launches exercise barriers and the sharing space.
 struct MatrixKernel {
   static constexpr uint64_t kTile = 8;

@@ -101,7 +101,7 @@ std::string traceSurfaces(const Mix& mix, uint32_t workers,
                       });
 }
 
-/// The on-demand flight file `simtomp_serve trace --flight` writes
+/// The on-demand flight file `simtomp serve trace --flight` writes
 /// without --physical, read back.
 std::string onDemandFlightFile(const Mix& mix, uint32_t shards) {
   const std::string path = testing::TempDir() + "simserve_trace_flight.txt";

@@ -44,13 +44,13 @@
 #          barrier-bound reduce series must clear a 3x
 #          modeled-cycles-per-host-second gate.
 # Stage 9: launch-service determinism + throughput guard; a seeded
-#          request mix replays through simtomp_serve twice at 1 host
+#          request mix replays through `simtomp serve` twice at 1 host
 #          worker and once each at 8 workers and a prime shard count,
 #          and all per-tenant stat dumps must be byte-identical; the
 #          serve_throughput bench then gates >= 1000 concurrent
 #          in-flight launches across 4 devices and emits
 #          BENCH_serving.json.
-# Stage 10: differential-fuzz smoke; a fixed-seed simtomp_fuzz campaign
+# Stage 10: differential-fuzz smoke; a fixed-seed `simtomp fuzz` campaign
 #          runs under SIMTOMP_HOST_WORKERS=1 and =8 and the findings
 #          logs must be byte-identical with zero divergences (the
 #          campaign pins every cell's worker count explicitly, so the
@@ -61,13 +61,13 @@
 #          fault-armed sweep (sharing_exhausted on every cell) must
 #          stay divergence-free with worker-invariant logs.
 # Stage 11: chaos campaign + resilience goodput gate; the seeded
-#          simtomp_serve chaos campaign runs four times — rerun, 8
+#          `simtomp serve chaos` campaign runs four times — rerun, 8
 #          host workers, a prime shard count — with zero invariant
 #          violations and byte-identical reports; the serve_resilience
 #          bench then gates storm goodput >= 70% of fault-free goodput
 #          and emits BENCH_serve_resilience.json.
 # Stage 12: serving-trace determinism + observability guard; the
-#          simtomp_serve trace surfaces (timelines, SLO burn,
+#          `simtomp serve trace` surfaces (timelines, SLO burn,
 #          histograms, flight recorder) and on-demand flight dumps
 #          must be byte-identical across reruns, 8 host workers and a
 #          prime shard count; the Perfetto export must be valid JSON;
@@ -76,10 +76,11 @@
 #          recorder; the serve_observability_overhead bench then
 #          asserts tracing never perturbs the modeled stats dump or
 #          replay report and emits BENCH_serve_observability.json.
-# Stage 13: ASan+UBSan build; the text-parsing, fault-injection,
-#          knob, fiber and device-memory suites (front_, support_,
-#          simfault_, simserve_mix, hostrt_defaults, knobs_, fiber_,
-#          gpusim_memory_) run with every report fatal, including
+# Stage 13: ASan+UBSan build; the text-parsing, command-line,
+#          fault-injection, knob, fiber and device-memory suites
+#          (front_, support_, cli_, simfault_, simserve_mix,
+#          hostrt_defaults, knobs_, fiber_, gpusim_memory_) run with
+#          every report fatal, including
 #          exceptions unwinding on arena-allocated fiber stacks, the
 #          hand-written stack switch and the guard pages around the
 #          lazily committed global-memory arena.
@@ -90,6 +91,20 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 prefix="${1:-build-ci}"
 jobs="$(nproc 2>/dev/null || echo 2)"
+simtomp="${prefix}/tools/simtomp"
+
+# same_bytes <label> <ref> <file>...: fail unless every file is
+# byte-identical to <ref>.
+same_bytes() {
+  local label="$1" ref="$2" file
+  shift 2
+  for file in "$@"; do
+    if ! cmp "${ref}" "${file}"; then
+      echo "ci.sh: ${label} differ (${ref} vs ${file})" >&2
+      exit 1
+    fi
+  done
+}
 
 echo "=== stage 1: knob lint, regular build + full ctest ==="
 if grep -rn 'std::getenv' src \
@@ -137,7 +152,7 @@ echo "sim_cycles bit-identical with checking off vs on"
 
 echo "=== stage 5: tune smoke + cache-determinism guard ==="
 tune_apps="su3,ideal"
-tune_cmd=("${prefix}/tools/simtomp_tune" tune --apps "${tune_apps}" --small \
+tune_cmd=("${simtomp}" tune tune --apps "${tune_apps}" --small \
           --strategy hill --budget 12)
 cache_a="${prefix}/tune-guard-a.json"
 cache_b="${prefix}/tune-guard-b.json"
@@ -146,38 +161,26 @@ rm -f "${cache_a}" "${cache_b}" "${cache_c}"
 "${tune_cmd[@]}" --workers 1 --cache "${cache_a}"
 "${tune_cmd[@]}" --workers 1 --cache "${cache_b}"
 "${tune_cmd[@]}" --workers 8 --cache "${cache_c}"
-if ! cmp "${cache_a}" "${cache_b}"; then
-  echo "ci.sh: tuning the same corpus twice produced different caches" >&2
-  exit 1
-fi
-if ! cmp "${cache_a}" "${cache_c}"; then
-  echo "ci.sh: tuning at 1 vs 8 host workers produced different caches" >&2
-  exit 1
-fi
+same_bytes "tune caches (rerun, 1 vs 8 host workers)" \
+  "${cache_a}" "${cache_b}" "${cache_c}"
 echo "tune caches byte-identical across reruns and worker counts"
 
 echo "=== stage 6: fault-matrix smoke + resilience-determinism guard ==="
 matrix_a="${prefix}/fault-matrix-a.txt"
 matrix_b="${prefix}/fault-matrix-b.txt"
 matrix_c="${prefix}/fault-matrix-c.txt"
-"${prefix}/tools/simtomp_fault" matrix --workers 1 > "${matrix_a}"
-"${prefix}/tools/simtomp_fault" matrix --workers 1 > "${matrix_b}"
-"${prefix}/tools/simtomp_fault" matrix --workers 8 > "${matrix_c}"
-if ! cmp "${matrix_a}" "${matrix_b}"; then
-  echo "ci.sh: rerunning the fault matrix produced different reports" >&2
-  exit 1
-fi
-if ! cmp "${matrix_a}" "${matrix_c}"; then
-  echo "ci.sh: fault matrix at 1 vs 8 host workers differs" >&2
-  exit 1
-fi
+"${simtomp}" fault matrix --workers 1 > "${matrix_a}"
+"${simtomp}" fault matrix --workers 1 > "${matrix_b}"
+"${simtomp}" fault matrix --workers 8 > "${matrix_c}"
+same_bytes "fault matrices (rerun, 1 vs 8 host workers)" \
+  "${matrix_a}" "${matrix_b}" "${matrix_c}"
 echo "resilience reports byte-identical across reruns and worker counts"
 # The overhead bench aborts if the watchdog perturbs modeled cycles.
 (cd "${prefix}/bench" && ./resilience_overhead >/dev/null)
 echo "watchdog zero-perturbation guard passed"
 
 echo "=== stage 7: observability determinism + overhead guard ==="
-prof_cmd=("${prefix}/tools/simtomp_prof" ideal
+prof_cmd=("${simtomp}" run ideal
           "target teams distribute parallel for simd num_teams(64) \
 thread_limit(128) simdlen(8)")
 prof_a="${prefix}/prof-guard-a.txt"
@@ -187,26 +190,19 @@ folded_b="${prefix}/prof-guard-b.folded"
 metrics_a="${prefix}/prof-guard-a.prom"
 metrics_b="${prefix}/prof-guard-b.prom"
 trace_json="${prefix}/prof-guard.trace.json"
-SIMTOMP_HOST_WORKERS=1 "${prof_cmd[@]}" --metrics "${metrics_a}" \
+SIMTOMP_HOST_WORKERS=1 "${prof_cmd[@]}" --prof --metrics "${metrics_a}" \
   > "${prof_a}"
-SIMTOMP_HOST_WORKERS=8 "${prof_cmd[@]}" --metrics "${metrics_b}" \
+SIMTOMP_HOST_WORKERS=8 "${prof_cmd[@]}" --prof --metrics "${metrics_b}" \
   > "${prof_b}"
 SIMTOMP_HOST_WORKERS=1 "${prof_cmd[@]}" --folded > "${folded_a}"
 SIMTOMP_HOST_WORKERS=8 "${prof_cmd[@]}" --folded > "${folded_b}"
-if ! cmp "${prof_a}" "${prof_b}"; then
-  echo "ci.sh: profile tables at 1 vs 8 host workers differ" >&2
-  exit 1
-fi
-if ! cmp "${folded_a}" "${folded_b}"; then
-  echo "ci.sh: folded stacks at 1 vs 8 host workers differ" >&2
-  exit 1
-fi
-if ! cmp "${metrics_a}" "${metrics_b}"; then
-  echo "ci.sh: metrics dumps at 1 vs 8 host workers differ" >&2
-  exit 1
-fi
+same_bytes "profile tables at 1 vs 8 host workers" "${prof_a}" "${prof_b}"
+same_bytes "folded stacks at 1 vs 8 host workers" "${folded_a}" "${folded_b}"
+same_bytes "metrics dumps at 1 vs 8 host workers" \
+  "${metrics_a}" "${metrics_b}"
 echo "profile/folded/metrics byte-identical across worker counts"
-SIMTOMP_HOST_WORKERS=8 "${prof_cmd[@]}" --trace "${trace_json}" >/dev/null
+SIMTOMP_HOST_WORKERS=8 "${prof_cmd[@]}" --prof --trace "${trace_json}" \
+  >/dev/null
 python3 -m json.tool "${trace_json}" >/dev/null
 echo "deep trace is valid JSON"
 # The overhead bench aborts if profiling perturbs KernelStats.
@@ -246,28 +242,18 @@ serve_a="${prefix}/serve-guard-a.txt"
 serve_b="${prefix}/serve-guard-b.txt"
 serve_c="${prefix}/serve-guard-c.txt"
 serve_d="${prefix}/serve-guard-d.txt"
-"${prefix}/tools/simtomp_serve" gen --seed 11 --tenants 4 --requests 96 \
+"${simtomp}" serve gen --seed 11 --tenants 4 --requests 96 \
   --pump-every 32 --fault-permille 20 --out "${serve_mix}"
-"${prefix}/tools/simtomp_serve" replay "${serve_mix}" --workers 1 \
+"${simtomp}" serve replay "${serve_mix}" --workers 1 \
   --stats "${serve_a}" >/dev/null
-"${prefix}/tools/simtomp_serve" replay "${serve_mix}" --workers 1 \
+"${simtomp}" serve replay "${serve_mix}" --workers 1 \
   --stats "${serve_b}" >/dev/null
-"${prefix}/tools/simtomp_serve" replay "${serve_mix}" --workers 8 \
+"${simtomp}" serve replay "${serve_mix}" --workers 8 \
   --stats "${serve_c}" >/dev/null
-"${prefix}/tools/simtomp_serve" replay "${serve_mix}" --workers 8 \
+"${simtomp}" serve replay "${serve_mix}" --workers 8 \
   --shards 13 --stats "${serve_d}" >/dev/null
-if ! cmp "${serve_a}" "${serve_b}"; then
-  echo "ci.sh: replaying the same mix twice produced different stats" >&2
-  exit 1
-fi
-if ! cmp "${serve_a}" "${serve_c}"; then
-  echo "ci.sh: launch-service stats at 1 vs 8 host workers differ" >&2
-  exit 1
-fi
-if ! cmp "${serve_a}" "${serve_d}"; then
-  echo "ci.sh: launch-service stats differ across shard counts" >&2
-  exit 1
-fi
+same_bytes "launch-service stats (rerun, 1 vs 8 host workers, shards)" \
+  "${serve_a}" "${serve_b}" "${serve_c}" "${serve_d}"
 echo "per-tenant stat dumps byte-identical across reruns/workers/shards"
 # The bench aborts if fewer than 1000 launches are concurrently in
 # flight across 4 devices or if per-tenant stats diverge between runs.
@@ -285,25 +271,23 @@ EOF
 echo "serving throughput gate passed"
 
 echo "=== stage 10: differential-fuzz smoke + minimizer guard ==="
-fuzz="${prefix}/tools/simtomp_fuzz"
+fuzz=("${simtomp}" fuzz)
 fuzz_a="${prefix}/fuzz-guard-a.log"
 fuzz_b="${prefix}/fuzz-guard-b.log"
 # Clean smoke: the findings log is the determinism artifact — it must
 # be byte-identical for any SIMTOMP_HOST_WORKERS (each matrix cell pins
 # its own worker count) and must report zero divergences.
-SIMTOMP_HOST_WORKERS=1 "${fuzz}" run --seeds=0..8 --tiny-only > "${fuzz_a}"
-SIMTOMP_HOST_WORKERS=8 "${fuzz}" run --seeds=0..8 --tiny-only > "${fuzz_b}"
-if ! cmp "${fuzz_a}" "${fuzz_b}"; then
-  echo "ci.sh: fuzz findings log differs across SIMTOMP_HOST_WORKERS" >&2
-  exit 1
-fi
+SIMTOMP_HOST_WORKERS=1 "${fuzz[@]}" run --seeds=0..8 --tiny-only > "${fuzz_a}"
+SIMTOMP_HOST_WORKERS=8 "${fuzz[@]}" run --seeds=0..8 --tiny-only > "${fuzz_b}"
+same_bytes "fuzz findings logs across SIMTOMP_HOST_WORKERS" \
+  "${fuzz_a}" "${fuzz_b}"
 grep -q 'divergences=0' "${fuzz_a}" || {
   echo "ci.sh: clean fuzz smoke reported divergences" >&2
   exit 1
 }
 # A short full-matrix sweep keeps the cross-arch (a100/mi100) cells and
 # the landed-corpus shapes exercised in CI.
-"${fuzz}" run --seeds=0..3 > /dev/null
+"${fuzz[@]}" run --seeds=0..3 > /dev/null
 echo "fuzz findings log byte-identical across worker counts, 0 divergences"
 # Fault-armed sweep (simfault-oracle mode): arm a transient
 # sharing-exhaustion cell on every matrix cell. The fault perturbs the
@@ -313,14 +297,12 @@ echo "fuzz findings log byte-identical across worker counts, 0 divergences"
 # composes with the differential matrix deterministically.
 fuzz_fa="${prefix}/fuzz-guard-fault-a.log"
 fuzz_fb="${prefix}/fuzz-guard-fault-b.log"
-SIMTOMP_HOST_WORKERS=1 "${fuzz}" run --seeds=0..8 --tiny-only \
+SIMTOMP_HOST_WORKERS=1 "${fuzz[@]}" run --seeds=0..8 --tiny-only \
   --fault=sharing_exhausted:count=1 > "${fuzz_fa}"
-SIMTOMP_HOST_WORKERS=8 "${fuzz}" run --seeds=0..8 --tiny-only \
+SIMTOMP_HOST_WORKERS=8 "${fuzz[@]}" run --seeds=0..8 --tiny-only \
   --fault=sharing_exhausted:count=1 > "${fuzz_fb}"
-if ! cmp "${fuzz_fa}" "${fuzz_fb}"; then
-  echo "ci.sh: fault-armed fuzz log differs across SIMTOMP_HOST_WORKERS" >&2
-  exit 1
-fi
+same_bytes "fault-armed fuzz logs across SIMTOMP_HOST_WORKERS" \
+  "${fuzz_fa}" "${fuzz_fb}"
 grep -q 'divergences=0' "${fuzz_fa}" || {
   echo "ci.sh: fault-armed fuzz sweep reported divergences" >&2
   exit 1
@@ -336,7 +318,7 @@ cat > "${fuzz_bug}" <<'EOF'
 fuzzprog v1 seed=999 construct=dpf body=map teams=2 threads=128 tmode=spmd pmode=spmd simdlen=4 sched=cyclic chunk=0 outer=32 inner=0 pressure=0 sharing=2048 a=3 b=1 inject=offbyone
 EOF
 set +e
-"${fuzz}" minimize "${fuzz_bug}" > "${fuzz_min}"
+"${fuzz[@]}" minimize "${fuzz_bug}" > "${fuzz_min}"
 fuzz_status=$?
 set -e
 if [ "${fuzz_status}" -ne 1 ]; then
@@ -351,7 +333,7 @@ if ! [ -s "${fuzz_repro}" ]; then
   exit 1
 fi
 set +e
-"${fuzz}" repro "${fuzz_repro}" > /dev/null
+"${fuzz[@]}" repro "${fuzz_repro}" > /dev/null
 fuzz_status=$?
 set -e
 if [ "${fuzz_status}" -ne 1 ]; then
@@ -366,7 +348,7 @@ echo "planted bug caught, minimized, and repro fails standalone"
 echo "fuzz campaign rerun byte-identity guard passed"
 
 echo "=== stage 11: chaos campaign + resilience goodput gate ==="
-serve="${prefix}/tools/simtomp_serve"
+serve=("${simtomp}" serve)
 chaos_a="${prefix}/chaos-guard-a.txt"
 chaos_b="${prefix}/chaos-guard-b.txt"
 chaos_c="${prefix}/chaos-guard-c.txt"
@@ -376,22 +358,12 @@ chaos_d="${prefix}/chaos-guard-d.txt"
 # and exits non-zero on any violation. Its report is built exclusively
 # from shard-invariant surfaces, so four runs — rerun, 8 host workers,
 # a prime shard count — must produce identical bytes.
-"${serve}" chaos --seeds=0..16 --out "${chaos_a}" >/dev/null
-"${serve}" chaos --seeds=0..16 --out "${chaos_b}" >/dev/null
-"${serve}" chaos --seeds=0..16 --workers 8 --out "${chaos_c}" >/dev/null
-"${serve}" chaos --seeds=0..16 --shards 13 --out "${chaos_d}" >/dev/null
-if ! cmp "${chaos_a}" "${chaos_b}"; then
-  echo "ci.sh: chaos campaign report differs across reruns" >&2
-  exit 1
-fi
-if ! cmp "${chaos_a}" "${chaos_c}"; then
-  echo "ci.sh: chaos campaign report differs at 1 vs 8 host workers" >&2
-  exit 1
-fi
-if ! cmp "${chaos_a}" "${chaos_d}"; then
-  echo "ci.sh: chaos campaign report differs across shard counts" >&2
-  exit 1
-fi
+"${serve[@]}" chaos --seeds=0..17 --out "${chaos_a}" >/dev/null
+"${serve[@]}" chaos --seeds=0..17 --out "${chaos_b}" >/dev/null
+"${serve[@]}" chaos --seeds=0..17 --workers 8 --out "${chaos_c}" >/dev/null
+"${serve[@]}" chaos --seeds=0..17 --shards 13 --out "${chaos_d}" >/dev/null
+same_bytes "chaos reports (rerun, 1 vs 8 host workers, shards)" \
+  "${chaos_a}" "${chaos_b}" "${chaos_c}" "${chaos_d}"
 grep -q 'violations=0$' "${chaos_a}" || {
   echo "ci.sh: chaos campaign reported invariant violations" >&2
   exit 1
@@ -428,52 +400,37 @@ perfetto_json="${prefix}/trace-guard.perfetto.json"
 # canonical dump withholds), so every dump must be byte-identical
 # across reruns, worker counts and shard counts — same mix as stage 9,
 # faults included.
-"${serve}" gen --seed 11 --tenants 4 --requests 96 \
+"${serve[@]}" gen --seed 11 --tenants 4 --requests 96 \
   --pump-every 32 --fault-permille 20 --out "${trace_mix}"
-SIMTOMP_HOST_WORKERS=1 "${serve}" trace "${trace_mix}" --workers 1 \
+SIMTOMP_HOST_WORKERS=1 "${serve[@]}" trace "${trace_mix}" --workers 1 \
   --flight "${flight_a}" > "${trace_a}"
-SIMTOMP_HOST_WORKERS=1 "${serve}" trace "${trace_mix}" --workers 1 \
+SIMTOMP_HOST_WORKERS=1 "${serve[@]}" trace "${trace_mix}" --workers 1 \
   --flight "${flight_b}" > "${trace_b}"
-SIMTOMP_HOST_WORKERS=8 "${serve}" trace "${trace_mix}" --workers 8 \
+SIMTOMP_HOST_WORKERS=8 "${serve[@]}" trace "${trace_mix}" --workers 8 \
   --flight "${flight_c}" > "${trace_c}"
-SIMTOMP_HOST_WORKERS=8 "${serve}" trace "${trace_mix}" --workers 8 \
+SIMTOMP_HOST_WORKERS=8 "${serve[@]}" trace "${trace_mix}" --workers 8 \
   --shards 13 --flight "${flight_d}" > "${trace_d}"
-if ! cmp "${trace_a}" "${trace_b}"; then
-  echo "ci.sh: tracing the same mix twice produced different dumps" >&2
-  exit 1
-fi
-if ! cmp "${trace_a}" "${trace_c}"; then
-  echo "ci.sh: trace dumps at 1 vs 8 host workers differ" >&2
-  exit 1
-fi
-if ! cmp "${trace_a}" "${trace_d}"; then
-  echo "ci.sh: trace dumps differ across shard counts" >&2
-  exit 1
-fi
-if ! cmp "${flight_a}" "${flight_b}" || ! cmp "${flight_a}" "${flight_c}" \
-    || ! cmp "${flight_a}" "${flight_d}"; then
-  echo "ci.sh: flight-recorder dumps differ across reruns/workers/shards" >&2
-  exit 1
-fi
+same_bytes "trace dumps (rerun, 1 vs 8 host workers, shards)" \
+  "${trace_a}" "${trace_b}" "${trace_c}" "${trace_d}"
+same_bytes "flight-recorder dumps (rerun, 1 vs 8 host workers, shards)" \
+  "${flight_a}" "${flight_b}" "${flight_c}" "${flight_d}"
 echo "trace + flight dumps byte-identical across reruns/workers/shards"
-"${serve}" trace "${trace_mix}" --perfetto "${perfetto_json}" >/dev/null
+"${serve[@]}" trace "${trace_mix}" --perfetto "${perfetto_json}" >/dev/null
 python3 -m json.tool "${perfetto_json}" >/dev/null
 echo "perfetto export is valid JSON"
 # Tracing must not perturb the chaos campaign either: the report with
 # --trace must match stage 11's untraced report for the same seeds.
 chaos_traced="${prefix}/chaos-guard-traced.txt"
-"${serve}" chaos --seeds=0..16 --trace --out "${chaos_traced}" >/dev/null
-if ! cmp "${chaos_a}" "${chaos_traced}"; then
-  echo "ci.sh: chaos campaign report differs with tracing on" >&2
-  exit 1
-fi
+"${serve[@]}" chaos --seeds=0..17 --trace --out "${chaos_traced}" >/dev/null
+same_bytes "chaos reports with tracing off vs on" \
+  "${chaos_a}" "${chaos_traced}"
 echo "chaos report byte-identical with tracing on"
 # A planted violation must fail the campaign AND auto-dump the flight
 # recorder with the violation trigger.
 chaos_flight="${prefix}/chaos-guard-planted.flight"
 rm -f "${chaos_flight}"
 set +e
-"${serve}" chaos --seeds=0..0 --trace --plant-violation \
+"${serve[@]}" chaos --seeds=0..1 --trace --plant-violation \
   --flight "${chaos_flight}" >/dev/null 2>&1
 chaos_status=$?
 set -e
@@ -500,7 +457,7 @@ print(f"{bench['trace_events']} trace events "
 EOF
 echo "observability zero-perturbation guard passed"
 
-echo "=== stage 13: ASan+UBSan build, parser/fault/knob/fiber/memory suites ==="
+echo "=== stage 13: ASan+UBSan build, parser/cli/fault/knob/fiber/memory suites ==="
 cmake -B "${prefix}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DSIMTOMP_SANITIZE=address -DSIMTOMP_BUILD_BENCH=OFF \
   -DSIMTOMP_BUILD_EXAMPLES=OFF
@@ -508,6 +465,6 @@ cmake --build "${prefix}-asan" -j "${jobs}"
 ASAN_OPTIONS="halt_on_error=1 detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
   ctest --test-dir "${prefix}-asan" --output-on-failure -j "${jobs}" \
-  -R '^(front|support|simfault|simserve_mix|hostrt_defaults|knobs|fiber|gpusim_memory)_'
+  -R '^(front|support|cli|simfault|simserve_mix|hostrt_defaults|knobs|fiber|gpusim_memory)_'
 
 echo "=== ci.sh: all stages passed ==="
