@@ -26,9 +26,10 @@ uint64_t runDispatch(bool registered) {
   spec.registerInCascade = registered;
   auto stats = dsl::targetTeamsDistributeParallelFor(
       dev, spec, 4096, [&](dsl::OmpContext& ctx, uint64_t) {
-        dsl::simd(
-            ctx, 64, [](dsl::OmpContext& c, uint64_t) { c.gpu().work(4); },
-            registered);
+        dsl::simd(ctx, 64, dsl::convergent([](dsl::OmpContext& c, uint64_t) {
+                    c.gpu().work(4);
+                  }),
+                  registered);
       });
   return checkOk(stats, "dispatch kernel").cycles;
 }

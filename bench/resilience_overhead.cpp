@@ -39,8 +39,9 @@ RunResult runKernel(uint64_t watchdogSteps) {
   bench::WallTimer timer;
   auto stats = dsl::targetTeamsDistributeParallelFor(
       dev, spec, 8192, [](dsl::OmpContext& ctx, uint64_t) {
-        dsl::simd(ctx, 64,
-                  [](dsl::OmpContext& c, uint64_t) { c.gpu().work(4); });
+        dsl::simd(ctx, 64, dsl::convergent([](dsl::OmpContext& c, uint64_t) {
+                    c.gpu().work(4);
+                  }));
       });
   RunResult out;
   out.cycles = checkOk(stats, "resilience overhead kernel").cycles;

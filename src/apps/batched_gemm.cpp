@@ -92,10 +92,12 @@ Result<AppRunResult> runBatchedGemm(gpusim::Device& device,
             gemmElement(ctx, a, b, c, m, item, e);
           }
         } else {
+          // Loads, stores and FMAs only: hazard-free.
           dsl::simd(ctx, elements,
-                    [&a, &b, &c, m, item](OmpContext& inner, uint64_t e) {
-                      gemmElement(inner, a, b, c, m, item, e);
-                    });
+                    dsl::convergent(
+                        [&a, &b, &c, m, item](OmpContext& inner, uint64_t e) {
+                          gemmElement(inner, a, b, c, m, item, e);
+                        }));
         }
       });
 

@@ -101,10 +101,12 @@ Result<AppRunResult> runLaplace3d(gpusim::Device& device,
             laplacePoint(ctx, u, out, w, i, j, kk + 1);
           }
         } else {
+          // Loads, stores and FMAs only: hazard-free.
           dsl::simd(ctx, inner,
-                    [&u, &out, &w, i, j](OmpContext& c, uint64_t kk) {
-                      laplacePoint(c, u, out, w, i, j, kk + 1);
-                    });
+                    dsl::convergent(
+                        [&u, &out, &w, i, j](OmpContext& c, uint64_t kk) {
+                          laplacePoint(c, u, out, w, i, j, kk + 1);
+                        }));
         }
       });
 

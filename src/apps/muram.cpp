@@ -23,7 +23,8 @@ dsl::LaunchSpec specFor(const MuramOptions& options) {
 }
 
 /// Run one "collapsed (i,j), k-line inner" kernel in the requested
-/// SIMD mode; `point(ctx, i, j, k)` handles one element.
+/// SIMD mode; `point(ctx, i, j, k)` handles one element and must be
+/// hazard-free (the simd body is declared dsl::convergent).
 template <typename Point>
 Result<gpusim::KernelStats> launchPlaneKernel(gpusim::Device& device,
                                               const MuramWorkload& w,
@@ -42,9 +43,10 @@ Result<gpusim::KernelStats> launchPlaneKernel(gpusim::Device& device,
             point(ctx, i, j, k);
           }
         } else {
-          dsl::simd(ctx, kTrip, [&point, i, j](OmpContext& c, uint64_t k) {
-            point(c, i, j, k);
-          });
+          dsl::simd(ctx, kTrip,
+                    dsl::convergent([&point, i, j](OmpContext& c, uint64_t k) {
+                      point(c, i, j, k);
+                    }));
         }
       });
 }

@@ -117,10 +117,13 @@ Result<AppRunResult> runSu3(gpusim::Device& device, const Su3Workload& w,
             su3Element(ctx, a, b, c, site, m);
           }
         } else {
+          // Loads, stores and FMAs only: hazard-free, so the convergence
+          // fast path may batch it.
           dsl::simd(ctx, kSu3InnerTrip,
-                    [&a, &b, &c, site](OmpContext& inner, uint64_t m) {
+                    dsl::convergent([&a, &b, &c, site](OmpContext& inner,
+                                                       uint64_t m) {
                       su3Element(inner, a, b, c, site, m);
-                    });
+                    }));
         }
       });
 

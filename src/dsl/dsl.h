@@ -27,7 +27,6 @@
 #include "loopir/canonical_loop.h"
 #include "loopir/globalize.h"
 #include "loopir/outline.h"
-#include "omprt/convergence.h"
 #include "omprt/omp_api.h"
 #include "omprt/runtime.h"
 #include "omprt/schedule.h"
@@ -70,9 +69,10 @@ struct LaunchSpec : omprt::TargetConfig {
 /// atomics, and divergent branches. This is the stand-in for the
 /// compiler analysis described in DESIGN.md §3.6 — a real front-end
 /// would derive the property from the body's IR; here the author
-/// asserts it and the runtime *verifies* it (the first execution probes
-/// the body with hazard counting before trusting the declaration, and
-/// any hazard rejects the function permanently).
+/// asserts it. dsl::simd / dsl::simdReduceAdd pass the declaration to
+/// the runtime, which trusts it from the first launch: a batched body
+/// runs under the hazard guard, so a false promise fails the launch
+/// with FAILED_PRECONDITION. Undeclared bodies never batch.
 template <typename Body>
 struct Convergent {
   static constexpr bool kConvergentBody = true;
@@ -102,15 +102,14 @@ template <typename T>
 struct IsConvergentBody<T, std::void_t<decltype(T::kConvergentBody)>>
     : std::bool_constant<T::kConvergentBody> {};
 
-/// classifyBody: the conservative front-end classification. Only bodies
-/// explicitly wrapped in dsl::convergent() are declared to the runtime;
-/// everything else stays unknown and earns eligibility (or rejection)
-/// through the runtime's hazard probe on first execution.
-template <typename BodyT, typename Fn>
-void classifyBody(Fn fn) {
-  if constexpr (IsConvergentBody<BodyT>::value) {
-    omprt::ConvergenceCache::global().declareConvergent(
-        reinterpret_cast<const void*>(fn));
+/// A directive that wraps the user's body in its own hazard-free
+/// adapter (collapse, tile) passes the user's declaration on with it.
+template <typename UserBody, typename Adapter>
+auto declaredLike(Adapter adapter) {
+  if constexpr (IsConvergentBody<std::remove_reference_t<UserBody>>::value) {
+    return convergent(std::move(adapter));
+  } else {
+    return adapter;
   }
 }
 
@@ -127,21 +126,20 @@ template <typename Body>
 void simd(OmpContext& ctx, uint64_t trip, Body&& body,
           bool registerInCascade = true) {
   using BodyT = std::remove_reference_t<Body>;
+  constexpr bool kConvergent = detail::IsConvergentBody<BodyT>::value;
   if (!ctx.parallelIsSPMD() && ctx.simdGroupSize() > 1 &&
       std::is_trivially_copyable_v<BodyT>) {
     loopir::Globalizer globalizer(ctx);
     auto* promoted = static_cast<BodyT*>(
         globalizer.globalizeBytes(&body, sizeof(BodyT), alignof(BodyT)));
     auto outlined = loopir::outlineLoop(ctx, *promoted, registerInCascade);
-    detail::classifyBody<BodyT>(outlined.fn);
     omprt::rt::simd(ctx, outlined.fn, trip, outlined.payload.data(),
-                    outlined.payload.size());
+                    outlined.payload.size(), kConvergent);
     return;  // globalizer releases the promoted copy here (region end)
   }
   auto outlined = loopir::outlineLoop(ctx, body, registerInCascade);
-  detail::classifyBody<BodyT>(outlined.fn);
   omprt::rt::simd(ctx, outlined.fn, trip, outlined.payload.data(),
-                  outlined.payload.size());
+                  outlined.payload.size(), kConvergent);
 }
 
 /// #pragma omp simd reduction(+:acc) — returns the loop-wide sum on
@@ -150,6 +148,7 @@ template <typename Body>
 double simdReduceAdd(OmpContext& ctx, uint64_t trip, Body&& body,
                      bool registerInCascade = true) {
   using BodyT = std::remove_reference_t<Body>;
+  constexpr bool kConvergent = detail::IsConvergentBody<BodyT>::value;
   if (!ctx.parallelIsSPMD() && ctx.simdGroupSize() > 1 &&
       std::is_trivially_copyable_v<BodyT>) {
     loopir::Globalizer globalizer(ctx);
@@ -157,16 +156,14 @@ double simdReduceAdd(OmpContext& ctx, uint64_t trip, Body&& body,
         globalizer.globalizeBytes(&body, sizeof(BodyT), alignof(BodyT)));
     auto outlined =
         loopir::outlineReduceLoop(ctx, *promoted, registerInCascade);
-    detail::classifyBody<BodyT>(outlined.fn);
     return omprt::rt::simdLoopReduceAdd(ctx, outlined.fn, trip,
                                         outlined.payload.data(),
-                                        outlined.payload.size());
+                                        outlined.payload.size(), kConvergent);
   }
   auto outlined = loopir::outlineReduceLoop(ctx, body, registerInCascade);
-  detail::classifyBody<BodyT>(outlined.fn);
   return omprt::rt::simdLoopReduceAdd(ctx, outlined.fn, trip,
                                       outlined.payload.data(),
-                                      outlined.payload.size());
+                                      outlined.payload.size(), kConvergent);
 }
 
 /// #pragma omp parallel for — open a parallel region whose microtask
@@ -216,7 +213,8 @@ void simdCollapse2(OmpContext& ctx, const loopir::CollapsedLoop2& nest,
     c.gpu().work(2);  // div/mod de-collapse arithmetic
     body(c, i, j);
   };
-  simd(ctx, nest.tripCount(), flattened, registerInCascade);
+  simd(ctx, nest.tripCount(), detail::declaredLike<Body>(flattened),
+       registerInCascade);
 }
 
 /// #pragma omp parallel for collapse(2) — flattened nest workshared
@@ -252,9 +250,10 @@ void parallelForTiledSimd(OmpContext& ctx, const loopir::TiledLoop& tiled,
                                                       uint64_t tile) {
     inner.gpu().work(2);  // tile bound arithmetic
     simd(inner, tiled.tileTrip(tile),
-         [&tiled, &body, tile](OmpContext& c, uint64_t offset) {
-           body(c, tiled.ivAt(tile, offset));
-         },
+         detail::declaredLike<Body>(
+             [&tiled, &body, tile](OmpContext& c, uint64_t offset) {
+               body(c, tiled.ivAt(tile, offset));
+             }),
          registerInCascade);
   };
   parallelFor(ctx, tiled.numTiles(), tile_body, config, registerInCascade);

@@ -236,8 +236,7 @@ void BlockEngine::convergentBatchRelease(BatchPoint& bp) {
 void ThreadCtx::hazardForbidden(const char* what) {
   throw StatusException(Status::failedPrecondition(
       std::string("convergence fast path executed a hazard (") + what +
-      "); the body classification promised none — this is a simulator "
-      "bug, not a program bug"));
+      ") in a body declared convergent; the declaration is false"));
 }
 
 LaneMask BlockEngine::ballot(ThreadCtx& t, bool predicate, LaneMask mask) {

@@ -93,8 +93,8 @@ const Knob<ProfileMode> kProfileKnob{
 
 const Knob<FastPathMode> kFastPathKnob{
     .env = "SIMTOMP_FAST",
-    .doc = "convergence fast path for hazard-free simd bodies (wall time "
-           "only); default: on",
+    .doc = "convergence fast path for simd bodies declared "
+           "dsl::convergent (wall time only); default: on",
     .autoValue = FastPathMode::kAuto,
     .builtin = [] { return FastPathMode::kOn; },
     .spellings = {{"0", FastPathMode::kOff}, {"false", FastPathMode::kOff},

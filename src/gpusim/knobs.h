@@ -38,7 +38,7 @@
 namespace simtomp::gpusim {
 
 /// Convergence fast path (batched lane execution for hazard-free SIMD
-/// bodies; omprt/convergence.h). Modeled results are bit-identical
+/// bodies declared dsl::convergent). Modeled results are bit-identical
 /// either way; only host wall-time changes.
 enum class FastPathMode : uint8_t { kAuto, kOn, kOff };
 

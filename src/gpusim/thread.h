@@ -28,16 +28,6 @@ namespace simtomp::gpusim {
 
 class BlockEngine;
 
-/// How a thread reacts to "convergence hazards" — operations (barriers,
-/// cross-lane ops, atomics, divergent branches) whose timing or result
-/// can depend on lane interleaving, making a loop body ineligible for
-/// the batched convergence fast path.
-///   kNone   — normal execution, hazards are not tracked (zero cost).
-///   kProbe  — count hazards (slow-path probe run of a candidate body).
-///   kForbid — a hazard is a charging bug: the fast path promised the
-///             body was convergent; abort the block with a diagnostic.
-enum class HazardMode : uint8_t { kNone, kProbe, kForbid };
-
 class ThreadCtx {
  public:
   ThreadCtx(BlockEngine& block, const CostModel& cost, uint32_t block_id,
@@ -91,28 +81,16 @@ class ThreadCtx {
     charge(Counter::kAluWork, cost_->divergeBranch);
   }
 
-  // ---- Convergence-hazard tracking (fast-path classification) ----
-  void beginHazardProbe() {
-    hazard_mode_ = HazardMode::kProbe;
-    hazard_count_ = 0;
-  }
-  /// Ends a probe; returns true iff the probed code was hazard-free.
-  bool endHazardProbe() {
-    hazard_mode_ = HazardMode::kNone;
-    return hazard_count_ == 0;
-  }
-  /// Arm/disarm the kForbid guard around a batched fast-path body.
-  void setHazardGuard(bool forbid) {
-    hazard_mode_ = forbid ? HazardMode::kForbid : HazardMode::kNone;
-  }
-  /// Called at every hazard site; free when tracking is off.
+  // ---- Convergence-hazard guard (fast path) ----
+  // A convergence hazard is an operation (barrier, cross-lane op,
+  // atomic, divergent branch) whose timing or result can depend on lane
+  // interleaving, so batched execution could not reproduce it.
+  /// Arm/disarm the guard around a batched fast-path body: the body was
+  /// declared convergent, so a hazard inside it is a false promise.
+  void setHazardGuard(bool forbid) { hazard_guard_ = forbid; }
+  /// Called at every hazard site; one branch when the guard is off.
   void noteHazard(const char* what) {
-    if (hazard_mode_ == HazardMode::kNone) return;
-    if (hazard_mode_ == HazardMode::kProbe) {
-      ++hazard_count_;
-      return;
-    }
-    hazardForbidden(what);  // kForbid: [[noreturn]] via StatusException
+    if (hazard_guard_) hazardForbidden(what);  // [[noreturn]]
   }
 
   // ---- Memory charging (used by the typed spans) ----
@@ -210,7 +188,7 @@ class ThreadCtx {
 
  private:
   /// Out-of-line (block.cpp): throws a FAILED_PRECONDITION
-  /// StatusException naming the hazard — a fast-path classification bug.
+  /// StatusException naming the hazard — a false convergent declaration.
   [[noreturn]] void hazardForbidden(const char* what);
 
   BlockEngine* block_;
@@ -222,8 +200,7 @@ class ThreadCtx {
   uint32_t warp_size_;
   uint64_t time_ = 0;
   uint64_t busy_ = 0;
-  HazardMode hazard_mode_ = HazardMode::kNone;
-  uint64_t hazard_count_ = 0;
+  bool hazard_guard_ = false;
   CounterSet counters_;
   simcheck::BlockChecker* checker_ = nullptr;
   simprof::ThreadProfile* profile_ = nullptr;

@@ -4,7 +4,6 @@
 #include <array>
 #include <bit>
 
-#include "omprt/convergence.h"
 #include "support/log.h"
 
 namespace simtomp::omprt::rt {
@@ -44,12 +43,9 @@ class ConstructSpan {
 
 /// Per-lane accumulate phase of a reducing simd loop (shared by the
 /// leader/SPMD path and the worker state machine so barrier counts
-/// match exactly). `probed` additionally runs the convergence-hazard
-/// probe around every body call (zero modeled cost) and reports the
-/// outcome to the ConvergenceCache — the dynamic half of the fast-path
-/// body classification.
-double reduceLoopLocalImpl(OmpContext& ctx, ReduceBodyF64 fn, uint64_t trip,
-                           void** args, bool probed) {
+/// match exactly).
+double reduceLoopLocal(OmpContext& ctx, ReduceBodyF64 fn, uint64_t trip,
+                       void** args) {
   gpusim::ThreadCtx& t = ctx.gpu();
   uint64_t iv = ctx.simdGroupId();
   t.chargeLocal();
@@ -63,32 +59,14 @@ double reduceLoopLocalImpl(OmpContext& ctx, ReduceBodyF64 fn, uint64_t trip,
       Dispatcher::global().prepare(reinterpret_cast<const void*>(fn));
   if (plan.known) plan.charge(t);
   double acc = 0.0;
-  bool clean = true;
-  bool ran = false;
   while (iv < trip) {
     if (!plan.known) plan.charge(t);
-    if (probed) {
-      ran = true;
-      t.beginHazardProbe();
-    }
     acc += fn(ctx, iv, args);
-    if (probed) clean = t.endHazardProbe() && clean;
     t.fma();
     iv += stride;
     t.work(2);
   }
-  if (probed && ran) {
-    // Only lanes that executed the body vote; an always-empty loop must
-    // not promote a body nobody has ever actually run.
-    ConvergenceCache::global().reportProbe(reinterpret_cast<const void*>(fn),
-                                           clean, ctx.simdGroupSize());
-  }
   return acc;
-}
-
-double reduceLoopLocal(OmpContext& ctx, ReduceBodyF64 fn, uint64_t trip,
-                       void** args) {
-  return reduceLoopLocalImpl(ctx, fn, trip, args, /*probed=*/false);
 }
 
 /// Shared worker/leader body for executing one published simd work item
@@ -143,47 +121,49 @@ void chargeLaneUtilization(OmpContext& ctx, uint64_t trip) {
   t.charge(Counter::kSimdIdleLaneRounds, 0, lane_rounds - trip);
 }
 
-/// Strided __simd_loop with optional convergence-hazard probing; the
-/// public workshareLoopSimd wraps the unprobed variant.
-void workshareLoopSimdImpl(OmpContext& ctx, LoopBodyFn fn, uint64_t tripCount,
-                           void** args, bool probed) {
+/// Whether a generic-SIMD main shares its loop arguments with the
+/// group's workers through the sharing space.
+bool sharesSimdArgs(const OmpContext& ctx, uint32_t numArgs) {
+  return numArgs > 0 && ctx.simdGroupSize() > 1;
+}
+
+/// Generic-SIMD publish (paper Fig. 4): the SIMD main publishes the
+/// work item in its group state, shares the argument pointers through
+/// the sharing space and releases the workers. Returns the argument
+/// array the main runs its own share with; when sharesSimdArgs, the
+/// caller closes the sharing epoch after the trailing group barrier.
+void** publishSimdWork(OmpContext& ctx, void* fn, SimdWorkKind kind,
+                       uint64_t tripCount, void** args, uint32_t numArgs) {
   gpusim::ThreadCtx& t = ctx.gpu();
-  uint64_t iv = ctx.simdGroupId();
-  t.chargeLocal();
-  syncSimdGroup(ctx);
-  const uint32_t stride = ctx.simdGroupSize();
-  const DispatchPlan plan =
-      Dispatcher::global().prepare(reinterpret_cast<const void*>(fn));
-  if (plan.known) plan.charge(t);
-  bool clean = true;
-  bool ran = false;
-  while (iv < tripCount) {
-    if (!plan.known) plan.charge(t);
-    if (probed) {
-      ran = true;
-      t.beginHazardProbe();
+  TeamState& ts = ctx.team();
+  const uint32_t group = ctx.simdGroup();
+  setSimdFn(ctx, fn, kind, tripCount, numArgs);
+  void** shared_args = args;
+  if (sharesSimdArgs(ctx, numArgs)) {
+    const ConstructSpan sharing_span(t, simprof::Construct::kSharing);
+    shared_args =
+        ts.sharing->beginSharing(t, group, ctx.numThreads(), numArgs);
+    for (uint32_t i = 0; i < numArgs; ++i) {
+      ts.sharing->storeArg(t, group, shared_args, i, args[i]);
     }
-    fn(ctx, iv, args);
-    if (probed) clean = t.endHazardProbe() && clean;
-    iv += stride;
-    t.work(2);  // induction update + bound check
+    ts.groups[group].args = shared_args;
+    t.chargeSharedStore();
   }
-  if (probed && ran) {
-    ConvergenceCache::global().reportProbe(reinterpret_cast<const void*>(fn),
-                                           clean, ctx.simdGroupSize());
-  }
+  syncSimdGroup(ctx);  // release the workers
+  return shared_args;
 }
 
 // ---------------------------------------------------------------------
 // Convergence fast path: when every lane of a SIMD group executes the
-// same hazard-free loop body (no barrier, cross-lane op, atomic or
-// divergent branch), the group's per-lane loops are executed back to
-// back in a tight host loop on ONE fiber — the last lane to arrive at
-// the construct (the "runner") replays, for each lane in ascending
-// order, the exact charge/profile/checker event sequence the
-// lane-per-fiber path produces, so modeled cycles, counters, traces,
-// profiles and simcheck verdicts are bit-identical; only the
-// fiber-switch host cost disappears. See DESIGN.md section 3.6.
+// same loop body and the front-end declared that body hazard-free (no
+// barrier, cross-lane op, atomic or divergent branch; dsl::convergent),
+// the group's per-lane loops are executed back to back in a tight host
+// loop on ONE fiber — the last lane to arrive at the construct (the
+// "runner") replays, for each lane in ascending order, the exact
+// charge/profile/checker event sequence the lane-per-fiber path
+// produces, so modeled cycles, counters, traces, profiles and simcheck
+// verdicts are bit-identical; only the fiber-switch host cost
+// disappears. See DESIGN.md section 3.6.
 // ---------------------------------------------------------------------
 
 /// Everything the batched runner needs about the convergent group.
@@ -384,32 +364,6 @@ bool fastPathEligible(OmpContext& ctx) {
   return (mask & t.block().warpMemberMask(t.warpId())) == mask;
 }
 
-/// Resolve the global ConvergenceCache verdict for `fn` once per block
-/// and pin it in the TeamState memo: the global verdict may flip
-/// mid-kernel (another block's probe promotes the body), and two lanes
-/// of one group reading different verdicts would rendezvous at
-/// different sync objects and deadlock. All of a block's fibers share
-/// one host thread, so the memo needs no lock.
-TeamState::FastDecision resolveFastDecision(TeamState& ts, const void* fn) {
-  const auto it = ts.fastPathMemo.find(fn);
-  if (it != ts.fastPathMemo.end()) return it->second;
-  TeamState::FastDecision decision = TeamState::FastDecision::kSlow;
-  switch (ConvergenceCache::global().lookup(fn)) {
-    case ConvergenceCache::Verdict::kDeclared:
-    case ConvergenceCache::Verdict::kEligible:
-      decision = TeamState::FastDecision::kFast;
-      break;
-    case ConvergenceCache::Verdict::kRejected:
-      decision = TeamState::FastDecision::kSlow;
-      break;
-    case ConvergenceCache::Verdict::kUnknown:
-      decision = TeamState::FastDecision::kProbe;
-      break;
-  }
-  ts.fastPathMemo.emplace(fn, decision);
-  return decision;
-}
-
 /// Fig. 3 core: how one worker-capable thread executes a parallel
 /// region under the current parallel frame.
 void executeParallelThread(OmpContext& ctx, OutlinedFn fn, void** args) {
@@ -533,7 +487,7 @@ void parallel(OmpContext& ctx, OutlinedFn fn, void** args, uint32_t numArgs,
 }
 
 void simd(OmpContext& ctx, LoopBodyFn fn, uint64_t tripCount, void** args,
-          uint32_t numArgs) {
+          uint32_t numArgs, bool convergent) {
   gpusim::ThreadCtx& t = ctx.gpu();
   TeamState& ts = ctx.team();
   SIMTOMP_CHECK(ctx.inParallel(), "simd() requires an enclosing parallel");
@@ -546,18 +500,9 @@ void simd(OmpContext& ctx, LoopBodyFn fn, uint64_t tripCount, void** args,
 
   if (ctx.parallelIsSPMD()) {
     // All lanes hold the loop description locally: no communication.
-    if (fastPathEligible(ctx)) {
-      switch (resolveFastDecision(ts, reinterpret_cast<const void*>(fn))) {
-        case TeamState::FastDecision::kFast:
-          runSimdLoopBatched(ctx, fn, tripCount, args);
-          return;
-        case TeamState::FastDecision::kProbe:
-          workshareLoopSimdImpl(ctx, fn, tripCount, args, /*probed=*/true);
-          syncSimdGroup(ctx);
-          return;
-        case TeamState::FastDecision::kSlow:
-          break;
-      }
+    if (convergent && fastPathEligible(ctx)) {
+      runSimdLoopBatched(ctx, fn, tripCount, args);
+      return;
     }
     workshareLoopSimd(ctx, fn, tripCount, args);
     syncSimdGroup(ctx);
@@ -568,25 +513,12 @@ void simd(OmpContext& ctx, LoopBodyFn fn, uint64_t tripCount, void** args,
   // loop and share the argument pointers through the sharing space.
   SIMTOMP_CHECK(ctx.isSimdGroupLeader(),
                 "generic-mode simd() reached by a worker thread");
-  const uint32_t group = ctx.simdGroup();
-  setSimdFn(ctx, reinterpret_cast<void*>(fn), SimdWorkKind::kLoop, tripCount,
-            numArgs);
-  void** shared_args = args;
-  const bool share = numArgs > 0 && ctx.simdGroupSize() > 1;
-  if (share) {
-    const ConstructSpan sharing_span(t, simprof::Construct::kSharing);
-    shared_args =
-        ts.sharing->beginSharing(t, group, ctx.numThreads(), numArgs);
-    for (uint32_t i = 0; i < numArgs; ++i) {
-      ts.sharing->storeArg(t, group, shared_args, i, args[i]);
-    }
-    ts.groups[group].args = shared_args;
-    t.chargeSharedStore();
-  }
-  syncSimdGroup(ctx);  // release the workers
+  void** shared_args = publishSimdWork(ctx, reinterpret_cast<void*>(fn),
+                                       SimdWorkKind::kLoop, tripCount, args,
+                                       numArgs);
   workshareLoopSimd(ctx, fn, tripCount, shared_args);
   syncSimdGroup(ctx);
-  if (share) ts.sharing->endSharing(t, group);
+  if (sharesSimdArgs(ctx, numArgs)) ts.sharing->endSharing(t, ctx.simdGroup());
 }
 
 void workshareFor(OmpContext& ctx, uint64_t tripCount, LoopBodyFn fn,
@@ -842,7 +774,20 @@ void simdStateMachine(OmpContext& ctx) {
 
 void workshareLoopSimd(OmpContext& ctx, LoopBodyFn fn, uint64_t tripCount,
                        void** args) {
-  workshareLoopSimdImpl(ctx, fn, tripCount, args, /*probed=*/false);
+  gpusim::ThreadCtx& t = ctx.gpu();
+  uint64_t iv = ctx.simdGroupId();
+  t.chargeLocal();
+  syncSimdGroup(ctx);
+  const uint32_t stride = ctx.simdGroupSize();
+  const DispatchPlan plan =
+      Dispatcher::global().prepare(reinterpret_cast<const void*>(fn));
+  if (plan.known) plan.charge(t);
+  while (iv < tripCount) {
+    if (!plan.known) plan.charge(t);
+    fn(ctx, iv, args);
+    iv += stride;
+    t.work(2);  // induction update + bound check
+  }
 }
 
 void invokeMicrotask(OmpContext& ctx, OutlinedFn fn, void** args) {
@@ -865,7 +810,8 @@ void setSimdFn(OmpContext& ctx, void* fn, SimdWorkKind kind,
 }
 
 double simdLoopReduceAdd(OmpContext& ctx, ReduceBodyF64 fn,
-                         uint64_t tripCount, void** args, uint32_t numArgs) {
+                         uint64_t tripCount, void** args, uint32_t numArgs,
+                         bool convergent) {
   gpusim::ThreadCtx& t = ctx.gpu();
   TeamState& ts = ctx.team();
   SIMTOMP_CHECK(ctx.inParallel(), "simd reduction requires parallel");
@@ -877,20 +823,8 @@ double simdLoopReduceAdd(OmpContext& ctx, ReduceBodyF64 fn,
   }
 
   if (ctx.parallelIsSPMD()) {
-    if (fastPathEligible(ctx)) {
-      switch (resolveFastDecision(ts, reinterpret_cast<const void*>(fn))) {
-        case TeamState::FastDecision::kFast:
-          return runSimdReduceBatched(ctx, fn, tripCount, args);
-        case TeamState::FastDecision::kProbe: {
-          const double local =
-              reduceLoopLocalImpl(ctx, fn, tripCount, args, /*probed=*/true);
-          const double total = simdReduceAdd(ctx, local);
-          syncSimdGroup(ctx);
-          return total;
-        }
-        case TeamState::FastDecision::kSlow:
-          break;
-      }
+    if (convergent && fastPathEligible(ctx)) {
+      return runSimdReduceBatched(ctx, fn, tripCount, args);
     }
     const double local = reduceLoopLocal(ctx, fn, tripCount, args);
     const double total = simdReduceAdd(ctx, local);
@@ -900,26 +834,13 @@ double simdLoopReduceAdd(OmpContext& ctx, ReduceBodyF64 fn,
 
   SIMTOMP_CHECK(ctx.isSimdGroupLeader(),
                 "generic-mode simd reduction reached by a worker thread");
-  const uint32_t group = ctx.simdGroup();
-  setSimdFn(ctx, reinterpret_cast<void*>(fn), SimdWorkKind::kReduceAddF64,
-            tripCount, numArgs);
-  void** shared_args = args;
-  const bool share = numArgs > 0 && ctx.simdGroupSize() > 1;
-  if (share) {
-    const ConstructSpan sharing_span(t, simprof::Construct::kSharing);
-    shared_args =
-        ts.sharing->beginSharing(t, group, ctx.numThreads(), numArgs);
-    for (uint32_t i = 0; i < numArgs; ++i) {
-      ts.sharing->storeArg(t, group, shared_args, i, args[i]);
-    }
-    ts.groups[group].args = shared_args;
-    t.chargeSharedStore();
-  }
-  syncSimdGroup(ctx);  // release the workers
+  void** shared_args = publishSimdWork(ctx, reinterpret_cast<void*>(fn),
+                                       SimdWorkKind::kReduceAddF64, tripCount,
+                                       args, numArgs);
   const double local = reduceLoopLocal(ctx, fn, tripCount, shared_args);
   const double total = simdReduceAdd(ctx, local);
   syncSimdGroup(ctx);
-  if (share) ts.sharing->endSharing(t, group);
+  if (sharesSimdArgs(ctx, numArgs)) ts.sharing->endSharing(t, ctx.simdGroup());
   return total;
 }
 

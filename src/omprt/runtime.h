@@ -62,8 +62,13 @@ void parallel(OmpContext& ctx, OutlinedFn fn, void** args, uint32_t numArgs,
 /// __simd. In SPMD parallel mode every group lane calls it (the loop
 /// description is thread-local); in generic parallel mode only the SIMD
 /// group leader does, and the runtime shares the loop with the workers.
+/// `convergent` is the front-end's static classification of `fn`
+/// (dsl::convergent): a body free of barriers, cross-lane ops, atomics
+/// and divergent branches, which the convergence fast path may batch
+/// (DESIGN.md section 3.6). A false promise fails the launch with
+/// FAILED_PRECONDITION; undeclared bodies never batch.
 void simd(OmpContext& ctx, LoopBodyFn fn, uint64_t tripCount, void** args,
-          uint32_t numArgs);
+          uint32_t numArgs, bool convergent = false);
 
 /// `for` worksharing across the OpenMP threads (SIMD groups) of the
 /// current parallel region; static cyclic schedule.
@@ -139,9 +144,10 @@ using ReduceBodyF64 = double (*)(OmpContext& ctx, uint64_t iv, void** args);
 /// Execute a simd loop whose iterations are summed. Every lane of the
 /// group receives the group-total. Usable from SPMD parallel regions
 /// (all lanes call) and from generic regions (leader calls; workers are
-/// dispatched through the state machine).
+/// dispatched through the state machine). `convergent` as for simd().
 double simdLoopReduceAdd(OmpContext& ctx, ReduceBodyF64 fn,
-                         uint64_t tripCount, void** args, uint32_t numArgs);
+                         uint64_t tripCount, void** args, uint32_t numArgs,
+                         bool convergent = false);
 
 /// Sum `value` across every OpenMP thread (SIMD group) of the team.
 /// SPMD parallel regions only (uses team barriers); every lane receives

@@ -9,7 +9,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "gpusim/arch.h"
@@ -97,18 +96,6 @@ struct TeamState {
 
   // ---- Variable sharing space (paper section 5.3.1) ----
   std::unique_ptr<SharingSpace> sharing;
-
-  // ---- Convergence fast path decision memo ----
-  /// Per-block pin of the fast/probe/slow decision for each outlined
-  /// body. The *global* ConvergenceCache verdict can flip mid-kernel
-  /// (another block's probe promotes a body); if two lanes of one SIMD
-  /// group read different verdicts they rendezvous at different sync
-  /// objects and deadlock. The first lane of a block to ask about a
-  /// body resolves the global verdict once and memoizes it here; every
-  /// later query in the block (all fibers share one host thread) takes
-  /// the identical branch.
-  enum class FastDecision : uint8_t { kSlow, kProbe, kFast };
-  std::unordered_map<const void*, FastDecision> fastPathMemo;
 };
 
 }  // namespace simtomp::omprt

@@ -164,10 +164,12 @@ Result<gpusim::KernelStats> launchKernel(gpusim::Device& dev,
         break;
       }
       case BodyKind::kSimdReduce: {
-        auto body = [ballast, row, a, b](OmpContext&, uint64_t k) -> double {
-          return static_cast<double>(a * static_cast<int64_t>(row + k) + b +
-                                     ballast.words[(row + k) % N]);
-        };
+        // Hazard-free (pure arithmetic), so the fast-path cells batch it.
+        auto body = dsl::convergent(
+            [ballast, row, a, b](OmpContext&, uint64_t k) -> double {
+              return static_cast<double>(a * static_cast<int64_t>(row + k) +
+                                         b + ballast.words[(row + k) % N]);
+            });
         const double total = dsl::simdReduceAdd(ctx, inner, body);
         if (ctx.isSimdGroupLeader()) {
           out.set(ctx.gpu(), row, total + static_cast<double>(bias));

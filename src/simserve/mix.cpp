@@ -89,14 +89,16 @@ omprt::TargetRegionFn makeMixRegion(
                                                          uint64_t logical) {
       const uint64_t tile = base + logical;
       c.gpu().work(1);
+      // Hazard-free: the tail guard charges no branch and the body has
+      // no barrier, cross-lane op or atomic.
       dsl::simd(c, kTile,
-                [kernel, trip, out, tile](omprt::OmpContext& cc,
-                                          uint64_t lane) {
+                dsl::convergent([kernel, trip, out, tile](
+                                    omprt::OmpContext& cc, uint64_t lane) {
                   const uint64_t i = tile * kTile + lane;
                   if (i >= trip) return;
                   cc.gpu().work(1 + 2 * static_cast<uint64_t>(kernel));
                   (*out)[i] = mixKernelValue(kernel, i);
-                });
+                }));
     };
     dsl::parallelFor(ctx, r.size(), tile_body, pc);
   };

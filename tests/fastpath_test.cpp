@@ -1,14 +1,15 @@
-// Convergence fast path (DESIGN.md §3.6): body classification, batched
-// execution equivalence, the per-block arena, and the dispatcher's
-// per-thread lookup cache.
+// Convergence fast path (DESIGN.md §3.6): call-site body classification,
+// batched execution equivalence, the per-block arena, and the
+// dispatcher's per-thread lookup cache.
 //
 // The load-bearing contract: for ANY combination of fast path on/off,
 // host worker count, checking on/off and profiling on/off, a launch
 // produces bit-identical KernelStats, check reports and profiles — the
-// fast path buys host wall-time only. Classification must reject every
-// hazard class (divergent branch, barrier, cross-lane op, atomic), and
-// a false dsl::convergent promise must fail the launch loudly rather
-// than corrupt modeled results.
+// fast path buys host wall-time only. Only bodies declared convergent
+// at the call site batch, from their first launch; a declared body that
+// executes any hazard class (divergent branch, barrier, cross-lane op,
+// atomic) must fail the launch loudly rather than corrupt modeled
+// results, and an undeclared body must never batch.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -20,10 +21,10 @@
 #include "apps/ideal_kernel.h"
 #include "apps/sparse_matvec.h"
 #include "dsl/dsl.h"
-#include "omprt/convergence.h"
 #include "omprt/dispatcher.h"
 #include "omprt/runtime.h"
 #include "omprt/target.h"
+#include "simprof/metrics.h"
 #include "support/arena.h"
 
 namespace simtomp {
@@ -33,57 +34,13 @@ using gpusim::ArchSpec;
 using gpusim::Device;
 using gpusim::GlobalSpan;
 using gpusim::KernelStats;
-using omprt::ConvergenceCache;
 using omprt::ExecMode;
 using omprt::FastPathMode;
 using omprt::OmpContext;
-using Verdict = ConvergenceCache::Verdict;
 
 // ---------------------------------------------------------------------
-// ConvergenceCache unit tests
-// ---------------------------------------------------------------------
-
-TEST(ConvergenceCacheTest, ProbePromotionNeedsFullGroup) {
-  ConvergenceCache& cache = ConvergenceCache::global();
-  cache.clearForTest();
-  const void* fn = reinterpret_cast<const void*>(uintptr_t{0x1000});
-  EXPECT_EQ(cache.lookup(fn), Verdict::kUnknown);
-  for (uint32_t lane = 0; lane < 7; ++lane) {
-    cache.reportProbe(fn, /*clean=*/true, /*group_size=*/8);
-    EXPECT_EQ(cache.lookup(fn), Verdict::kUnknown) << "lane " << lane;
-  }
-  cache.reportProbe(fn, /*clean=*/true, /*group_size=*/8);
-  EXPECT_EQ(cache.lookup(fn), Verdict::kEligible);
-  cache.clearForTest();
-}
-
-TEST(ConvergenceCacheTest, OneDirtyReportRejectsForever) {
-  ConvergenceCache& cache = ConvergenceCache::global();
-  cache.clearForTest();
-  const void* fn = reinterpret_cast<const void*>(uintptr_t{0x2000});
-  cache.reportProbe(fn, /*clean=*/true, /*group_size=*/4);
-  cache.reportProbe(fn, /*clean=*/false, /*group_size=*/4);
-  EXPECT_EQ(cache.lookup(fn), Verdict::kRejected);
-  // Clean reports and declarations cannot resurrect a rejected body.
-  for (uint32_t i = 0; i < 8; ++i) {
-    cache.reportProbe(fn, /*clean=*/true, /*group_size=*/4);
-  }
-  cache.declareConvergent(fn);
-  EXPECT_EQ(cache.lookup(fn), Verdict::kRejected);
-  cache.clearForTest();
-}
-
-TEST(ConvergenceCacheTest, DeclarationTrustedImmediately) {
-  ConvergenceCache& cache = ConvergenceCache::global();
-  cache.clearForTest();
-  const void* fn = reinterpret_cast<const void*>(uintptr_t{0x3000});
-  cache.declareConvergent(fn);
-  EXPECT_EQ(cache.lookup(fn), Verdict::kDeclared);
-  cache.clearForTest();
-}
-
-// ---------------------------------------------------------------------
-// Body classification: every hazard class must reject
+// Body classification: only declared bodies batch, and every hazard
+// class inside a declared body fails the launch
 // ---------------------------------------------------------------------
 
 constexpr uint32_t kGroup = 8;
@@ -111,97 +68,159 @@ void crossLaneBody(OmpContext& ctx, uint64_t, void**) {
   (void)omprt::rt::simdReduceAdd(ctx, 1.0);
 }
 
+/// The call site under test: g_body, declared convergent or not.
 omprt::LoopBodyFn g_body = nullptr;
+bool g_declared = false;
 
 void simdRegion(OmpContext& ctx, void** args) {
-  omprt::rt::simd(ctx, g_body, kTrip, args, 0);
+  omprt::rt::simd(ctx, g_body, kTrip, args, 0, g_declared);
 }
 
-KernelStats runBodyKernel(omprt::LoopBodyFn body, FastPathMode fast) {
+uint64_t fiberSwitchesSoFar() {
+  return simprof::MetricsRegistry::global().value(
+      simprof::metric::kFiberSwitchesTotal);
+}
+
+struct BodyRun {
+  Result<KernelStats> stats;
+  uint64_t fiberSwitches = 0;  ///< simtomp_fiber_switches_total delta
+};
+
+BodyRun launchBody(omprt::LoopBodyFn body, FastPathMode fast, bool declared,
+                   uint32_t numTeams = 2, uint32_t workers = 1) {
   g_body = body;
+  g_declared = declared;
+  const uint64_t before = fiberSwitchesSoFar();
   Device dev(ArchSpec::testTiny());
   omprt::TargetConfig config;
   config.teamsMode = ExecMode::kSPMD;
-  config.numTeams = 2;
+  config.numTeams = numTeams;
   config.threadsPerTeam = 32;
+  config.hostWorkers = workers;
   config.fastPath = fast;
   void* args[] = {nullptr};
-  auto stats = launchTarget(dev, config, [&](OmpContext& ctx) {
+  BodyRun run{launchTarget(dev, config, [&](OmpContext& ctx) {
     omprt::rt::parallel(ctx, &simdRegion, args, 1, {ExecMode::kSPMD, kGroup});
-  });
-  EXPECT_TRUE(stats.isOk()) << stats.status().toString();
-  return stats.isOk() ? stats.value() : KernelStats{};
+  })};
+  run.fiberSwitches = fiberSwitchesSoFar() - before;
+  return run;
 }
 
-void expectRejectedAndIdentical(omprt::LoopBodyFn body, const char* what) {
-  ConvergenceCache::global().clearForTest();
-  const KernelStats off = runBodyKernel(body, FastPathMode::kOff);
-  // First fast-enabled launch probes; the hazard must reject the body.
-  const KernelStats probed = runBodyKernel(body, FastPathMode::kOn);
-  EXPECT_EQ(ConvergenceCache::global().lookup(
-                reinterpret_cast<const void*>(body)),
-            Verdict::kRejected)
+KernelStats runBodyKernel(omprt::LoopBodyFn body, FastPathMode fast,
+                          bool declared) {
+  const BodyRun run = launchBody(body, fast, declared);
+  EXPECT_TRUE(run.stats.isOk()) << run.stats.status().toString();
+  return run.stats.isOk() ? run.stats.value() : KernelStats{};
+}
+
+/// A hazard body runs identically off and undeclared-on, and the same
+/// body declared convergent fails the launch loudly.
+void expectDeclaredHazardFails(omprt::LoopBodyFn body, const char* what) {
+  const KernelStats off = runBodyKernel(body, FastPathMode::kOff, false);
+  const KernelStats on = runBodyKernel(body, FastPathMode::kOn, false);
+  EXPECT_EQ(on.toJson(), off.toJson()) << what << " (undeclared)";
+  // The declaration only matters when the fast path is on.
+  const KernelStats declared_off =
+      runBodyKernel(body, FastPathMode::kOff, true);
+  EXPECT_EQ(declared_off.toJson(), off.toJson()) << what << " (declared off)";
+
+  const BodyRun lie = launchBody(body, FastPathMode::kOn, true);
+  ASSERT_FALSE(lie.stats.isOk()) << what;
+  EXPECT_EQ(lie.stats.status().code(), StatusCode::kFailedPrecondition)
       << what;
-  // Later fast-enabled launches take the slow path; stats never move.
-  const KernelStats after = runBodyKernel(body, FastPathMode::kOn);
-  EXPECT_EQ(probed.toJson(), off.toJson()) << what << " (probe launch)";
-  EXPECT_EQ(after.toJson(), off.toJson()) << what << " (rejected launch)";
-  ConvergenceCache::global().clearForTest();
+  EXPECT_NE(lie.stats.status().toString().find("hazard"), std::string::npos)
+      << what << ": " << lie.stats.status().toString();
 }
 
 TEST(BodyClassificationTest, DivergentBranchRejects) {
-  expectRejectedAndIdentical(&divergentBody, "divergent branch");
+  expectDeclaredHazardFails(&divergentBody, "divergent branch");
 }
 
 TEST(BodyClassificationTest, AtomicRejects) {
-  expectRejectedAndIdentical(&atomicBody, "atomic RMW");
+  expectDeclaredHazardFails(&atomicBody, "atomic RMW");
 }
 
 TEST(BodyClassificationTest, BarrierRejects) {
-  expectRejectedAndIdentical(&barrierBody, "simd-group barrier");
+  expectDeclaredHazardFails(&barrierBody, "simd-group barrier");
 }
 
 TEST(BodyClassificationTest, CrossLaneOpRejects) {
-  expectRejectedAndIdentical(&crossLaneBody, "cross-lane reduce");
+  expectDeclaredHazardFails(&crossLaneBody, "cross-lane reduce");
 }
 
+// A declared body batches from its first launch: stats identical to the
+// slow path, fewer fiber switches.
 TEST(BodyClassificationTest, CleanBodyProbePromotes) {
-  ConvergenceCache::global().clearForTest();
-  const KernelStats off = runBodyKernel(&cleanBody, FastPathMode::kOff);
-  const KernelStats probed = runBodyKernel(&cleanBody, FastPathMode::kOn);
-  EXPECT_EQ(ConvergenceCache::global().lookup(
-                reinterpret_cast<const void*>(&cleanBody)),
-            Verdict::kEligible);
-  const KernelStats batched = runBodyKernel(&cleanBody, FastPathMode::kOn);
-  EXPECT_EQ(probed.toJson(), off.toJson());
-  EXPECT_EQ(batched.toJson(), off.toJson());
-  ConvergenceCache::global().clearForTest();
+  const BodyRun off = launchBody(&cleanBody, FastPathMode::kOff, true);
+  const BodyRun batched = launchBody(&cleanBody, FastPathMode::kOn, true);
+  ASSERT_TRUE(off.stats.isOk() && batched.stats.isOk());
+  EXPECT_EQ(batched.stats.value().toJson(), off.stats.value().toJson());
+  EXPECT_LT(batched.fiberSwitches, off.fiberSwitches);
+}
+
+// An undeclared hazard-free body never batches, so host-work counters
+// do not depend on what earlier launches in the process ran, nor on
+// the host worker count.
+TEST(BodyClassificationTest, UndeclaredBodyNeverBatches) {
+  const BodyRun off = launchBody(&cleanBody, FastPathMode::kOff, false);
+  const BodyRun first = launchBody(&cleanBody, FastPathMode::kOn, false);
+  const BodyRun second = launchBody(&cleanBody, FastPathMode::kOn, false);
+  const BodyRun wide = launchBody(&cleanBody, FastPathMode::kOn, false,
+                                  /*numTeams=*/2, /*workers=*/8);
+  ASSERT_TRUE(off.stats.isOk() && first.stats.isOk() &&
+              second.stats.isOk() && wide.stats.isOk());
+  EXPECT_EQ(first.fiberSwitches, off.fiberSwitches);
+  EXPECT_EQ(second.fiberSwitches, first.fiberSwitches);
+  EXPECT_EQ(wide.fiberSwitches, first.fiberSwitches);
+  EXPECT_EQ(second.stats.value().toJson(), off.stats.value().toJson());
+}
+
+// Directives that adapt the user's body (collapse, tile) pass its
+// declaration on, so a declared body batches through them too.
+TEST(BodyClassificationTest, AdaptersKeepTheDeclaration) {
+  const loopir::CollapsedLoop2 nest(loopir::CanonicalLoop::upTo(4),
+                                    loopir::CanonicalLoop::upTo(4));
+  const loopir::TiledLoop tiled(loopir::CanonicalLoop::upTo(256), 16);
+  auto body = dsl::convergent(
+      [](OmpContext& c, auto...) { c.gpu().fma(); });
+  const auto launch = [&](FastPathMode fast) {
+    dsl::LaunchSpec spec;
+    spec.numTeams = 2;
+    spec.threadsPerTeam = 32;
+    spec.fastPath = fast;
+    const omprt::ParallelConfig pc{ExecMode::kSPMD, kGroup};
+    const uint64_t before = fiberSwitchesSoFar();
+    Device dev(ArchSpec::testTiny());
+    auto stats = dsl::target(dev, spec, [&](OmpContext& ctx) {
+      dsl::parallelForTiledSimd(ctx, tiled, body, pc);
+      dsl::parallelFor(
+          ctx, 4,
+          [&](OmpContext& inner, uint64_t) {
+            dsl::simdCollapse2(inner, nest, body);
+          },
+          pc);
+    });
+    EXPECT_TRUE(stats.isOk()) << stats.status().toString();
+    return std::pair(stats.isOk() ? stats.value().toJson() : std::string(),
+                     fiberSwitchesSoFar() - before);
+  };
+  const auto off = launch(FastPathMode::kOff);
+  const auto on = launch(FastPathMode::kOn);
+  EXPECT_EQ(on.first, off.first);
+  EXPECT_LT(on.second, off.second);
 }
 
 TEST(BodyClassificationTest, FalseConvergentPromiseFailsLoudly) {
-  ConvergenceCache::global().clearForTest();
   // Off-path launch works: the body is merely slow, not wrong.
-  (void)runBodyKernel(&atomicBody, FastPathMode::kOff);
+  EXPECT_TRUE(
+      launchBody(&atomicBody, FastPathMode::kOff, true, 1).stats.isOk());
 
   // Declaring it convergent is a lie; the batched runner's hazard guard
   // must fail the launch rather than silently skew modeled results.
-  ConvergenceCache::global().declareConvergent(
-      reinterpret_cast<const void*>(&atomicBody));
-  g_body = &atomicBody;
-  Device dev(ArchSpec::testTiny());
-  omprt::TargetConfig config;
-  config.teamsMode = ExecMode::kSPMD;
-  config.numTeams = 1;
-  config.threadsPerTeam = 32;
-  config.fastPath = FastPathMode::kOn;
-  void* args[] = {nullptr};
-  auto stats = launchTarget(dev, config, [&](OmpContext& ctx) {
-    omprt::rt::parallel(ctx, &simdRegion, args, 1, {ExecMode::kSPMD, kGroup});
-  });
-  ASSERT_FALSE(stats.isOk());
-  EXPECT_NE(stats.status().toString().find("hazard"), std::string::npos)
-      << stats.status().toString();
-  ConvergenceCache::global().clearForTest();
+  const BodyRun lie = launchBody(&atomicBody, FastPathMode::kOn, true, 1);
+  ASSERT_FALSE(lie.stats.isOk());
+  EXPECT_NE(lie.stats.status().toString().find("hazard"), std::string::npos)
+      << lie.stats.status().toString();
 }
 
 // ---------------------------------------------------------------------
@@ -271,7 +290,6 @@ LaunchArtifacts runConvergentReduce(FastPathMode fast, uint32_t workers,
 }
 
 TEST(FastPathIdentityTest, ReduceMatrixBitIdentical) {
-  ConvergenceCache::global().clearForTest();
   const LaunchArtifacts ref = runConvergentReduce(
       FastPathMode::kOff, /*workers=*/1, /*check=*/true, /*profile=*/true);
   EXPECT_EQ(ref.checkTotal, 0u) << ref.checkSummary;
@@ -300,7 +318,6 @@ TEST(FastPathIdentityTest, ReduceMatrixBitIdentical) {
       }
     }
   }
-  ConvergenceCache::global().clearForTest();
 }
 
 // ---------------------------------------------------------------------
@@ -340,7 +357,6 @@ apps::CsrMatrix smallMatrix() {
 }
 
 TEST(FastPathIdentityTest, SpmvCorpusIdenticalAcrossFastAndWorkers) {
-  ConvergenceCache::global().clearForTest();
   const apps::CsrMatrix A = smallMatrix();
 
   for (apps::SpmvVariant variant : {apps::SpmvVariant::kThreeLevelAtomic,
@@ -377,11 +393,9 @@ TEST(FastPathIdentityTest, SpmvCorpusIdenticalAcrossFastAndWorkers) {
       }
     }
   }
-  ConvergenceCache::global().clearForTest();
 }
 
 TEST(FastPathIdentityTest, IdealKernelIdenticalAcrossFast) {
-  ConvergenceCache::global().clearForTest();
   const apps::IdealWorkload w = apps::generateIdeal(64, 32, 5);
   apps::IdealOptions options;
   options.numTeams = 4;
@@ -403,7 +417,6 @@ TEST(FastPathIdentityTest, IdealKernelIdenticalAcrossFast) {
       EXPECT_EQ(run.value().stats.toJson(), ref.toJson()) << "fast " << fast;
     }
   }
-  ConvergenceCache::global().clearForTest();
 }
 
 // ---------------------------------------------------------------------

@@ -77,13 +77,14 @@
 #          asserts tracing never perturbs the modeled stats dump or
 #          replay report and emits BENCH_serve_observability.json.
 # Stage 13: ASan+UBSan build; the text-parsing, command-line,
-#          fault-injection, knob, fiber and device-memory suites
-#          (front_, support_, cli_, simfault_, simserve_mix,
-#          hostrt_defaults, knobs_, fiber_, gpusim_memory_) run with
-#          every report fatal, including
-#          exceptions unwinding on arena-allocated fiber stacks, the
-#          hand-written stack switch and the guard pages around the
-#          lazily committed global-memory arena.
+#          fault-injection, knob, fiber, device-memory and fast-path
+#          suites (front_, support_, cli_, simfault_, simserve_mix,
+#          hostrt_defaults, knobs_, fiber_, gpusim_memory_, fastpath_)
+#          run with every report fatal, including exceptions unwinding
+#          on arena-allocated fiber stacks (the fast path's hazard
+#          guard throws out of a batched body while the group's other
+#          lanes are parked), the hand-written stack switch and the
+#          guard pages around the lazily committed global-memory arena.
 #
 # Usage: tools/ci.sh [build-dir-prefix]   (default: build-ci)
 set -euo pipefail
@@ -457,7 +458,7 @@ print(f"{bench['trace_events']} trace events "
 EOF
 echo "observability zero-perturbation guard passed"
 
-echo "=== stage 13: ASan+UBSan build, parser/cli/fault/knob/fiber/memory suites ==="
+echo "=== stage 13: ASan+UBSan build, parser/cli/fault/knob/fiber/memory/fast-path suites ==="
 cmake -B "${prefix}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DSIMTOMP_SANITIZE=address -DSIMTOMP_BUILD_BENCH=OFF \
   -DSIMTOMP_BUILD_EXAMPLES=OFF
@@ -465,6 +466,6 @@ cmake --build "${prefix}-asan" -j "${jobs}"
 ASAN_OPTIONS="halt_on_error=1 detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
   ctest --test-dir "${prefix}-asan" --output-on-failure -j "${jobs}" \
-  -R '^(front|support|cli|simfault|simserve_mix|hostrt_defaults|knobs|fiber|gpusim_memory)_'
+  -R '^(front|support|cli|simfault|simserve_mix|hostrt_defaults|knobs|fiber|gpusim_memory|fastpath)_'
 
 echo "=== ci.sh: all stages passed ==="
