@@ -37,12 +37,12 @@ RunInfo run(const gpusim::ArchSpec& arch, omprt::ExecMode parallel_mode) {
   auto stats = dsl::targetTeamsDistributeParallelFor(
       device, spec, kRows, [&](dsl::OmpContext& ctx, uint64_t row) {
         info.effectiveGroup = ctx.simdGroupSize();
-        const double s =
-            dsl::simdReduceAdd(ctx, kInner, [row](dsl::OmpContext& c,
-                                                  uint64_t k) {
+        const double s = dsl::simdReduceAdd(
+            ctx, kInner,
+            dsl::convergent([row](dsl::OmpContext& c, uint64_t k) {
               c.gpu().fma();
               return static_cast<double>((row + k) % 7);
-            });
+            }));
         if (ctx.simdGroupId() == 0) out[row] = s;
       });
   if (!stats.isOk()) return info;

@@ -79,13 +79,16 @@ int main() {
 
   auto stats = dsl::targetTeamsDistributeParallelFor(
       device, launch, kRows, [&](dsl::OmpContext& ctx, uint64_t row) {
-        dsl::simd(ctx, kInner, [&, row](dsl::OmpContext& c, uint64_t k) {
-          const uint64_t i = row * kInner + k;
-          gpusim::ThreadCtx& t = c.gpu();
-          const double v = 2.0 * dev_x.get(t, i) + dev_y.get(t, i);
-          t.fma(1);
-          dev_y.set(t, i, v);
-        });
+        // Loads, one fma and a store per lane: no barrier, cross-lane
+        // op or atomic, so the body is declared convergent.
+        dsl::simd(ctx, kInner,
+                  dsl::convergent([&, row](dsl::OmpContext& c, uint64_t k) {
+                    const uint64_t i = row * kInner + k;
+                    gpusim::ThreadCtx& t = c.gpu();
+                    const double v = 2.0 * dev_x.get(t, i) + dev_y.get(t, i);
+                    t.fma(1);
+                    dev_y.set(t, i, v);
+                  }));
       });
   if (!stats.isOk()) {
     std::fprintf(stderr, "launch failed: %s\n",

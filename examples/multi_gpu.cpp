@@ -51,10 +51,11 @@ int main() {
               omprt::rt::distributeStatic(ctx, kRowsPerTile);
           auto rows = [out, tile](dsl::OmpContext& inner, uint64_t row) {
             const double sum = dsl::simdReduceAdd(
-                inner, kInner, [tile, row](dsl::OmpContext& c, uint64_t k) {
+                inner, kInner,
+                dsl::convergent([tile, row](dsl::OmpContext& c, uint64_t k) {
                   c.gpu().fma();
                   return static_cast<double>((tile + row + k) % 11);
-                });
+                }));
             if (inner.simdGroupId() == 0) (*out)[row] = sum;
           };
           auto shifted = [&rows, base = range.begin](dsl::OmpContext& inner,

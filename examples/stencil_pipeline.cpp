@@ -62,8 +62,9 @@ int main() {
         [&](dsl::OmpContext& ctx, uint64_t plane) {
           const uint64_t i = plane / interior + 1;
           const uint64_t j = plane % interior + 1;
-          dsl::simd(ctx, interior, [&, i, j](dsl::OmpContext& c,
-                                             uint64_t kk) {
+          // Six loads, fmas and one store per lane: declared convergent.
+          dsl::simd(ctx, interior, dsl::convergent([&, i, j](
+                                       dsl::OmpContext& c, uint64_t kk) {
             const uint64_t k = kk + 1;
             gpusim::ThreadCtx& t = c.gpu();
             const double sum =
@@ -72,7 +73,7 @@ int main() {
                 src.get(t, idx3(i, j, k - 1)) + src.get(t, idx3(i, j, k + 1));
             t.fma(3);
             dst.set(t, idx3(i, j, k), sum / 6.0);
-          });
+          }));
         });
     if (!stats.isOk()) {
       std::fprintf(stderr, "sweep %u failed: %s\n", sweep,
@@ -106,12 +107,13 @@ int main() {
                 const uint64_t jj = j + inner.threadNum();
                 if (jj > interior) continue;
                 local += dsl::simdReduceAdd(
-                    inner, interior, [&, i, jj](dsl::OmpContext& c,
-                                                uint64_t kk) {
+                    inner, interior,
+                    dsl::convergent([&, i, jj](dsl::OmpContext& c,
+                                               uint64_t kk) {
                       const double v =
                           final_grid.get(c.gpu(), idx3(i, jj, kk + 1));
                       return v < 0 ? -v : v;
-                    });
+                    }));
               }
             }
             if (inner.simdGroupId() == 0) {

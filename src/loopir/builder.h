@@ -38,6 +38,11 @@ class IrBuilder {
   /// kDistribute executes inline (index arithmetic only); kFor and
   /// kSimd outline `body` and hand it to the runtime, exactly like the
   /// paper's loop-task flow.
+  ///
+  /// kSimd never batches on the convergence fast path: loopir sits
+  /// below dsl, so it cannot see a `dsl::convergent` declaration, and
+  /// it calls rt::simd without one. A front-end that wants a declared
+  /// body batched lowers it through dsl::simd instead.
   template <typename Body>
   static void createWorkshareLoop(omprt::OmpContext& ctx, WorkshareKind kind,
                                   const TripCountCallback& tripCount,

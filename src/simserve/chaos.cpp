@@ -61,7 +61,7 @@ omprt::TargetConfig requestConfig(uint64_t trip, uint32_t simdlen,
   // Pin the plan ("off" for clean requests) so SIMTOMP_FAULT cannot
   // leak into the campaign.
   config.fault.spec = fault.empty() ? "off" : fault;
-  config.watchdogSteps = 2000000;
+  config.watchdogSteps = kRequestWatchdogSteps;
   return config;
 }
 

@@ -330,7 +330,7 @@ Result<ReplayReport> replayMix(LaunchService& service, const Mix& mix,
         // Pin the plan: an empty spec would consult SIMTOMP_FAULT and
         // let the environment perturb the replay.
         config.fault.spec = op.fault.empty() ? "off" : op.fault;
-        config.watchdogSteps = options.watchdogSteps;
+        config.watchdogSteps = kRequestWatchdogSteps;
         const std::string fingerprint =
             op.kernel + "/t" + std::to_string(op.trip) + "/s" +
             std::to_string(op.simdlen);

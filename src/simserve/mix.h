@@ -91,11 +91,14 @@ struct ReplayReport {
   [[nodiscard]] std::string toString() const;
 };
 
+/// Watchdog step budget stamped on every request the mix replay and
+/// the chaos campaign submit: generous, but a livelocking fault must
+/// not hang a replay.
+inline constexpr uint64_t kRequestWatchdogSteps = 2000000;
+
 struct ReplayOptions {
   /// hostWorkers stamped on every request config (0 = runtime auto).
   uint32_t hostWorkers = 1;
-  /// Watchdog budget per request (generous; faults must not hang CI).
-  uint64_t watchdogSteps = 2000000;
 };
 
 /// Drive a mix through a LaunchService: register tenants, submit

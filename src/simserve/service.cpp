@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <limits>
 
+#include "gpusim/trace.h"
 #include "simprof/metrics.h"
 
 namespace simtomp::simserve {
@@ -124,7 +125,7 @@ Result<uint64_t> LaunchService::submit(std::string_view tenant,
     ++t.stats.shed;
     metrics.add(simprof::metric::kServeShedTotal);
     if (tracer_) {
-      tracer_->noteShedAtSubmit(t.spec.name, "suspended", false);
+      tracer_->noteShedAtSubmit(t.spec.name, "suspended");
     }
     return Status::resourceExhausted("tenant '" + t.spec.name +
                                      "' is suspended (zero quota)");
@@ -143,7 +144,7 @@ Result<uint64_t> LaunchService::submit(std::string_view tenant,
       ++t.stats.deadlineShed;
       metrics.add(simprof::metric::kServeDeadlineShedTotal);
       if (tracer_) {
-        tracer_->noteShedAtSubmit(t.spec.name, "deadline", true);
+        tracer_->noteShedAtSubmit(t.spec.name, "deadline");
       }
       return Status::deadlineExceeded(
           "tenant '" + t.spec.name + "' deadline budget " +
@@ -155,7 +156,7 @@ Result<uint64_t> LaunchService::submit(std::string_view tenant,
     ++t.stats.shed;
     metrics.add(simprof::metric::kServeShedTotal);
     if (tracer_) {
-      tracer_->noteShedAtSubmit(t.spec.name, "tenant_quota", false);
+      tracer_->noteShedAtSubmit(t.spec.name, "tenant_quota");
     }
     return Status::resourceExhausted("tenant '" + t.spec.name +
                                      "' queue quota exceeded");
@@ -168,7 +169,7 @@ Result<uint64_t> LaunchService::submit(std::string_view tenant,
     metrics.add(simprof::metric::kServeShedTotal);
     metrics.add(simprof::metric::kServeBrownoutShedTotal);
     if (tracer_) {
-      tracer_->noteShedAtSubmit(t.spec.name, "brownout", false);
+      tracer_->noteShedAtSubmit(t.spec.name, "brownout");
     }
     return Status::resourceExhausted(
         "brownout: queue at " + std::to_string(queuedCount_) + " >= " +
@@ -190,7 +191,7 @@ Result<uint64_t> LaunchService::submit(std::string_view tenant,
       ++t.stats.shed;
       metrics.add(simprof::metric::kServeShedTotal);
       if (tracer_) {
-        tracer_->noteShedAtSubmit(t.spec.name, "queue_full", false);
+        tracer_->noteShedAtSubmit(t.spec.name, "queue_full");
       }
       return Status::resourceExhausted("service queue full (" +
                                        std::to_string(config_.maxQueued) +
@@ -253,7 +254,7 @@ void LaunchService::shedRequest(Request& request, bool evicted,
   --t.queued;
   auto& metrics = simprof::MetricsRegistry::global();
   metrics.add(simprof::metric::kServeShedTotal);
-  if (tracer_ && evicted) tracer_->noteEvicted(request.id);
+  if (tracer_ && evicted) tracer_->noteEvicted(request.id, t.spec.name);
 }
 
 size_t LaunchService::firstEligible(const PriorityClass& cls) const {
@@ -370,6 +371,7 @@ size_t LaunchService::pump() {
       ++dispatched;
     }
     ++batches_;
+    ++batchSizes_[std::min<size_t>(batch, batchSizes_.size()) - 1];
     amortized_ += batch - 1;
     metrics.add(simprof::metric::kServeBatchesTotal);
     if (tracer_) tracer_->noteBatch(leader.fingerprint, batch);
@@ -420,15 +422,14 @@ Status LaunchService::drain() {
         t.stats.latency.observe(request->modeledLatency);
         metrics.observe(simprof::metric::kServeLatencyCycles,
                         request->modeledLatency);
-        DeadlineVerdict verdict = DeadlineVerdict::kNone;
         if (request->deadline != kNoDeadline) {
           // SLO scoring: the final modeled latency against the budget.
           if (request->modeledLatency <= request->deadline) {
-            verdict = DeadlineVerdict::kHit;
+            request->verdict = DeadlineVerdict::kHit;
             ++t.stats.deadlineHit;
             metrics.add(simprof::metric::kServeDeadlineHitTotal);
           } else {
-            verdict = DeadlineVerdict::kMiss;
+            request->verdict = DeadlineVerdict::kMiss;
             ++t.stats.deadlineMiss;
             metrics.add(simprof::metric::kServeDeadlineMissTotal);
           }
@@ -443,7 +444,7 @@ Status LaunchService::drain() {
         if (tracer_) {
           tracer_->noteRetired(request->id, /*ok=*/true, StatusCode::kOk,
                                request->modeledLatency, request->cycles,
-                               verdict);
+                               request->verdict);
         }
       } else if (result.status().code() == StatusCode::kUnavailable) {
         // Device lost: quiesce it now; migration happens once this
@@ -568,7 +569,13 @@ Status LaunchService::migrateLocked(const std::vector<uint64_t>& ids) {
       metrics.add(simprof::metric::kServeRetriesExhaustedTotal);
       ++retiredTotal_;
       if (tracer_) {
-        tracer_->noteRetryExhausted(id, request.retries - 1);
+        // Ticks at the last hop's latency, or the queue delay when the
+        // request never migrated.
+        const uint64_t tick =
+            request.hops.empty()
+                ? request.aheadAtAdmission * kQueueSlotCycles
+                : request.hops.back().latency;
+        tracer_->noteRetryExhausted(id, tick, request.retries - 1);
         tracer_->noteRetired(id, /*ok=*/false, StatusCode::kUnavailable,
                              request.modeledLatency, 0,
                              DeadlineVerdict::kNone);
@@ -576,9 +583,7 @@ Status LaunchService::migrateLocked(const std::vector<uint64_t>& ids) {
       }
       continue;
     }
-    request.migrated = true;
     ++t.stats.migrated;
-    ++migratedTotal_;
     metrics.add(simprof::metric::kServeMigrationsTotal);
     // The fault modeled the *device* dying, not the request being
     // poisonous — the migrated copy must not re-arm device loss on the
@@ -599,6 +604,7 @@ Status LaunchService::migrateLocked(const std::vector<uint64_t>& ids) {
         request.region);
     request.device = static_cast<uint32_t>(device);
     request.state = RequestState::kDispatched;
+    request.hops.push_back(Hop{from_device, backoff, request.modeledLatency});
     dispatchOrder_.push_back(id);
     if (tracer_) {
       tracer_->noteMigrated(id, request.retries, backoff,
@@ -748,7 +754,7 @@ RequestOutcome LaunchService::outcome(uint64_t id) const {
   out.shard = request.shard;
   out.retries = request.retries;
   out.batchFollower = request.batchFollower;
-  out.migrated = request.migrated;
+  out.migrated = !request.hops.empty();
   return out;
 }
 
@@ -818,6 +824,155 @@ void LaunchService::dumpStats(std::ostream& out) const {
     const Tenant& t = tenants_[id];
     out << "tenant " << name << ": priority=" << t.spec.priority << " "
         << t.stats.toString() << "\n";
+  }
+}
+
+void LaunchService::writeTimelineLocked(std::ostream& out, const Request& r,
+                                        bool physical) const {
+  const TenantSpec& spec = tenants_[r.tenant].spec;
+  out << "req " << r.id << " tenant=" << spec.name << " fp=" << r.fingerprint
+      << " prio=" << spec.priority << " deadline=" << deadlineText(r.deadline)
+      << " ahead=" << r.aheadAtAdmission << "\n";
+  out << "  +0 admitted\n";
+  // Only eviction sheds an admitted request.
+  if (r.state == RequestState::kShed) {
+    out << "  +0 evicted status=" << statusCodeName(r.status.code()) << "\n";
+    return;
+  }
+  if (r.state == RequestState::kQueued) return;
+  out << "  +" << r.aheadAtAdmission * kQueueSlotCycles
+      << " dispatched role=" << (r.batchFollower ? "follower" : "leader");
+  if (physical) {
+    // The first dispatch went to the device the first hop left.
+    out << " device=" << (r.hops.empty() ? r.device : r.hops[0].fromDevice)
+        << " shard=" << r.shard;
+  }
+  out << "\n";
+  for (size_t h = 0; h < r.hops.size(); ++h) {
+    out << "  +" << r.hops[h].latency << " migrated hop=" << h + 1
+        << " backoff=" << r.hops[h].backoffCycles;
+    if (physical) {
+      const uint32_t to =
+          h + 1 < r.hops.size() ? r.hops[h + 1].fromDevice : r.device;
+      out << " from_device=" << r.hops[h].fromDevice << " to_device=" << to;
+    }
+    out << "\n";
+  }
+  if (r.state == RequestState::kDone || r.state == RequestState::kFailed) {
+    out << "  +" << r.modeledLatency << " retired outcome="
+        << (r.state == RequestState::kDone ? "done" : "failed")
+        << " status=" << statusCodeName(r.status.code())
+        << " latency=" << r.modeledLatency << " cycles=" << r.cycles
+        << " verdict=" << deadlineVerdictName(r.verdict) << "\n";
+  }
+}
+
+void LaunchService::dumpTimelines(std::ostream& out, bool physical) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  out << "# simserve trace v1 requests=" << requests_.size() << "\n";
+  for (const Request& request : requests_) {
+    writeTimelineLocked(out, request, physical);
+  }
+}
+
+Status LaunchService::dumpTimeline(std::ostream& out, uint64_t id,
+                                   bool physical) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (id >= requests_.size()) {
+    return Status::invalidArgument("no trace for request id " +
+                                   std::to_string(id));
+  }
+  writeTimelineLocked(out, requests_[id], physical);
+  return Status::ok();
+}
+
+void LaunchService::dumpTenantSummary(std::ostream& out) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  out << "# simserve slo burn v1\n";
+  for (const auto& [name, id] : tenantByName_) {
+    const TenantStats& s = tenants_[id].stats;
+    if (s.submitted == 0) continue;
+    // Burn: of everything the SLO covered (scored completions plus
+    // deadline-carrying arrivals shed at admission), how much did the
+    // tenant lose? Integer permille keeps the line byte-stable.
+    const uint64_t covered = s.deadlineHit + s.deadlineMiss + s.deadlineShed;
+    const uint64_t lost = s.deadlineMiss + s.deadlineShed;
+    const uint64_t permille = covered == 0 ? 0 : (1000 * lost) / covered;
+    // `shed` counts evictions too; shed at submit is the rest of it
+    // plus the deadline sheds.
+    out << "tenant " << name << ": admitted=" << s.accepted
+        << " shed_at_submit=" << s.shed - s.evicted + s.deadlineShed
+        << " deadline_shed=" << s.deadlineShed << " evicted=" << s.evicted
+        << " completed=" << s.completed << " failed=" << s.failed
+        << " migrated_hops=" << s.migrated
+        << " deadline_hit=" << s.deadlineHit
+        << " deadline_miss=" << s.deadlineMiss
+        << " burn_permille=" << permille << "\n";
+  }
+}
+
+void LaunchService::dumpHistograms(std::ostream& out) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  LatencyHistogram queueDelay;
+  for (const Request& r : requests_) {
+    if (r.state == RequestState::kQueued || r.state == RequestState::kShed) {
+      continue;
+    }
+    queueDelay.observe(r.aheadAtAdmission * kQueueSlotCycles);
+  }
+  out << "# simserve trace histograms v1\n";
+  out << "queue_delay " << queueDelay.toString() << "\n";
+  out << "batch_size total=" << batches_;
+  for (size_t i = 0; i < batchSizes_.size(); ++i) {
+    if (batchSizes_[i] == 0) continue;
+    out << " " << (i + 1) << (i + 1 == batchSizes_.size() ? "+" : "") << "="
+        << batchSizes_[i];
+  }
+  out << "\n";
+}
+
+void LaunchService::exportPerfetto(gpusim::TraceRecorder& recorder) const {
+  // One track per tenant (named after it, numbered in order of first
+  // admission), one span per dispatched request. The span's start is a
+  // deterministic function of the admission sequence — requests are
+  // laid out per tenant without overlap so Perfetto renders a readable
+  // lane — and its duration is the request's modeled latency;
+  // migrations become instants and the queue depth at admission a
+  // counter track. Every coordinate is logical or modeled, so the
+  // exported JSON is itself byte-identical across reruns, worker
+  // counts and shard counts.
+  std::lock_guard<std::mutex> lock(mu_);
+  constexpr uint32_t kNoTrack = std::numeric_limits<uint32_t>::max();
+  std::vector<uint32_t> tenantTrack(tenants_.size(), kNoTrack);
+  std::vector<uint64_t> cursor;  ///< per track: end of its last span
+  for (const Request& r : requests_) {
+    uint32_t& track = tenantTrack[r.tenant];
+    if (track == kNoTrack) {
+      track = static_cast<uint32_t>(cursor.size());
+      cursor.push_back(0);
+      recorder.nameTrack(track, tenants_[r.tenant].spec.name);
+    }
+    recorder.recordCounter("queued", r.id * kQueueSlotCycles,
+                           r.aheadAtAdmission + 1);
+    if (r.state == RequestState::kQueued || r.state == RequestState::kShed) {
+      continue;
+    }
+    const bool retired =
+        r.state == RequestState::kDone || r.state == RequestState::kFailed;
+    const uint64_t start = std::max(cursor[track], r.id * kQueueSlotCycles);
+    const uint64_t duration =
+        std::max<uint64_t>(retired ? r.modeledLatency : 0, 1);
+    cursor[track] = start + duration;
+    std::string name = "req " + std::to_string(r.id) + " " + r.fingerprint;
+    if (r.state == RequestState::kFailed) {
+      name += " [failed " + std::string(statusCodeName(r.status.code())) + "]";
+    }
+    recorder.recordSpan(track, std::move(name), start, duration);
+    for (size_t h = 0; h < r.hops.size(); ++h) {
+      recorder.recordInstant("migrate req " + std::to_string(r.id) + " hop " +
+                                 std::to_string(h + 1),
+                             start + r.hops[h].latency);
+    }
   }
 }
 

@@ -66,6 +66,10 @@
 #include "simserve/trace.h"
 #include "support/status.h"
 
+namespace simtomp::gpusim {
+class TraceRecorder;
+}  // namespace simtomp::gpusim
+
 namespace simtomp::simserve {
 
 /// A named client of the launch service.
@@ -116,8 +120,9 @@ struct ServiceConfig {
   /// half-open so traffic keeps flowing (panic revival). Disable to
   /// make total device loss fail pending work instead.
   bool panicRevival = true;
-  /// Request-scoped tracing + flight recorder (see simserve/trace.h).
-  /// Purely observational: enabling it changes no modeled statistic.
+  /// Flight-recorder rings (see simserve/trace.h). Purely
+  /// observational: enabling them changes no modeled statistic, and
+  /// the request renderers below work with them off.
   TraceConfig trace{};
 };
 
@@ -277,7 +282,25 @@ class LaunchService {
   /// tenants sorted by name. The byte-compare surface for CI.
   void dumpStats(std::ostream& out) const;
 
-  /// The request tracer, or nullptr when ServiceConfig::trace.enabled
+  // Request renderers (simserve/trace.h). They read the request table
+  // and tenant stats, so they cover every admitted request whether or
+  // not the flight rings are on. `physical` adds device/shard detail,
+  // which is off the canonical (byte-compare) bytes.
+  /// Every admitted request's span timeline, in admission order.
+  void dumpTimelines(std::ostream& out, bool physical) const;
+  /// One request's timeline; non-ok for ids never admitted.
+  [[nodiscard]] Status dumpTimeline(std::ostream& out, uint64_t id,
+                                    bool physical) const;
+  /// Per-tenant SLO burn summary: tenants that submitted, by name.
+  void dumpTenantSummary(std::ostream& out) const;
+  /// Queue-delay and batch-size histograms.
+  void dumpHistograms(std::ostream& out) const;
+  /// Export per-tenant tracks (one span per request on the modeled
+  /// clock, migration instants, a queue-depth counter) into a
+  /// TraceRecorder for Perfetto/chrome://tracing.
+  void exportPerfetto(gpusim::TraceRecorder& recorder) const;
+
+  /// The flight rings, or nullptr when ServiceConfig::trace.enabled
   /// is false. Read its dump surfaces only between pump()/drain()
   /// waves (the hooks run under the service lock; the dumps do not).
   [[nodiscard]] ServiceTracer* tracer() const { return tracer_.get(); }
@@ -288,6 +311,14 @@ class LaunchService {
     TenantStats stats;
     uint64_t queued = 0;
     uint64_t dispatchedSinceDrain = 0;
+  };
+
+  /// One migration hop: the device the request left, the modeled
+  /// backoff charged and the modeled latency after the hop.
+  struct Hop {
+    uint32_t fromDevice = 0;
+    uint64_t backoffCycles = 0;
+    uint64_t latency = 0;
   };
 
   struct Request {
@@ -302,10 +333,12 @@ class LaunchService {
     uint64_t modeledLatency = 0;
     uint64_t cycles = 0;
     uint64_t deadline = kNoDeadline;  ///< resolved at admission
-    uint32_t device = 0;
+    uint32_t device = 0;   ///< current (last) device
     uint32_t retries = 0;  ///< re-dispatch hops taken so far
     bool batchFollower = false;
-    bool migrated = false;
+    DeadlineVerdict verdict = DeadlineVerdict::kNone;  ///< set when done
+    /// Migrations in order; empty (and unallocated) unless migrated.
+    std::vector<Hop> hops;
     Status status;
     std::future<Result<gpusim::KernelStats>> future;
   };
@@ -328,6 +361,8 @@ class LaunchService {
                       const omprt::TargetConfig& resolved,
                       bool batch_follower);
   void rebuildShardMapLocked();
+  void writeTimelineLocked(std::ostream& out, const Request& request,
+                           bool physical) const;
   [[nodiscard]] Status migrateLocked(const std::vector<uint64_t>& ids);
   void notePumpWatermarksLocked();
   [[nodiscard]] bool anyServingLocked() const;
@@ -368,8 +403,10 @@ class LaunchService {
   uint64_t peakInFlight_ = 0;
   uint64_t peakQueueDepth_ = 0;
   uint64_t batches_ = 0;
+  /// Batch-size counts, sizes 1..16 (index size-1); larger batches
+  /// clamp into the last cell.
+  std::array<uint64_t, 16> batchSizes_{};
   uint64_t amortized_ = 0;
-  uint64_t migratedTotal_ = 0;
 };
 
 /// FNV-1a over the fingerprint — stable across platforms (std::hash is

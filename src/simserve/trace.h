@@ -3,15 +3,29 @@
 //
 // Every admitted request carries an implicit trace context — its id
 // (the admission sequence), tenant, fingerprint and causal hop count
-// across retries/migrations — and the ServiceTracer turns the
-// service's decisions into a span timeline on the modeled clock:
+// across retries/migrations — and its life is a span timeline on the
+// modeled clock:
 //
 //   admitted -> queued(shard) -> batched(leader/follower)
 //            -> dispatched(device) -> [migrated]*
 //            -> retired(status, deadline verdict)
 //
-// Events land in bounded simprof::FlightRecorder rings, split by
-// invariance class:
+// Two stores, one per kind of fact:
+//
+//   request table    LaunchService's own `Request` records (kept for
+//                    the service's lifetime, id == index) and tenant
+//                    stats. The on-demand renderers — timelines, SLO
+//                    burn, histograms, the Perfetto export — are
+//                    LaunchService members that read only these, so
+//                    they cover every request and give the same bytes
+//                    with tracing off or on.
+//   flight rings     the ServiceTracer below: bounded simprof::
+//                    FlightRecorder rings of the service's decisions,
+//                    in decision order. Rings evict, so they are the
+//                    post-mortem window, never the source of a
+//                    timeline.
+//
+// The rings are split by invariance class:
 //
 //   canonical ring   events whose order and content are pure functions
 //                    of logical state (admission order, priorities,
@@ -47,26 +61,19 @@
 // The flight dump is written automatically (to TraceConfig::
 // autoDumpPath) on failed launches and breaker opens, and by the
 // chaos harness on invariant violations; `simtomp serve trace` prints
-// the on-demand surfaces (per-request timelines, per-tenant SLO burn,
-// queue-delay/batch-size histograms) and exports per-tenant Perfetto
-// tracks through gpusim::TraceRecorder.
+// the service's renderers and the rings, and exports per-tenant
+// Perfetto tracks through gpusim::TraceRecorder.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <ostream>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "simprof/recorder.h"
 #include "support/status.h"
-
-namespace simtomp::gpusim {
-class TraceRecorder;
-}  // namespace simtomp::gpusim
 
 namespace simtomp::simserve {
 
@@ -76,6 +83,9 @@ namespace simtomp::simserve {
 inline constexpr uint64_t kNoDeadline =
     std::numeric_limits<uint64_t>::max();
 inline constexpr uint64_t kInheritDeadline = kNoDeadline - 1;
+
+/// A resolved deadline as trace text: the budget, or "none".
+[[nodiscard]] std::string deadlineText(uint64_t deadline);
 
 /// Power-of-4 bucket histogram (4^1 .. 4^14, +Inf) mirroring the
 /// simprof registry's layout, with deterministic quantile bounds.
@@ -99,10 +109,10 @@ class LatencyHistogram {
   uint64_t sum_ = 0;
 };
 
-/// Tracing knobs on ServiceConfig. Off by default: the tracer
-/// allocates per-request records and ring entries, and while it never
-/// perturbs modeled stats, a service that nobody will ask for
-/// timelines should not pay the host-side cost.
+/// Tracing knobs on ServiceConfig. Off by default: the flight rings
+/// format and retain a string per event, and while they never perturb
+/// modeled stats, a service nobody will post-mortem should not pay
+/// that host-side cost. The renderers on LaunchService work either way.
 struct TraceConfig {
   bool enabled = false;
   /// Canonical/physical flight-ring capacity (events retained).
@@ -120,8 +130,9 @@ enum class DeadlineVerdict : int8_t { kNone = -1, kMiss = 0, kHit = 1 };
 
 [[nodiscard]] std::string_view deadlineVerdictName(DeadlineVerdict verdict);
 
-/// The serving-layer tracer. Every note*() hook is called by
-/// LaunchService under its lock, in the deterministic logical order
+/// The serving-layer flight recorder: two rings and nothing else.
+/// Every note*() hook formats exactly one ring line. Hooks are called
+/// by LaunchService under its lock, in the deterministic logical order
 /// the service makes its decisions — the tracer itself is not
 /// separately synchronized, and the dump surfaces must only be read
 /// when no pump()/drain() is in flight.
@@ -137,10 +148,9 @@ class ServiceTracer {
                     const std::string& fingerprint, uint32_t priority,
                     uint64_t deadline, uint64_t queueAhead);
   /// A request refused at submit() (no id was assigned).
-  void noteShedAtSubmit(const std::string& tenant, std::string_view reason,
-                        bool deadlineShed);
+  void noteShedAtSubmit(const std::string& tenant, std::string_view reason);
   /// A queued request displaced by a higher-priority arrival.
-  void noteEvicted(uint64_t id);
+  void noteEvicted(uint64_t id, const std::string& tenant);
   void noteDispatched(uint64_t id, bool batchFollower,
                       uint64_t queueDelayCycles, uint32_t device,
                       uint32_t shard);
@@ -150,7 +160,8 @@ class ServiceTracer {
   void noteMigrated(uint64_t id, uint32_t hop, uint64_t backoffCycles,
                     uint64_t latencySoFar, uint32_t fromDevice,
                     uint32_t toDevice);
-  void noteRetryExhausted(uint64_t id, uint32_t hops);
+  /// The request ran out of retries at `tick` after `hops` migrations.
+  void noteRetryExhausted(uint64_t id, uint64_t tick, uint32_t hops);
   /// One stranded request charged one trip to its device's breaker.
   void noteBreakerTrip(const std::string& tenant, uint32_t device);
   void noteRetired(uint64_t id, bool ok, StatusCode code, uint64_t latency,
@@ -168,15 +179,6 @@ class ServiceTracer {
   void onFailureTrigger(std::string_view reason);
 
   // --- dump surfaces ---------------------------------------------
-  /// Every admitted request's span timeline, in admission order.
-  void dumpTimelines(std::ostream& out, bool physical) const;
-  /// One request's timeline; non-ok for ids never admitted.
-  [[nodiscard]] Status dumpTimeline(std::ostream& out, uint64_t id,
-                                    bool physical) const;
-  /// Per-tenant SLO burn summary (tenants sorted by name).
-  void dumpTenantSummary(std::ostream& out) const;
-  /// Queue-delay and batch-size histograms.
-  void dumpHistograms(std::ostream& out) const;
   /// Flight-recorder dump: canonical ring, plus the physical ring in
   /// physical mode.
   void dumpFlight(std::ostream& out, bool physical,
@@ -185,10 +187,6 @@ class ServiceTracer {
   [[nodiscard]] Status dumpFlightToFile(const std::string& path,
                                         bool physical,
                                         std::string_view trigger) const;
-  /// Export per-tenant tracks (one span per request on the modeled
-  /// clock, migration instants, a queue-depth counter) into a
-  /// TraceRecorder for Perfetto/chrome://tracing.
-  void exportPerfetto(gpusim::TraceRecorder& recorder) const;
 
   [[nodiscard]] const simprof::FlightRecorder& canonicalRing() const {
     return canonical_;
@@ -196,74 +194,16 @@ class ServiceTracer {
   [[nodiscard]] const simprof::FlightRecorder& physicalRing() const {
     return physical_;
   }
-  /// Admitted requests seen (ids 0 .. requestCount()-1 are valid).
-  [[nodiscard]] uint64_t requestCount() const { return requests_.size(); }
 
  private:
-  struct HopTrace {
-    uint32_t hop = 0;
-    uint64_t backoffCycles = 0;
-    uint64_t tick = 0;  ///< modeled latency so far, including backoff
-    uint32_t fromDevice = 0;
-    uint32_t toDevice = 0;
-  };
-
-  enum class EndState : uint8_t { kOpen = 0, kEvicted, kDone, kFailed };
-
-  struct RequestTrace {
-    std::string tenant;
-    std::string fingerprint;
-    uint32_t priority = 0;
-    uint64_t deadline = kNoDeadline;
-    uint64_t queueAhead = 0;
-    bool dispatched = false;
-    bool batchFollower = false;
-    uint64_t dispatchTick = 0;
-    uint32_t device = 0;  ///< physical detail only
-    uint32_t shard = 0;   ///< physical detail only
-    std::vector<HopTrace> hops;
-    EndState end = EndState::kOpen;
-    StatusCode code = StatusCode::kOk;
-    uint64_t latency = 0;
-    uint64_t cycles = 0;
-    DeadlineVerdict verdict = DeadlineVerdict::kNone;
-  };
-
-  /// Per-tenant SLO burn accounting. Burn counts everything the SLO
-  /// lost: completions past the budget plus deadline-carrying work
-  /// shed at admission.
-  struct TenantBurn {
-    uint64_t admitted = 0;
-    uint64_t shedAtSubmit = 0;
-    uint64_t deadlineShed = 0;
-    uint64_t evicted = 0;
-    uint64_t completed = 0;
-    uint64_t failed = 0;
-    uint64_t migratedHops = 0;
-    uint64_t deadlineHit = 0;
-    uint64_t deadlineMiss = 0;
-  };
-
   void recordCanonical(uint64_t tick, std::string category,
                        std::string detail, std::string physicalDetail = "");
   void recordPhysical(uint64_t tick, std::string category,
                       std::string detail);
-  void writeTimelineLocked(std::ostream& out, uint64_t id,
-                           bool physical) const;
 
   TraceConfig config_;
   simprof::FlightRecorder canonical_;
   simprof::FlightRecorder physical_;
-  std::vector<RequestTrace> requests_;  ///< indexed by request id
-  std::map<std::string, TenantBurn> burn_;
-  /// Tenant -> Perfetto track index, in order of first admission.
-  std::map<std::string, uint32_t> tenantTrack_;
-  std::vector<std::string> trackTenant_;
-  LatencyHistogram queueDelay_;
-  /// Exact batch-size counts, sizes 1..16 (index size-1); larger
-  /// batches clamp into the last cell.
-  std::array<uint64_t, 16> batchSize_{};
-  uint64_t batchesTotal_ = 0;
 };
 
 }  // namespace simtomp::simserve

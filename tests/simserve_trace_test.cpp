@@ -2,9 +2,12 @@
 // trace.h): zero perturbation of the service's byte-identity surfaces,
 // byte-identical trace dumps across reruns / worker counts / shard
 // counts, timeline and flight-recorder content, ring bounding, the
-// failure-triggered auto-dump and the Perfetto export.
+// failure-triggered auto-dump and the Perfetto export. The renderers
+// are LaunchService members over its request table, so they also give
+// the same bytes with the flight rings off.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -36,6 +39,28 @@ Mix pressuredMix() {
   return generateMix(profile);
 }
 
+/// The pressured mix with a fifth tenant and half as many drains, so
+/// the tenant quotas (5 x 6) can fill the 24-request global bound and
+/// higher-priority arrivals evict, plus a tight deadline on t0, so
+/// admission also sheds on deadline.
+Mix evictingMix() {
+  MixProfile profile;
+  profile.seed = 11;
+  profile.tenants = 5;
+  profile.requests = 96;
+  profile.pumpEvery = 64;
+  profile.faultPermille = 20;
+  profile.maxInFlight = 8;
+  profile.maxQueued = 6;
+  Mix mix = generateMix(profile);
+  for (MixOp& op : mix.ops) {
+    if (op.kind == MixOp::Kind::kTenant && op.tenant.name == "t0") {
+      op.tenant.deadlineCycles = 300;
+    }
+  }
+  return mix;
+}
+
 omprt::TargetConfig plainConfig(const std::string& fault = "") {
   omprt::TargetConfig config;
   config.teamsMode = omprt::ExecMode::kSPMD;
@@ -46,9 +71,11 @@ omprt::TargetConfig plainConfig(const std::string& fault = "") {
   return config;
 }
 
-/// Replay `mix` (tracing per `trace`) and return dumpStats().
-std::string replayStats(const Mix& mix, bool trace, uint32_t workers,
-                        uint32_t shards) {
+/// Replay `mix` (flight rings per `trace`) and return what `dump`
+/// writes from the finished service.
+std::string replayDump(
+    const Mix& mix, bool trace, uint32_t workers, uint32_t shards,
+    const std::function<void(const LaunchService&, std::ostream&)>& dump) {
   std::vector<ArchSpec> specs(4, ArchSpec::testTiny());
   hostrt::DeviceManager mgr(std::move(specs));
   ServiceConfig config;
@@ -60,55 +87,49 @@ std::string replayStats(const Mix& mix, bool trace, uint32_t workers,
   options.hostWorkers = workers;
   const Result<ReplayReport> report = replayMix(service, mix, options);
   EXPECT_TRUE(report.isOk()) << report.status().toString();
+  EXPECT_EQ(service.tracer() != nullptr, trace);
   std::ostringstream out;
-  service.dumpStats(out);
+  dump(service, out);
   return out.str();
 }
 
-/// Replay `mix` with tracing on and return what `dump` writes from the
-/// finished service's tracer.
-std::string tracedReplay(
-    const Mix& mix, uint32_t workers, uint32_t shards,
-    const std::function<void(const ServiceTracer&, std::ostream&)>& dump) {
-  std::vector<ArchSpec> specs(4, ArchSpec::testTiny());
-  hostrt::DeviceManager mgr(std::move(specs));
-  ServiceConfig config;
-  config.shardCount = shards;
-  config.maxQueued = 24;
-  config.trace.enabled = true;
-  LaunchService service(mgr, config);
-  ReplayOptions options;
-  options.hostWorkers = workers;
-  const Result<ReplayReport> report = replayMix(service, mix, options);
-  EXPECT_TRUE(report.isOk()) << report.status().toString();
-  std::ostringstream out;
-  const ServiceTracer* tracer = service.tracer();
-  EXPECT_NE(tracer, nullptr);
-  if (tracer != nullptr) dump(*tracer, out);
-  return out.str();
+/// The five request renderers concatenated: all timelines (canonical
+/// and physical), one request's timeline, SLO burn, histograms and
+/// the Perfetto JSON.
+void dumpRenderers(const LaunchService& service, std::ostream& out) {
+  service.dumpTimelines(out, /*physical=*/false);
+  service.dumpTimelines(out, /*physical=*/true);
+  EXPECT_TRUE(service.dumpTimeline(out, 5, /*physical=*/true).isOk());
+  service.dumpTenantSummary(out);
+  service.dumpHistograms(out);
+  gpusim::TraceRecorder recorder;
+  service.exportPerfetto(recorder);
+  recorder.writeChromeJson(out);
 }
 
 /// Every canonical dump surface concatenated: timelines, SLO burn,
 /// histograms, flight recorder.
 std::string traceSurfaces(const Mix& mix, uint32_t workers,
                           uint32_t shards) {
-  return tracedReplay(mix, workers, shards,
-                      [](const ServiceTracer& tracer, std::ostream& out) {
-                        tracer.dumpTimelines(out, /*physical=*/false);
-                        tracer.dumpTenantSummary(out);
-                        tracer.dumpHistograms(out);
-                        tracer.dumpFlight(out, /*physical=*/false);
-                      });
+  return replayDump(mix, /*trace=*/true, workers, shards,
+                    [](const LaunchService& service, std::ostream& out) {
+                      service.dumpTimelines(out, /*physical=*/false);
+                      service.dumpTenantSummary(out);
+                      service.dumpHistograms(out);
+                      service.tracer()->dumpFlight(out, /*physical=*/false);
+                    });
 }
 
 /// The on-demand flight file `simtomp serve trace --flight` writes
 /// without --physical, read back.
 std::string onDemandFlightFile(const Mix& mix, uint32_t shards) {
   const std::string path = testing::TempDir() + "simserve_trace_flight.txt";
-  return tracedReplay(
-      mix, 1, shards, [&](const ServiceTracer& tracer, std::ostream& out) {
-        EXPECT_TRUE(tracer.dumpFlightToFile(path, /*physical=*/false,
-                                            "on_demand")
+  return replayDump(
+      mix, /*trace=*/true, 1, shards,
+      [&](const LaunchService& service, std::ostream& out) {
+        EXPECT_TRUE(service.tracer()
+                        ->dumpFlightToFile(path, /*physical=*/false,
+                                           "on_demand")
                         .isOk());
         std::ifstream in(path);
         out << in.rdbuf();
@@ -118,8 +139,11 @@ std::string onDemandFlightFile(const Mix& mix, uint32_t shards) {
 
 TEST(ServeTraceTest, TracingDoesNotPerturbTheStatsDump) {
   const Mix mix = pressuredMix();
-  const std::string off = replayStats(mix, /*trace=*/false, 1, 4);
-  const std::string on = replayStats(mix, /*trace=*/true, 1, 4);
+  const auto stats = [](const LaunchService& service, std::ostream& out) {
+    service.dumpStats(out);
+  };
+  const std::string off = replayDump(mix, /*trace=*/false, 1, 4, stats);
+  const std::string on = replayDump(mix, /*trace=*/true, 1, 4, stats);
   EXPECT_EQ(off, on) << "tracing must be purely observational";
 }
 
@@ -176,16 +200,18 @@ TEST(ServeTraceTest, TimelineRecordsBatchRolesAndDeadlineVerdicts) {
 
   ServiceTracer* tracer = service.tracer();
   ASSERT_NE(tracer, nullptr);
-  EXPECT_EQ(tracer->requestCount(), 3u);
+  std::ostringstream all;
+  service.dumpTimelines(all, /*physical=*/false);
+  EXPECT_EQ(all.str().rfind("# simserve trace v1 requests=3\n", 0), 0u);
 
   std::ostringstream leader;
-  ASSERT_TRUE(tracer->dumpTimeline(leader, 0, /*physical=*/false).isOk());
+  ASSERT_TRUE(service.dumpTimeline(leader, 0, /*physical=*/false).isOk());
   EXPECT_NE(leader.str().find("dispatched role=leader"), std::string::npos);
   EXPECT_NE(leader.str().find("verdict=hit"), std::string::npos);
   EXPECT_NE(leader.str().find("outcome=done status=OK"), std::string::npos);
 
   std::ostringstream follower;
-  ASSERT_TRUE(tracer->dumpTimeline(follower, 2, /*physical=*/false).isOk());
+  ASSERT_TRUE(service.dumpTimeline(follower, 2, /*physical=*/false).isOk());
   EXPECT_NE(follower.str().find("dispatched role=follower"),
             std::string::npos);
 
@@ -194,7 +220,7 @@ TEST(ServeTraceTest, TimelineRecordsBatchRolesAndDeadlineVerdicts) {
   EXPECT_NE(flight.str().find("batch fp=k size=3"), std::string::npos);
 
   std::ostringstream none;
-  EXPECT_FALSE(tracer->dumpTimeline(none, 99, /*physical=*/false).isOk());
+  EXPECT_FALSE(service.dumpTimeline(none, 99, /*physical=*/false).isOk());
 }
 
 TEST(ServeTraceTest, MigrationShowsUpInTimelineAndFlightRing) {
@@ -212,10 +238,21 @@ TEST(ServeTraceTest, MigrationShowsUpInTimelineAndFlightRing) {
   ServiceTracer* tracer = service.tracer();
   ASSERT_NE(tracer, nullptr);
   std::ostringstream timeline;
-  ASSERT_TRUE(tracer->dumpTimeline(timeline, 0, /*physical=*/false).isOk());
+  ASSERT_TRUE(service.dumpTimeline(timeline, 0, /*physical=*/false).isOk());
   EXPECT_NE(timeline.str().find("migrated hop=1 backoff=64"),
             std::string::npos);
   EXPECT_NE(timeline.str().find("outcome=done"), std::string::npos);
+  EXPECT_EQ(timeline.str().find("from_device="), std::string::npos);
+
+  // The physical timeline names the device the hop left and the one it
+  // went to.
+  std::ostringstream physicalTimeline;
+  ASSERT_TRUE(
+      service.dumpTimeline(physicalTimeline, 0, /*physical=*/true).isOk());
+  EXPECT_NE(physicalTimeline.str().find("migrated hop=1 backoff=64 "
+                                        "from_device="),
+            std::string::npos);
+  EXPECT_NE(physicalTimeline.str().find(" to_device="), std::string::npos);
 
   std::ostringstream canonical;
   tracer->dumpFlight(canonical, /*physical=*/false);
@@ -298,7 +335,7 @@ TEST(ServeTraceTest, PerfettoExportNamesTenantTracks) {
   }
   ASSERT_TRUE(service.runToCompletion().isOk());
   gpusim::TraceRecorder recorder;
-  service.tracer()->exportPerfetto(recorder);
+  service.exportPerfetto(recorder);
   std::ostringstream out;
   recorder.writeChromeJson(out);
   const std::string json = out.str();
@@ -307,7 +344,7 @@ TEST(ServeTraceTest, PerfettoExportNamesTenantTracks) {
   EXPECT_NE(json.find("req 0 k"), std::string::npos);
   // The export is itself deterministic: a second export matches.
   gpusim::TraceRecorder again;
-  service.tracer()->exportPerfetto(again);
+  service.exportPerfetto(again);
   std::ostringstream out2;
   again.writeChromeJson(out2);
   EXPECT_EQ(json, out2.str());
@@ -317,6 +354,75 @@ TEST(ServeTraceTest, TracerAbsentWhenDisabled) {
   hostrt::DeviceManager mgr({ArchSpec::testTiny()});
   LaunchService service(mgr);
   EXPECT_EQ(service.tracer(), nullptr);
+}
+
+TEST(ServeTraceTest, RenderersGiveTheSameBytesWithTracingOff) {
+  const Mix mix = pressuredMix();
+  const std::string on = replayDump(mix, /*trace=*/true, 1, 4, dumpRenderers);
+  EXPECT_NE(on.find("migrated hop="), std::string::npos);
+  EXPECT_EQ(on, replayDump(mix, /*trace=*/false, 1, 4, dumpRenderers));
+
+  const Mix evicting = evictingMix();
+  const std::string evictingOn =
+      replayDump(evicting, /*trace=*/true, 1, 4, dumpRenderers);
+  EXPECT_NE(evictingOn.find("evicted status="), std::string::npos);
+  EXPECT_EQ(evictingOn,
+            replayDump(evicting, /*trace=*/false, 1, 4, dumpRenderers));
+}
+
+TEST(ServeTraceTest, SloBurnOmitsTenantsThatNeverSubmitted) {
+  hostrt::DeviceManager mgr({ArchSpec::testTiny()});
+  LaunchService service(mgr);
+  ASSERT_TRUE(service.registerTenant({"busy"}).isOk());
+  ASSERT_TRUE(service.registerTenant({"silent"}).isOk());
+  ASSERT_TRUE(service
+                  .submit("busy", plainConfig(), [](omprt::OmpContext&) {},
+                          "k")
+                  .isOk());
+  ASSERT_TRUE(service.runToCompletion().isOk());
+  std::ostringstream out;
+  service.dumpTenantSummary(out);
+  EXPECT_NE(out.str().find("tenant busy: admitted=1 "), std::string::npos);
+  EXPECT_EQ(out.str().find("silent"), std::string::npos);
+}
+
+TEST(ServeTraceTest, SloBurnShedAtSubmitMatchesTenantStats) {
+  std::vector<ArchSpec> specs(4, ArchSpec::testTiny());
+  hostrt::DeviceManager mgr(std::move(specs));
+  ServiceConfig config;
+  config.maxQueued = 24;
+  LaunchService service(mgr, config);
+  ASSERT_TRUE(replayMix(service, evictingMix()).isOk());
+  std::ostringstream out;
+  service.dumpTenantSummary(out);
+  std::istringstream lines(out.str());
+  std::string line;
+  std::getline(lines, line);
+  EXPECT_EQ(line, "# simserve slo burn v1");
+  size_t tenants = 0;
+  uint64_t evicted = 0;
+  uint64_t deadlineShed = 0;
+  while (std::getline(lines, line)) {
+    std::istringstream words(line);
+    std::string tenantWord, name, field;
+    words >> tenantWord >> name;
+    ASSERT_EQ(tenantWord, "tenant");
+    name.pop_back();  // trailing ':'
+    uint64_t shedAtSubmit = UINT64_MAX;
+    while (words >> field) {
+      if (field.rfind("shed_at_submit=", 0) == 0) {
+        shedAtSubmit = std::stoull(field.substr(field.find('=') + 1));
+      }
+    }
+    const TenantStats s = service.tenantStats(name);
+    EXPECT_EQ(shedAtSubmit, s.shed - s.evicted + s.deadlineShed) << line;
+    evicted += s.evicted;
+    deadlineShed += s.deadlineShed;
+    ++tenants;
+  }
+  EXPECT_EQ(tenants, 5u);
+  EXPECT_GT(evicted, 0u) << "the mix must evict for the subtraction to count";
+  EXPECT_GT(deadlineShed, 0u);
 }
 
 }  // namespace

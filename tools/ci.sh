@@ -68,23 +68,25 @@
 #          and emits BENCH_serve_resilience.json.
 # Stage 12: serving-trace determinism + observability guard; the
 #          `simtomp serve trace` surfaces (timelines, SLO burn,
-#          histograms, flight recorder) and on-demand flight dumps
-#          must be byte-identical across reruns, 8 host workers and a
-#          prime shard count; the Perfetto export must be valid JSON;
-#          the chaos report must be byte-identical with --trace on;
-#          a planted invariant violation must auto-dump the flight
-#          recorder; the serve_observability_overhead bench then
-#          asserts tracing never perturbs the modeled stats dump or
-#          replay report and emits BENCH_serve_observability.json.
+#          histograms, flight recorder), on-demand flight dumps and
+#          Perfetto exports must be byte-identical across reruns, 8
+#          host workers and a prime shard count; the Perfetto export
+#          must be valid JSON; the chaos report must be byte-identical
+#          with --trace on; a planted invariant violation must
+#          auto-dump the flight recorder; the
+#          serve_observability_overhead bench then asserts tracing
+#          never perturbs the modeled stats dump or replay report and
+#          emits BENCH_serve_observability.json.
 # Stage 13: ASan+UBSan build; the text-parsing, command-line,
-#          fault-injection, knob, fiber, device-memory and fast-path
-#          suites (front_, support_, cli_, simfault_, simserve_mix,
-#          hostrt_defaults, knobs_, fiber_, gpusim_memory_, fastpath_)
-#          run with every report fatal, including exceptions unwinding
-#          on arena-allocated fiber stacks (the fast path's hazard
-#          guard throws out of a batched body while the group's other
-#          lanes are parked), the hand-written stack switch and the
-#          guard pages around the lazily committed global-memory arena.
+#          fault-injection, serving-trace, knob, fiber, device-memory
+#          and fast-path suites (front_, support_, cli_, simfault_,
+#          simserve_mix, simserve_trace, hostrt_defaults, knobs_,
+#          fiber_, gpusim_memory_, fastpath_) run with every report
+#          fatal, including exceptions unwinding on arena-allocated
+#          fiber stacks (the fast path's hazard guard throws out of a
+#          batched body while the group's other lanes are parked), the
+#          hand-written stack switch and the guard pages around the
+#          lazily committed global-memory arena.
 #
 # Usage: tools/ci.sh [build-dir-prefix]   (default: build-ci)
 set -euo pipefail
@@ -395,7 +397,10 @@ flight_a="${prefix}/trace-guard-a.flight"
 flight_b="${prefix}/trace-guard-b.flight"
 flight_c="${prefix}/trace-guard-c.flight"
 flight_d="${prefix}/trace-guard-d.flight"
-perfetto_json="${prefix}/trace-guard.perfetto.json"
+perfetto_a="${prefix}/trace-guard-a.perfetto.json"
+perfetto_b="${prefix}/trace-guard-b.perfetto.json"
+perfetto_c="${prefix}/trace-guard-c.perfetto.json"
+perfetto_d="${prefix}/trace-guard-d.perfetto.json"
 # The trace surfaces record only shard-invariant facts on the modeled
 # clock (device/shard ids live on the physical ring, which the
 # canonical dump withholds), so every dump must be byte-identical
@@ -404,20 +409,23 @@ perfetto_json="${prefix}/trace-guard.perfetto.json"
 "${serve[@]}" gen --seed 11 --tenants 4 --requests 96 \
   --pump-every 32 --fault-permille 20 --out "${trace_mix}"
 SIMTOMP_HOST_WORKERS=1 "${serve[@]}" trace "${trace_mix}" --workers 1 \
-  --flight "${flight_a}" > "${trace_a}"
+  --flight "${flight_a}" --perfetto "${perfetto_a}" > "${trace_a}"
 SIMTOMP_HOST_WORKERS=1 "${serve[@]}" trace "${trace_mix}" --workers 1 \
-  --flight "${flight_b}" > "${trace_b}"
+  --flight "${flight_b}" --perfetto "${perfetto_b}" > "${trace_b}"
 SIMTOMP_HOST_WORKERS=8 "${serve[@]}" trace "${trace_mix}" --workers 8 \
-  --flight "${flight_c}" > "${trace_c}"
+  --flight "${flight_c}" --perfetto "${perfetto_c}" > "${trace_c}"
 SIMTOMP_HOST_WORKERS=8 "${serve[@]}" trace "${trace_mix}" --workers 8 \
-  --shards 13 --flight "${flight_d}" > "${trace_d}"
+  --shards 13 --flight "${flight_d}" --perfetto "${perfetto_d}" \
+  > "${trace_d}"
 same_bytes "trace dumps (rerun, 1 vs 8 host workers, shards)" \
   "${trace_a}" "${trace_b}" "${trace_c}" "${trace_d}"
 same_bytes "flight-recorder dumps (rerun, 1 vs 8 host workers, shards)" \
   "${flight_a}" "${flight_b}" "${flight_c}" "${flight_d}"
-echo "trace + flight dumps byte-identical across reruns/workers/shards"
-"${serve[@]}" trace "${trace_mix}" --perfetto "${perfetto_json}" >/dev/null
-python3 -m json.tool "${perfetto_json}" >/dev/null
+same_bytes "perfetto exports (rerun, 1 vs 8 host workers, shards)" \
+  "${perfetto_a}" "${perfetto_b}" "${perfetto_c}" "${perfetto_d}"
+echo "trace, flight and perfetto dumps byte-identical across" \
+  "reruns/workers/shards"
+python3 -m json.tool "${perfetto_a}" >/dev/null
 echo "perfetto export is valid JSON"
 # Tracing must not perturb the chaos campaign either: the report with
 # --trace must match stage 11's untraced report for the same seeds.
@@ -458,7 +466,7 @@ print(f"{bench['trace_events']} trace events "
 EOF
 echo "observability zero-perturbation guard passed"
 
-echo "=== stage 13: ASan+UBSan build, parser/cli/fault/knob/fiber/memory/fast-path suites ==="
+echo "=== stage 13: ASan+UBSan build, parser/cli/fault/serve-trace/knob/fiber/memory/fast-path suites ==="
 cmake -B "${prefix}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DSIMTOMP_SANITIZE=address -DSIMTOMP_BUILD_BENCH=OFF \
   -DSIMTOMP_BUILD_EXAMPLES=OFF
@@ -466,6 +474,6 @@ cmake --build "${prefix}-asan" -j "${jobs}"
 ASAN_OPTIONS="halt_on_error=1 detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
   ctest --test-dir "${prefix}-asan" --output-on-failure -j "${jobs}" \
-  -R '^(front|support|cli|simfault|simserve_mix|hostrt_defaults|knobs|fiber|gpusim_memory|fastpath)_'
+  -R '^(front|support|cli|simfault|simserve_mix|simserve_trace|hostrt_defaults|knobs|fiber|gpusim_memory|fastpath)_'
 
 echo "=== ci.sh: all stages passed ==="

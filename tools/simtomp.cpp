@@ -1310,22 +1310,22 @@ int serveTrace(const Command& self, Args args) {
       mix_path, setup, config,
       [&](simserve::LaunchService& service,
           const simserve::ReplayReport& report) {
-        simserve::ServiceTracer* tracer = service.tracer();
         std::cout << "trace " << mix_path << ": " << report.toString()
                   << "\n";
         if (req_id != UINT64_MAX) {
           const Status dumped =
-              tracer->dumpTimeline(std::cout, req_id, physical);
+              service.dumpTimeline(std::cout, req_id, physical);
           if (!dumped.isOk()) {
             std::fprintf(stderr, "simtomp serve: %s\n",
                          dumped.toString().c_str());
             return kExitUsage;
           }
         } else {
-          tracer->dumpTimelines(std::cout, physical);
+          service.dumpTimelines(std::cout, physical);
         }
-        tracer->dumpTenantSummary(std::cout);
-        tracer->dumpHistograms(std::cout);
+        service.dumpTenantSummary(std::cout);
+        service.dumpHistograms(std::cout);
+        const simserve::ServiceTracer* tracer = service.tracer();
         tracer->dumpFlight(std::cout, physical);
         if (!flight_path.empty()) {
           const Status wrote =
@@ -1338,7 +1338,7 @@ int serveTrace(const Command& self, Args args) {
         }
         if (!perfetto_path.empty()) {
           gpusim::TraceRecorder recorder;
-          tracer->exportPerfetto(recorder);
+          service.exportPerfetto(recorder);
           const Status wrote = recorder.writeChromeJson(perfetto_path);
           if (!wrote.isOk()) {
             std::fprintf(stderr, "simtomp serve: %s\n",
