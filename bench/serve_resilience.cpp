@@ -76,7 +76,7 @@ RunOut runOnce(bool storm) {
     config.simdlen = 4;
     config.check.mode = simcheck::CheckMode::kOff;
     config.tripCount = trip;
-    config.watchdogSteps = 2000000;
+    config.watchdogSteps = simserve::kRequestWatchdogSteps;
     config.fault.spec = "off";
     if (storm && r % kFaultEvery == kFaultEvery - 1) {
       // Unique block= discriminator: the injector's canonical-spec

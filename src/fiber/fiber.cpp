@@ -14,7 +14,7 @@
 // *save_sp, load to_sp, pop the same frame off it in reverse order and
 // return into whatever called the switch that saved to_sp. A stack that
 // was never switched out gets a hand-built frame instead
-// (FiberScheduler::switchToFiber). Frame, from the saved rsp upwards:
+// (the Fiber constructor). Frame, from the saved rsp upwards:
 //   +0 x87 control word   +8 MXCSR   +16 r15  +24 r14  +32 r13
 //   +40 r12  +48 rbx  +56 rbp  +64 return address
 extern "C" void simtomp_fiber_switch(void** save_sp, void* to_sp);
@@ -99,8 +99,8 @@ simtomp_fiber_switch:
 namespace simtomp::fiber {
 
 namespace {
-// The scheduler driving the OS thread right now. Fibers find their way
-// back to it through this pointer (set around every context switch).
+// The scheduler driving the OS thread right now. A fiber's first entry
+// finds its scheduler through this pointer (set for the span of run()).
 thread_local FiberScheduler* g_active_scheduler = nullptr;
 
 #ifdef SIMTOMP_TSAN
@@ -149,6 +149,19 @@ Fiber::Fiber(size_t index, Entry entry, size_t stack_size,
   }
   stack_bytes_ = stack_size;
   tsan_fiber_ = tsanCreateFiber();
+  // First entry: a frame simtomp_fiber_switch pops into trampoline() as
+  // if trampoline had been called, so rsp + 8 is 16-byte aligned at its
+  // entry. Above its return slot sits a null fake return address that
+  // ends unwinding and backtraces. Fibers exit by switching away,
+  // never by returning.
+  const auto top = (reinterpret_cast<uintptr_t>(stack_data_) +
+                    stack_bytes_) & ~uintptr_t{15};
+  auto* frame = reinterpret_cast<uint64_t*>(top) - 10;
+  std::fill_n(frame, 10, 0);
+  frame[0] = 0x037F;  // x87 control word: exceptions masked, nearest
+  frame[1] = 0x1F80;  // MXCSR: the same
+  frame[8] = reinterpret_cast<uint64_t>(&Fiber::trampoline);
+  sp_ = frame;
 }
 
 Fiber::~Fiber() { tsanDestroyFiber(tsan_fiber_); }
@@ -158,8 +171,7 @@ void Fiber::trampoline() {
   SIMTOMP_CHECK(sched != nullptr, "fiber trampoline without a scheduler");
   Fiber* self = sched->current();
   SIMTOMP_CHECK(self != nullptr, "fiber trampoline without a current fiber");
-  asanFinishSwitch(nullptr, &sched->asan_stack_bottom_,
-                   &sched->asan_stack_size_);
+  sched->resumed(*self);
   try {
     self->entry_();
   } catch (...) {
@@ -167,7 +179,7 @@ void Fiber::trampoline() {
   }
   self->state_ = FiberState::kFinished;
   ++sched->finished_count_;
-  sched->switchToScheduler();
+  sched->switchFrom(*self);
   SIMTOMP_CHECK(false, "resumed a finished fiber");
 }
 
@@ -183,12 +195,53 @@ size_t FiberScheduler::spawn(Fiber::Entry entry) {
   SIMTOMP_CHECK(!running_, "spawn() during run() is not supported");
   SIMTOMP_CHECK(std::this_thread::get_id() == owner_thread_,
                 "spawn() off the scheduler's owning thread");
+  SIMTOMP_CHECK(fibers_.size() < kMaxFibers,
+                "spawn() beyond FiberScheduler::kMaxFibers fibers");
   const size_t index = fibers_.size();
   char* external_stack =
       stack_allocator_ ? stack_allocator_(stack_size_) : nullptr;
   fibers_.emplace_back(
       new Fiber(index, std::move(entry), stack_size_, external_stack));
+  markReady(*fibers_.back());
   return index;
+}
+
+void FiberScheduler::markReady(const Fiber& f) {
+  ready_[f.index_ / 64] |= uint64_t{1} << (f.index_ % 64);
+  ready_words_ |= uint64_t{1} << (f.index_ / 64);
+}
+
+size_t FiberScheduler::nextReady(size_t from) const {
+  static_assert(kMaxFibers / 64 <= 64, "ready_words_ holds one bit per word");
+  if (from < kMaxFibers) {
+    const size_t word = from / 64;
+    const uint64_t here = ready_[word] & (~uint64_t{0} << (from % 64));
+    if (here != 0) return word * 64 + __builtin_ctzll(here);
+    const uint64_t later =
+        word + 1 < 64 ? ready_words_ & (~uint64_t{0} << (word + 1)) : 0;
+    if (later != 0) {
+      const size_t w = __builtin_ctzll(later);
+      return w * 64 + __builtin_ctzll(ready_[w]);
+    }
+  }
+  if (ready_words_ == 0) return kNoFiber;
+  const size_t w = __builtin_ctzll(ready_words_);
+  return w * 64 + __builtin_ctzll(ready_[w]);
+}
+
+void FiberScheduler::enter(Fiber& f) {
+  ++step_count_;
+  const size_t word = f.index_ / 64;
+  ready_[word] &= ~(uint64_t{1} << (f.index_ % 64));
+  if (ready_[word] == 0) ready_words_ &= ~(uint64_t{1} << word);
+  f.state_ = FiberState::kRunning;
+  current_ = &f;
+}
+
+bool FiberScheduler::stopRequested() const {
+  return pending_exception_ ||
+         (trap_step_ != 0 && step_count_ >= trap_step_) ||
+         (step_budget_ != 0 && step_count_ >= step_budget_);
 }
 
 Status FiberScheduler::run() {
@@ -196,46 +249,55 @@ Status FiberScheduler::run() {
   SIMTOMP_CHECK(std::this_thread::get_id() == owner_thread_,
                 "run() off the scheduler's owning thread; fibers are "
                 "confined to the host thread that created them");
-  running_ = true;
   pending_exception_ = nullptr;
-
-  while (finished_count_ < fibers_.size()) {
-    bool progressed = false;
-    for (auto& f : fibers_) {
-      if (f->state_ != FiberState::kReady) continue;
-      switchToFiber(*f);
-      progressed = true;
-      if (pending_exception_) {
-        // A fiber escaped with an exception: stop simulating. Remaining
-        // fiber stacks are discarded without unwinding (documented
-        // limitation of the simulator's error path).
-        running_ = false;
-        std::exception_ptr e = pending_exception_;
-        pending_exception_ = nullptr;
-        std::rethrow_exception(e);
-      }
-      if (trap_step_ != 0 && step_count_ >= trap_step_) {
-        // Injected kernel trap: abandon the run like the exception path
-        // (remaining fiber stacks discarded without unwinding).
-        running_ = false;
-        return Status::internal("[simfault] injected kernel trap at step " +
-                                std::to_string(step_count_) + "; " +
-                                describeFiberStates());
-      }
-      if (step_budget_ != 0 && step_count_ >= step_budget_) {
-        running_ = false;
-        return Status::deadlineExceeded(
-            "[simfault] watchdog: block exceeded its step budget of " +
-            std::to_string(step_budget_) + "; " + describeFiberStates());
-      }
-    }
-    if (!progressed) {
-      running_ = false;
-      return Status::failedPrecondition(
-          "fiber deadlock: no runnable fibers; " + describeBlockedFibers());
-    }
+  if (finished_count_ == fibers_.size()) return Status::ok();
+  const size_t first = nextReady(0);
+  if (first == kNoFiber) {
+    return Status::failedPrecondition(
+        "fiber deadlock: no runnable fibers; " + describeBlockedFibers());
   }
+
+  // Fibers hand the processor to each other (switchFrom); the last one
+  // of the run switches back here.
+  running_ = true;
+  FiberScheduler* prev_sched = g_active_scheduler;
+  g_active_scheduler = this;
+  tsan_scheduler_fiber_ = tsanCurrentFiber();
+  asan_stack_bottom_ = nullptr;  // learned by the first fiber, resumed()
+  Fiber& f = *fibers_[first];
+  enter(f);
+  tsanSwitchTo(f.tsan_fiber_);
+  void* fake_stack = nullptr;
+  asanStartSwitch(&fake_stack, f.stack_data_, f.stack_bytes_);
+  simtomp_fiber_switch(&scheduler_sp_, f.sp_);
+  asanFinishSwitch(fake_stack, nullptr, nullptr);
+  current_ = nullptr;
+  g_active_scheduler = prev_sched;
   running_ = false;
+
+  // The checks of stopRequested(), in its order, then the empty ready
+  // set. An exception or trap abandons the remaining fiber stacks
+  // without unwinding them (documented limitation of the simulator's
+  // error path).
+  if (pending_exception_) {
+    std::exception_ptr e = pending_exception_;
+    pending_exception_ = nullptr;
+    std::rethrow_exception(e);
+  }
+  if (trap_step_ != 0 && step_count_ >= trap_step_) {
+    return Status::internal("[simfault] injected kernel trap at step " +
+                            std::to_string(step_count_) + "; " +
+                            describeFiberStates());
+  }
+  if (step_budget_ != 0 && step_count_ >= step_budget_) {
+    return Status::deadlineExceeded(
+        "[simfault] watchdog: block exceeded its step budget of " +
+        std::to_string(step_budget_) + "; " + describeFiberStates());
+  }
+  if (finished_count_ < fibers_.size()) {
+    return Status::failedPrecondition(
+        "fiber deadlock: no runnable fibers; " + describeBlockedFibers());
+  }
   return Status::ok();
 }
 
@@ -243,81 +305,75 @@ void FiberScheduler::yield() {
   Fiber* f = current_;
   SIMTOMP_CHECK(f != nullptr, "yield() called off-fiber");
   f->state_ = FiberState::kReady;
-  switchToScheduler();
+  markReady(*f);
+  switchFrom(*f);
 }
 
-void FiberScheduler::block(const void* tag) {
+void FiberScheduler::block(WaitList& waiters) {
   Fiber* f = current_;
   SIMTOMP_CHECK(f != nullptr, "block() called off-fiber");
-  SIMTOMP_CHECK(tag != nullptr, "block() requires a non-null tag");
   SIMTOMP_CHECK(std::this_thread::get_id() == owner_thread_,
                 "block() off the scheduler's owning thread");
   f->state_ = FiberState::kBlocked;
-  f->wait_tag_ = tag;
-  switchToScheduler();
+  f->wait_tag_ = &waiters;
+  f->next_waiter_ = waiters.head_;
+  waiters.head_ = f;
+  switchFrom(*f);
 }
 
-void FiberScheduler::unblockAll(const void* tag) {
-  SIMTOMP_CHECK(tag != nullptr, "unblockAll() requires a non-null tag");
+void FiberScheduler::unblockAll(WaitList& waiters) {
   SIMTOMP_CHECK(std::this_thread::get_id() == owner_thread_,
                 "unblockAll() off the scheduler's owning thread");
-  for (auto& f : fibers_) {
-    if (f->state_ == FiberState::kBlocked && f->wait_tag_ == tag) {
-      f->state_ = FiberState::kReady;
-      f->wait_tag_ = nullptr;
-    }
+  Fiber* f = waiters.head_;
+  waiters.head_ = nullptr;
+  while (f != nullptr) {
+    SIMTOMP_CHECK(f->index_ < fibers_.size() && fibers_[f->index_].get() == f,
+                  "unblockAll() on a WaitList of another scheduler");
+    Fiber* next = f->next_waiter_;
+    f->state_ = FiberState::kReady;
+    f->wait_tag_ = nullptr;
+    f->next_waiter_ = nullptr;
+    markReady(*f);
+    f = next;
   }
 }
 
-void FiberScheduler::switchToFiber(Fiber& f) {
-  SIMTOMP_CHECK(f.state_ == FiberState::kReady, "switch to non-ready fiber");
-  ++step_count_;
-  FiberScheduler* prev_sched = g_active_scheduler;
-  Fiber* prev_fiber = current_;
-  g_active_scheduler = this;
-  current_ = &f;
-  f.state_ = FiberState::kRunning;
-  if (!f.started_) {
-    f.started_ = true;
-    // First entry: a frame simtomp_fiber_switch pops into trampoline()
-    // as if trampoline had been called, so rsp + 8 is 16-byte aligned
-    // at its entry. Above its return slot sits a null fake return
-    // address that ends unwinding and backtraces. Fibers exit via
-    // switchToScheduler(), never by returning.
-    const auto top = (reinterpret_cast<uintptr_t>(f.stack_data_) +
-                      f.stack_bytes_) & ~uintptr_t{15};
-    auto* frame = reinterpret_cast<uint64_t*>(top) - 10;
-    std::fill_n(frame, 10, 0);
-    frame[0] = 0x037F;  // x87 control word: exceptions masked, nearest
-    frame[1] = 0x1F80;  // MXCSR: the same
-    frame[8] = reinterpret_cast<uint64_t>(&Fiber::trampoline);
-    f.sp_ = frame;
+void FiberScheduler::switchFrom(Fiber& from) {
+  // The sweep's next stop after `from`; a stop request ends the run
+  // here, before the next step, whatever is ready.
+  const size_t next = stopRequested() ? kNoFiber : nextReady(from.index_ + 1);
+  if (next == from.index_) {
+    // A yield with no other fiber ready: the step resumes `from` as is.
+    enter(from);
+    return;
   }
-  if (tsan_scheduler_fiber_ == nullptr) {
-    tsan_scheduler_fiber_ = tsanCurrentFiber();
+  void* to_sp = scheduler_sp_;
+  void* to_tsan = tsan_scheduler_fiber_;
+  const void* to_bottom = asan_stack_bottom_;
+  size_t to_size = asan_stack_size_;
+  if (next != kNoFiber) {
+    Fiber& to = *fibers_[next];
+    enter(to);
+    to_sp = to.sp_;
+    to_tsan = to.tsan_fiber_;
+    to_bottom = to.stack_data_;
+    to_size = to.stack_bytes_;
   }
-  tsanSwitchTo(f.tsan_fiber_);
-  void* fake_stack = nullptr;
-  asanStartSwitch(&fake_stack, f.stack_data_, f.stack_bytes_);
-  simtomp_fiber_switch(&scheduler_sp_, f.sp_);
-  asanFinishSwitch(fake_stack, nullptr, nullptr);
-  current_ = prev_fiber;
-  g_active_scheduler = prev_sched;
-}
-
-void FiberScheduler::switchToScheduler() {
-  Fiber* f = current_;
-  SIMTOMP_CHECK(f != nullptr, "switchToScheduler() called off-fiber");
-  tsanSwitchTo(g_active_scheduler != nullptr
-                   ? g_active_scheduler->tsan_scheduler_fiber_
-                   : nullptr);
+  tsanSwitchTo(to_tsan);
   // A finished fiber never resumes: let ASan drop its fake stack.
   asanStartSwitch(
-      f->state_ == FiberState::kFinished ? nullptr : &f->asan_fake_stack_,
-      asan_stack_bottom_, asan_stack_size_);
-  simtomp_fiber_switch(&f->sp_, scheduler_sp_);
-  asanFinishSwitch(f->asan_fake_stack_, &asan_stack_bottom_,
-                   &asan_stack_size_);
+      from.state_ == FiberState::kFinished ? nullptr : &from.asan_fake_stack_,
+      to_bottom, to_size);
+  simtomp_fiber_switch(&from.sp_, to_sp);
+  resumed(from);
+}
+
+void FiberScheduler::resumed(Fiber& f) {
+  // run() clears the bounds before it switches in, so the fiber it
+  // enters records the stack every run ends on.
+  const bool from_run = asan_stack_bottom_ == nullptr;
+  asanFinishSwitch(f.asan_fake_stack_, from_run ? &asan_stack_bottom_ : nullptr,
+                   from_run ? &asan_stack_size_ : nullptr);
 }
 
 namespace {
@@ -365,7 +421,7 @@ std::string FiberScheduler::describeFiberStates() const {
         ++finished;
         continue;
       case FiberState::kReady:
-      case FiberState::kRunning:  // not reachable from the scheduler loop
+      case FiberState::kRunning:  // none while run() has control
         ++ready;
         break;
       case FiberState::kBlocked:

@@ -8,11 +8,20 @@
 // (lane-ordered) round-robin, which is also how we approximate warp
 // scheduling order.
 //
-// Blocking primitive: a fiber blocks on an opaque tag pointer (e.g. the
-// address of a barrier object); whoever completes the barrier calls
-// unblockAll(tag). If the scheduler ever finds no runnable fiber while
+// Blocking primitive: a fiber blocks on a WaitList that lives in the
+// object it waits for (e.g. a barrier); whoever completes the barrier
+// calls unblockAll() on that list. If no fiber is runnable while
 // unfinished fibers remain, that is a deadlock in the simulated program
 // (e.g. a barrier not reached by all participants) and run() reports it.
+//
+// Direct handoff: a fiber that yields, blocks or finishes switches
+// straight to the next runnable fiber, so a scheduler step is one stack
+// switch. The order is a round-robin sweep in index order: the lowest
+// ready index above the fiber that stopped, else the lowest ready index
+// overall. A ready bitset finds it in a few word operations, and
+// unblockAll() walks only the list's own waiters. run() regains control
+// only to end the run: every fiber finished, deadlock, an injected trap
+// step, an exhausted step budget, or an exception a fiber escaped with.
 //
 // A switch saves only what the x86-64 System V ABI asks a callee to
 // keep: rbp, rbx, r12-r15, MXCSR and the x87 control word, then swaps
@@ -21,6 +30,7 @@
 // must port that one routine.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
@@ -36,7 +46,24 @@ namespace simtomp::fiber {
 
 enum class FiberState : uint8_t { kReady, kRunning, kBlocked, kFinished };
 
+class Fiber;
 class FiberScheduler;
+
+/// The fibers blocked on one wait point (a barrier, a batch
+/// rendezvous), linked through the fibers themselves, so blocking and
+/// waking allocate nothing. It lives in the object fibers wait for and
+/// must outlive every fiber blocked on it; its address is the wait tag
+/// that diagnostics number. One list serves one scheduler.
+class WaitList {
+ public:
+  WaitList() = default;
+  WaitList(const WaitList&) = delete;
+  WaitList& operator=(const WaitList&) = delete;
+
+ private:
+  friend class FiberScheduler;
+  Fiber* head_ = nullptr;
+};
 
 /// One cooperative fiber. Created and owned by a FiberScheduler.
 class Fiber {
@@ -68,7 +95,7 @@ class Fiber {
   void* sp_ = nullptr;  ///< saved stack pointer while switched out
   FiberState state_ = FiberState::kReady;
   const void* wait_tag_ = nullptr;
-  bool started_ = false;
+  Fiber* next_waiter_ = nullptr;  ///< next fiber on the same WaitList
   void* tsan_fiber_ = nullptr;  ///< ThreadSanitizer fiber handle (tsan builds)
   void* asan_fake_stack_ = nullptr;  ///< AddressSanitizer fake-stack handle
 };
@@ -97,6 +124,10 @@ class FiberScheduler {
   FiberScheduler& operator=(const FiberScheduler&) = delete;
 
   static constexpr size_t kDefaultStackSize = 128 * 1024;
+  /// Fibers one scheduler can hold: the ready bitset is a fixed array
+  /// inside the scheduler, four times the largest thread block of any
+  /// arch preset.
+  static constexpr size_t kMaxFibers = 4096;
 
   /// Register a fiber; all spawns must happen before run(). Returns its
   /// index (dense, starting at 0).
@@ -109,18 +140,19 @@ class FiberScheduler {
   /// Rethrows the first exception a fiber escaped with.
   Status run();
 
-  /// Watchdog: bound run() to `budget` scheduler steps (fiber
-  /// switches); 0 = unlimited. Exceeding the budget stops the run with
-  /// DEADLINE_EXCEEDED and a fiber-state dump — the only way out of a
-  /// livelock, where every fiber stays runnable and the deadlock
-  /// detector never fires.
+  /// Watchdog: bound run() to `budget` scheduler steps; 0 = unlimited.
+  /// Exceeding the budget stops the run with DEADLINE_EXCEEDED and a
+  /// fiber-state dump — the only way out of a livelock, where every
+  /// fiber stays runnable and the deadlock detector never fires.
   void setStepBudget(uint64_t budget) { step_budget_ = budget; }
 
   /// Fault injection: make run() fail with INTERNAL ("kernel trap")
   /// once the step counter reaches `step` (1-based; 0 disarms).
   void setTrapStep(uint64_t step) { trap_step_ = step; }
 
-  /// Scheduler steps taken so far (deterministic for a given program).
+  /// Scheduler steps taken so far: one per time a fiber is given the
+  /// processor, including a yielding fiber resumed because no other
+  /// fiber was ready (deterministic for a given program).
   [[nodiscard]] uint64_t stepCount() const { return step_count_; }
 
   // ---- Calls below are only legal from inside a running fiber. ----
@@ -128,13 +160,14 @@ class FiberScheduler {
   /// Yield the processor but stay runnable.
   void yield();
 
-  /// Block the current fiber on `tag` until some fiber calls
-  /// unblockAll(tag). `tag` must be non-null.
-  void block(const void* tag);
+  /// Block the current fiber on `waiters` until some fiber calls
+  /// unblockAll(waiters).
+  void block(WaitList& waiters);
 
-  /// Make every fiber blocked on `tag` runnable again. Callable from
-  /// inside a fiber (typical) or from the scheduler thread between runs.
-  void unblockAll(const void* tag);
+  /// Make every fiber blocked on `waiters` runnable again. Callable
+  /// from inside a fiber (typical) or from the scheduler thread
+  /// between runs.
+  void unblockAll(WaitList& waiters);
 
   /// The currently executing fiber (nullptr if called off-fiber).
   [[nodiscard]] Fiber* current() const { return current_; }
@@ -145,8 +178,21 @@ class FiberScheduler {
  private:
   friend class Fiber;
 
-  void switchToFiber(Fiber& f);
-  void switchToScheduler();
+  static constexpr size_t kNoFiber = ~size_t{0};
+
+  void markReady(const Fiber& f);
+  /// Lowest ready index >= `from`, else the lowest ready index; kNoFiber
+  /// when no fiber is ready.
+  [[nodiscard]] size_t nextReady(size_t from) const;
+  /// Give `f` the processor: count the step and take it off the ready set.
+  void enter(Fiber& f);
+  /// True when the run must end at this step boundary whatever is ready.
+  [[nodiscard]] bool stopRequested() const;
+  /// `from` has yielded, blocked or finished: run the next fiber of the
+  /// sweep, or return to run() to end the run.
+  void switchFrom(Fiber& from);
+  /// First thing a fiber does when it gets the processor back.
+  void resumed(Fiber& f);
   [[nodiscard]] std::string describeBlockedFibers() const;
   [[nodiscard]] std::string describeFiberStates() const;
 
@@ -154,10 +200,14 @@ class FiberScheduler {
   StackAllocator stack_allocator_;
   std::thread::id owner_thread_ = std::this_thread::get_id();
   std::vector<std::unique_ptr<Fiber>> fibers_;
-  void* scheduler_sp_ = nullptr;  ///< run()'s stack while a fiber runs
+  /// Ready fibers: bit i%64 of ready_[i/64]; bit w of ready_words_ is
+  /// set while ready_[w] is nonzero.
+  std::array<uint64_t, kMaxFibers / 64> ready_{};
+  uint64_t ready_words_ = 0;
+  void* scheduler_sp_ = nullptr;  ///< run()'s stack while fibers run
   void* tsan_scheduler_fiber_ = nullptr;
-  /// The stack run() executes on, as AddressSanitizer reported it on
-  /// the last switch into a fiber (asan builds).
+  /// The stack run() executes on, as AddressSanitizer reported it when
+  /// run() switched into the first fiber (asan builds).
   const void* asan_stack_bottom_ = nullptr;
   size_t asan_stack_size_ = 0;
   Fiber* current_ = nullptr;

@@ -227,7 +227,7 @@ Status parseProfile(Lexer& lex, DirectiveSpec& spec) {
   if (lex.peek().kind != Kind::kIdent) {
     return Status::invalidArgument("profile expects on|off|auto");
   }
-  const std::string word = lex.take().text;
+  const std::string& word = lex.peek().text;
   if (word == "on") {
     spec.options.profile.mode = simprof::ProfileMode::kOn;
   } else if (word == "off") {
@@ -237,6 +237,7 @@ Status parseProfile(Lexer& lex, DirectiveSpec& spec) {
   } else {
     return Status::invalidArgument("unknown profile mode '" + word + "'");
   }
+  lex.take();
   return expect(lex, Kind::kRParen, "')'");
 }
 

@@ -155,7 +155,7 @@ void BlockEngine::arriveAtSync(ThreadCtx& t, SyncPoint& sp) {
       // counting toward its target. The barrier can never release, so
       // every participant ends up blocked and the deadlock detector
       // reports the stuck fibers.
-      for (;;) scheduler_.block(&sp);
+      for (;;) scheduler_.block(sp.waiters);
     }
   }
   sp.arrived += 1;
@@ -167,11 +167,11 @@ void BlockEngine::arriveAtSync(ThreadCtx& t, SyncPoint& sp) {
     sp.arrived = 0;
     sp.pendingMax = 0;
     t.alignTimeTo(sp.releaseTime[parity]);
-    scheduler_.unblockAll(&sp);
+    scheduler_.unblockAll(sp.waiters);
     return;
   }
   const uint64_t my_generation = sp.generation;
-  scheduler_.block(&sp);
+  scheduler_.block(sp.waiters);
   t.alignTimeTo(sp.releaseTime[my_generation & 1]);
 }
 
@@ -225,12 +225,12 @@ bool BlockEngine::convergentBatchArrive(BatchPoint& bp) {
     bp.arrived = 0;
     return true;
   }
-  scheduler_.block(&bp);
+  scheduler_.block(bp.waiters);
   return false;
 }
 
 void BlockEngine::convergentBatchRelease(BatchPoint& bp) {
-  scheduler_.unblockAll(&bp);
+  scheduler_.unblockAll(bp.waiters);
 }
 
 void ThreadCtx::hazardForbidden(const char* what) {

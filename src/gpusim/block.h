@@ -41,23 +41,25 @@ struct SyncPoint {
   // generation g read slot g&1, which the *next* generation (g+1) cannot
   // clobber before all g-waiters re-arrive (they are part of the mask).
   std::array<uint64_t, 2> releaseTime{};
+  fiber::WaitList waiters;  ///< lanes parked until the release
 };
 
 /// Rendezvous + result slot for one convergence fast-path batch (one
 /// (warp, mask) pair). The last lane to arrive becomes the *runner*: it
 /// executes the batched loop bodies for every lane, deposits per-lane
-/// results, and releases the others. Arena-allocated (stable address =
-/// fiber block tag); trivially destructible by construction.
+/// results, and releases the others. Arena-allocated (stable address
+/// for its wait list); trivially destructible by construction.
 struct BatchPoint {
   LaneMask mask = 0;
   uint32_t target = 0;
   uint32_t arrived = 0;
   std::array<double, 64> result{};  ///< per-lane reduce results (by lane id)
+  fiber::WaitList waiters;  ///< lanes parked until the runner releases them
 };
 
 struct WarpState {
   LaneMask memberMask = 0;                 ///< lanes that exist in the block
-  std::vector<std::unique_ptr<SyncPoint>> syncs;  ///< stable addresses (block tags)
+  std::vector<std::unique_ptr<SyncPoint>> syncs;  ///< stable addresses (wait lists)
   std::vector<BatchPoint*> batches;        ///< arena-owned, keyed by mask
   std::array<uint64_t, 64> exchange{};     ///< shuffle/ballot staging
 };

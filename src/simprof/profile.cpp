@@ -39,7 +39,8 @@ std::string_view profileModeName(ProfileMode mode) {
 std::string ProfileNode::label() const {
   std::string out(constructName(construct));
   if (construct == Construct::kSimdLoop && detail != 0) {
-    out += "@" + std::to_string(detail);
+    out += '@';
+    out += std::to_string(detail);
   }
   return out;
 }

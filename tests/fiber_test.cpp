@@ -4,6 +4,7 @@
 #include <cfenv>
 #include <cstdint>
 #include <functional>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -48,18 +49,18 @@ TEST(FiberTest, YieldInterleavesRoundRobin) {
 
 TEST(FiberTest, BlockAndUnblockAll) {
   FiberScheduler sched;
-  int tag = 0;
+  WaitList tag;
   std::vector<int> order;
   // Two waiters and one releaser.
   for (int i = 0; i < 2; ++i) {
     sched.spawn([&, i] {
-      sched.block(&tag);
+      sched.block(tag);
       order.push_back(i);
     });
   }
   sched.spawn([&] {
     order.push_back(99);
-    sched.unblockAll(&tag);
+    sched.unblockAll(tag);
   });
   EXPECT_TRUE(sched.run().isOk());
   EXPECT_EQ(order, (std::vector<int>{99, 0, 1}));
@@ -67,8 +68,8 @@ TEST(FiberTest, BlockAndUnblockAll) {
 
 TEST(FiberTest, DeadlockIsDetected) {
   FiberScheduler sched;
-  int tag = 0;
-  sched.spawn([&] { sched.block(&tag); });  // nobody ever unblocks
+  WaitList tag;
+  sched.spawn([&] { sched.block(tag); });  // nobody ever unblocks
   const Status status = sched.run();
   ASSERT_FALSE(status.isOk());
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
@@ -77,8 +78,8 @@ TEST(FiberTest, DeadlockIsDetected) {
 
 TEST(FiberTest, PartialDeadlockReportsBlockedCount) {
   FiberScheduler sched;
-  int tag = 0;
-  sched.spawn([&] { sched.block(&tag); });
+  WaitList tag;
+  sched.spawn([&] { sched.block(tag); });
   sched.spawn([] {});  // finishes fine
   const Status status = sched.run();
   ASSERT_FALSE(status.isOk());
@@ -93,16 +94,16 @@ TEST(FiberTest, ExceptionPropagatesToRun) {
 
 TEST(FiberTest, ManyBlockUnblockRounds) {
   FiberScheduler sched;
-  int tag = 0;
+  WaitList tag;
   constexpr int kRounds = 50;
   int counter = 0;
   sched.spawn([&] {
-    for (int r = 0; r < kRounds; ++r) sched.block(&tag);
+    for (int r = 0; r < kRounds; ++r) sched.block(tag);
     counter += 1;
   });
   sched.spawn([&] {
     for (int r = 0; r < kRounds; ++r) {
-      sched.unblockAll(&tag);
+      sched.unblockAll(tag);
       sched.yield();
     }
   });
@@ -327,16 +328,16 @@ class FiberBarrierProperty : public ::testing::TestWithParam<int> {};
 TEST_P(FiberBarrierProperty, AllOrNothingRendezvous) {
   const int n = GetParam();
   FiberScheduler sched(64 * 1024);
-  int tag = 0;
+  WaitList tag;
   int arrived = 0;
   std::vector<int> after;
   for (int i = 0; i < n; ++i) {
     sched.spawn([&, i] {
       ++arrived;
       if (arrived == n) {
-        sched.unblockAll(&tag);
+        sched.unblockAll(tag);
       } else {
-        sched.block(&tag);
+        sched.block(tag);
       }
       // By the time anyone proceeds, all must have arrived.
       EXPECT_EQ(arrived, n);
@@ -349,6 +350,321 @@ TEST_P(FiberBarrierProperty, AllOrNothingRendezvous) {
 
 INSTANTIATE_TEST_SUITE_P(Counts, FiberBarrierProperty,
                          ::testing::Values(2, 3, 8, 32, 64));
+
+// ---- The step sequence, pinned against a reference sweep ----
+
+enum class Op : uint8_t { kYield, kBlock, kUnblockAll };
+struct Action {
+  Op op = Op::kYield;
+  size_t list = 0;  ///< wait list index for kBlock / kUnblockAll
+};
+/// One action list per fiber; a fiber finishes after its last action.
+using Script = std::vector<std::vector<Action>>;
+
+struct Outcome {
+  std::vector<size_t> resumptions;  ///< fiber given the processor, per step
+  uint64_t steps = 0;
+  StatusCode code = StatusCode::kOk;
+  size_t finished = 0;
+};
+
+/// The scheduler's order as a plain sweep over fiber indices: each
+/// sweep runs every ready fiber in index order, a run ends after the
+/// step that reaches the trap step or the budget, and a sweep that
+/// runs no fiber is a deadlock.
+Outcome referenceSweep(const Script& script, size_t num_lists,
+                       uint64_t trap_step, uint64_t budget) {
+  enum class State { kReady, kBlocked, kFinished };
+  const size_t n = script.size();
+  std::vector<State> state(n, State::kReady);
+  std::vector<size_t> pc(n, 0);
+  std::vector<size_t> waits_on(n, num_lists);
+  Outcome out;
+  while (out.finished < n) {
+    bool progressed = false;
+    for (size_t i = 0; i < n; ++i) {
+      if (state[i] != State::kReady) continue;
+      progressed = true;
+      ++out.steps;
+      out.resumptions.push_back(i);
+      for (;;) {
+        if (pc[i] == script[i].size()) {
+          state[i] = State::kFinished;
+          ++out.finished;
+          break;
+        }
+        const Action a = script[i][pc[i]++];
+        if (a.op == Op::kUnblockAll) {
+          for (size_t j = 0; j < n; ++j) {
+            if (state[j] == State::kBlocked && waits_on[j] == a.list) {
+              state[j] = State::kReady;
+            }
+          }
+          continue;
+        }
+        if (a.op == Op::kBlock) {
+          state[i] = State::kBlocked;
+          waits_on[i] = a.list;
+        }
+        break;
+      }
+      if (trap_step != 0 && out.steps >= trap_step) {
+        out.code = StatusCode::kInternal;
+        return out;
+      }
+      if (budget != 0 && out.steps >= budget) {
+        out.code = StatusCode::kDeadlineExceeded;
+        return out;
+      }
+    }
+    if (!progressed) {
+      out.code = StatusCode::kFailedPrecondition;
+      return out;
+    }
+  }
+  return out;
+}
+
+Outcome runScript(const Script& script, size_t num_lists, uint64_t trap_step,
+                  uint64_t budget) {
+  FiberScheduler sched(32 * 1024);
+  sched.setTrapStep(trap_step);
+  sched.setStepBudget(budget);
+  std::vector<WaitList> lists(num_lists);
+  Outcome out;
+  for (size_t i = 0; i < script.size(); ++i) {
+    sched.spawn([&, i] {
+      out.resumptions.push_back(i);
+      for (const Action& a : script[i]) {
+        switch (a.op) {
+          case Op::kYield:
+            sched.yield();
+            out.resumptions.push_back(i);
+            break;
+          case Op::kBlock:
+            sched.block(lists[a.list]);
+            out.resumptions.push_back(i);
+            break;
+          case Op::kUnblockAll:
+            sched.unblockAll(lists[a.list]);
+            break;
+        }
+      }
+    });
+  }
+  out.code = sched.run().code();
+  out.steps = sched.stepCount();
+  out.finished = sched.finishedCount();
+  return out;
+}
+
+Script randomScript(std::mt19937_64& rng, size_t fibers, size_t num_lists) {
+  std::uniform_int_distribution<size_t> length(0, 12);
+  std::uniform_int_distribution<int> kind(0, 9);
+  std::uniform_int_distribution<size_t> list(0, num_lists - 1);
+  Script script(fibers);
+  for (auto& actions : script) {
+    actions.resize(length(rng));
+    for (Action& a : actions) {
+      const int k = kind(rng);
+      a.op = k < 4 ? Op::kYield : k < 6 ? Op::kBlock : Op::kUnblockAll;
+      a.list = list(rng);
+    }
+  }
+  return script;
+}
+
+class FiberStepSequenceProperty : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(FiberStepSequenceProperty, MatchesTheReferenceSweep) {
+  const size_t fibers = GetParam();
+  constexpr size_t kLists = 3;
+  for (uint64_t seed = 0; seed < 24; ++seed) {
+    std::mt19937_64 rng(seed * 1000 + fibers);
+    const Script script = randomScript(rng, fibers, kLists);
+    const Outcome free_run = referenceSweep(script, kLists, 0, 0);
+    // A third of the seeds arm a trap, a third a watchdog budget, at a
+    // step inside the free run.
+    std::uniform_int_distribution<uint64_t> step(1, free_run.steps);
+    const uint64_t trap = seed % 3 == 1 ? step(rng) : 0;
+    const uint64_t budget = seed % 3 == 2 ? step(rng) : 0;
+    const Outcome want = referenceSweep(script, kLists, trap, budget);
+    const Outcome got = runScript(script, kLists, trap, budget);
+    EXPECT_EQ(got.resumptions, want.resumptions) << "seed " << seed;
+    EXPECT_EQ(got.steps, want.steps) << "seed " << seed;
+    EXPECT_EQ(got.code, want.code) << "seed " << seed;
+    EXPECT_EQ(got.finished, want.finished) << "seed " << seed;
+  }
+}
+
+// Word boundaries of the ready bitset: 63, 64 and 65 fibers, and 300
+// spanning five words.
+INSTANTIATE_TEST_SUITE_P(Counts, FiberStepSequenceProperty,
+                         ::testing::Values(1, 63, 64, 65, 300));
+
+TEST(FiberStepTest, FullSchedulerSweepsItsLastWordAndWraps) {
+  constexpr size_t kFibers = FiberScheduler::kMaxFibers;
+  FiberScheduler sched(16 * 1024);
+  std::vector<size_t> order;
+  order.reserve(2 * kFibers);
+  for (size_t i = 0; i < kFibers; ++i) {
+    sched.spawn([&, i] {
+      order.push_back(i);
+      sched.yield();
+      order.push_back(i);
+    });
+  }
+  EXPECT_TRUE(sched.run().isOk());
+  std::vector<size_t> want;
+  for (int round = 0; round < 2; ++round) {
+    for (size_t i = 0; i < kFibers; ++i) want.push_back(i);
+  }
+  EXPECT_EQ(order, want);
+  EXPECT_EQ(sched.stepCount(), 2 * kFibers);
+}
+
+/// Three fibers yield four times each; fiber 3 blocks for good.
+void spawnYieldersAndOneBlocked(FiberScheduler& sched, WaitList& never,
+                                std::vector<size_t>& order) {
+  for (size_t i = 0; i < 3; ++i) {
+    sched.spawn([&, i] {
+      for (int r = 0; r < 4; ++r) {
+        order.push_back(i);
+        sched.yield();
+      }
+    });
+  }
+  sched.spawn([&] {
+    order.push_back(3);
+    sched.block(never);
+  });
+}
+
+TEST(FiberStepTest, TrapFiresAfterExactlyItsStep) {
+  FiberScheduler sched;
+  WaitList never;
+  std::vector<size_t> order;
+  spawnYieldersAndOneBlocked(sched, never, order);
+  sched.setTrapStep(7);
+  const Status status = sched.run();
+  EXPECT_EQ(status.code(), StatusCode::kInternal);
+  EXPECT_EQ(status.message(),
+            "[simfault] injected kernel trap at step 7; fiber 0 runnable; "
+            "fiber 1 runnable; fiber 2 runnable; fiber 3 blocked on tag#0; "
+            "3 runnable, 1 blocked, 0 finished of 4");
+  EXPECT_EQ(sched.stepCount(), 7u);
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 0, 1, 2}));
+}
+
+TEST(FiberStepTest, WatchdogFiresAfterExactlyItsBudget) {
+  FiberScheduler sched;
+  WaitList never;
+  std::vector<size_t> order;
+  spawnYieldersAndOneBlocked(sched, never, order);
+  sched.setStepBudget(6);
+  const Status status = sched.run();
+  EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(status.message(),
+            "[simfault] watchdog: block exceeded its step budget of 6; "
+            "fiber 0 runnable; fiber 1 runnable; fiber 2 runnable; "
+            "fiber 3 blocked on tag#0; 3 runnable, 1 blocked, 0 finished "
+            "of 4");
+  EXPECT_EQ(sched.stepCount(), 6u);
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 0, 1}));
+}
+
+TEST(FiberStepTest, TrapOnTheLastStepBeatsCompletion) {
+  FiberScheduler sched;
+  sched.spawn([] {});
+  sched.spawn([] {});
+  sched.setTrapStep(2);
+  const Status status = sched.run();
+  EXPECT_EQ(status.code(), StatusCode::kInternal);
+  EXPECT_EQ(status.message(),
+            "[simfault] injected kernel trap at step 2; 0 runnable, "
+            "0 blocked, 2 finished of 2");
+  EXPECT_EQ(sched.finishedCount(), 2u);
+}
+
+TEST(FiberStepTest, YieldWithNoOtherFiberReadyCountsAStepAndResumes) {
+  FiberScheduler sched;
+  WaitList parked;
+  std::vector<size_t> order;
+  sched.spawn([&] {
+    order.push_back(0);
+    sched.block(parked);
+    order.push_back(0);
+  });
+  sched.spawn([&] {
+    for (int r = 0; r < 3; ++r) {
+      order.push_back(1);
+      sched.yield();  // fiber 0 is blocked: nothing else is ready
+    }
+    order.push_back(1);
+    sched.unblockAll(parked);
+  });
+  EXPECT_TRUE(sched.run().isOk());
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 1, 1, 1, 0}));
+  EXPECT_EQ(sched.stepCount(), 6u);
+}
+
+TEST(FiberStepTest, ExceptionWhileOthersAreBlockedEndsTheRunAtItsStep) {
+  FiberScheduler sched;
+  WaitList a;
+  WaitList b;
+  sched.spawn([&] { sched.block(a); });
+  sched.spawn([&] { sched.block(b); });
+  sched.spawn([&] {
+    sched.yield();
+    sched.yield();
+    throw std::runtime_error("lane fault");
+  });
+  EXPECT_THROW((void)sched.run(), std::runtime_error);
+  EXPECT_EQ(sched.stepCount(), 5u);
+  EXPECT_EQ(sched.finishedCount(), 1u);
+  EXPECT_EQ(sched.current(), nullptr);
+}
+
+TEST(FiberStepTest, SchedulerNestedInsideAFiberKeepsBothSequences) {
+  FiberScheduler outer;
+  std::vector<std::string> order;
+  uint64_t inner_steps = 0;
+  outer.spawn([&] {
+    order.push_back("A0");
+    FiberScheduler inner(32 * 1024);
+    WaitList gate;
+    for (int i = 0; i < 3; ++i) {
+      inner.spawn([&, i] {
+        order.push_back("i" + std::to_string(i));
+        if (i == 0) {
+          inner.block(gate);
+        } else {
+          inner.yield();
+        }
+        if (i == 2) inner.unblockAll(gate);
+        order.push_back("i" + std::to_string(i + 10));
+      });
+    }
+    EXPECT_TRUE(inner.run().isOk());
+    inner_steps = inner.stepCount();
+    ASSERT_NE(outer.current(), nullptr);
+    EXPECT_EQ(outer.current()->index(), 0u);
+    order.push_back("A1");
+    outer.yield();
+    order.push_back("A2");
+  });
+  outer.spawn([&] {
+    order.push_back("B0");
+    outer.yield();
+    order.push_back("B1");
+  });
+  EXPECT_TRUE(outer.run().isOk());
+  EXPECT_EQ(order, (std::vector<std::string>{"A0", "i0", "i1", "i2", "i11",
+                                             "i12", "i10", "A1", "B0", "A2",
+                                             "B1"}));
+  EXPECT_EQ(inner_steps, 6u);
+  EXPECT_EQ(outer.stepCount(), 4u);
+}
 
 }  // namespace
 }  // namespace simtomp::fiber

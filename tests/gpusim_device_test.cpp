@@ -121,11 +121,11 @@ TEST(DeviceTest, BlockSetupHookRunsPerBlock) {
 
 TEST(DeviceTest, BlockErrorIsPropagatedWithBlockId) {
   Device dev(ArchSpec::testTiny());
-  int tag = 0;
-  auto stats = dev.launch({3, 32}, [&tag](ThreadCtx& t) {
+  auto stats = dev.launch({3, 32}, [](ThreadCtx& t) {
     if (t.blockId() == 2 && t.threadId() == 0) {
-      // Block on a tag nobody releases: simulated deadlock.
-      t.block().scheduler().block(&tag);
+      // Block on a list nobody releases: simulated deadlock.
+      fiber::WaitList never_released;
+      t.block().scheduler().block(never_released);
     }
   });
   ASSERT_FALSE(stats.isOk());

@@ -188,14 +188,14 @@ TEST(BlockExecutorTest, FailingBlockReportsLowestBlockId) {
   // Under parallel execution several blocks may fail; the reported
   // error must deterministically be the lowest failing block's.
   Device dev(ArchSpec::testTiny());
-  int tag = 0;
   LaunchConfig config;
   config.numBlocks = 6;
   config.threadsPerBlock = 32;
   config.hostWorkers = 4;
-  auto stats = dev.launch(config, [&tag](ThreadCtx& t) {
+  auto stats = dev.launch(config, [](ThreadCtx& t) {
     if (t.blockId() >= 3 && t.threadId() == 0) {
-      t.block().scheduler().block(&tag);  // simulated deadlock
+      fiber::WaitList never_released;
+      t.block().scheduler().block(never_released);  // simulated deadlock
     }
   });
   ASSERT_FALSE(stats.isOk());

@@ -3,10 +3,15 @@
 // and launch-path integration (metrics record even with profiling off).
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <functional>
 #include <set>
 #include <sstream>
 #include <string>
 
+#include "apps/laplace3d.h"
+#include "apps/muram.h"
+#include "apps/sparse_matvec.h"
 #include "dsl/dsl.h"
 #include "gpusim/device.h"
 #include "simprof/metrics.h"
@@ -185,6 +190,89 @@ TEST_F(MetricsTest, SuccessfulLaunchesCountFiberHostWork) {
   EXPECT_EQ(reg.value(metric::kLaunchFailuresTotal), 1u);
   EXPECT_EQ(reg.value(metric::kFiberSwitchesTotal), 0u);
   EXPECT_EQ(reg.value(metric::kFibersSpawnedTotal), 0u);
+}
+
+/// Scheduler steps of generic-mode app launches, recorded at 1 and 4
+/// host workers before fibers handed the processor to each other
+/// directly. Any change to the fibers' round-robin order, or to what
+/// counts as a step, moves these counts.
+TEST_F(MetricsTest, GenericAppLaunchesTakePinnedFiberSteps) {
+  auto& reg = MetricsRegistry::global();
+  const apps::CsrMatrix csr = [] {
+    apps::CsrGenConfig config;
+    config.numRows = 512;
+    config.numCols = 512;
+    return apps::generateCsr(config);
+  }();
+  const apps::Laplace3dWorkload grid = apps::generateLaplace3d(18, 5);
+  const apps::MuramWorkload muram = apps::generateMuram(12, 10, 16, 5);
+  struct Case {
+    const char* name;
+    std::function<Result<apps::AppRunResult>(gpusim::Device&)> run;
+    uint64_t steps;
+  };
+  const Case cases[] = {
+      {"spmv 3-level generic",
+       [&](gpusim::Device& dev) {
+         apps::SpmvOptions options;
+         options.numTeams = 8;
+         options.threadsPerTeam = 128;
+         return apps::runSpmv(dev, csr, options);
+       },
+       14704},
+      {"spmv 2-level",
+       [&](gpusim::Device& dev) {
+         apps::SpmvOptions options;
+         options.variant = apps::SpmvVariant::kTwoLevel;
+         options.numTeams = 8;
+         options.threadsPerTeam = 64;
+         return apps::runSpmv(dev, csr, options);
+       },
+       98808},
+      {"laplace3d generic simd",
+       [&](gpusim::Device& dev) {
+         apps::Laplace3dOptions options;
+         options.mode = apps::SimdMode::kGenericSimd;
+         options.numTeams = 4;
+         options.threadsPerTeam = 64;
+         return apps::runLaplace3d(dev, grid, options);
+       },
+       24816},
+      {"muram interpol generic simd",
+       [&](gpusim::Device& dev) {
+         apps::MuramOptions options;
+         options.mode = apps::SimdMode::kGenericSimd;
+         options.numTeams = 4;
+         options.threadsPerTeam = 64;
+         return apps::runMuramInterpol(dev, muram, options);
+       },
+       12168},
+  };
+  // laplace3d and muram take their worker count from the environment.
+  struct RestoreWorkersEnv {
+    const char* saved = std::getenv("SIMTOMP_HOST_WORKERS");
+    std::string value = saved != nullptr ? saved : "";
+    ~RestoreWorkersEnv() {
+      if (saved != nullptr) {
+        ::setenv("SIMTOMP_HOST_WORKERS", value.c_str(), 1);
+      } else {
+        ::unsetenv("SIMTOMP_HOST_WORKERS");
+      }
+    }
+  } restore;
+  for (const char* workers : {"1", "4"}) {
+    ASSERT_EQ(::setenv("SIMTOMP_HOST_WORKERS", workers, 1), 0);
+    for (const Case& c : cases) {
+      reg.reset();
+      gpusim::Device dev;
+      const auto result = c.run(dev);
+      ASSERT_TRUE(result.isOk()) << c.name << ": "
+                                 << result.status().toString();
+      EXPECT_TRUE(result.value().verified) << c.name;
+      EXPECT_EQ(reg.value(metric::kFiberSwitchesTotal), c.steps)
+          << c.name << " at " << workers << " host workers";
+    }
+  }
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI gate for the host-parallel block executor.
 #
-# Stage 1: knob lint, regular build, full test suite. The lint fails
+# Stage 1: knob lint, regular build with warnings as errors
+#          (SIMTOMP_WERROR=ON), full test suite. The lint fails
 #          the build when std::getenv appears under src/ outside the
 #          knob module (src/gpusim/knobs.*) and the deployment-path
 #          readers (SIMTOMP_LOG, SIMTOMP_LOG_FILE, SIMTOMP_METRICS,
@@ -78,15 +79,16 @@
 #          never perturbs the modeled stats dump or replay report and
 #          emits BENCH_serve_observability.json.
 # Stage 13: ASan+UBSan build; the text-parsing, command-line,
-#          fault-injection, serving-trace, knob, fiber, device-memory
-#          and fast-path suites (front_, support_, cli_, simfault_,
-#          simserve_mix, simserve_trace, hostrt_defaults, knobs_,
-#          fiber_, gpusim_memory_, fastpath_) run with every report
-#          fatal, including exceptions unwinding on arena-allocated
-#          fiber stacks (the fast path's hazard guard throws out of a
-#          batched body while the group's other lanes are parked), the
-#          hand-written stack switch and the guard pages around the
-#          lazily committed global-memory arena.
+#          fault-injection, serving-trace, knob, fiber, simulator,
+#          runtime and fast-path suites (front_, support_, cli_,
+#          simfault_, simserve_mix, simserve_trace, hostrt_defaults,
+#          knobs_, fiber_, gpusim_, omprt_, fastpath_) run with every
+#          report fatal, including exceptions unwinding on
+#          arena-allocated fiber stacks (the fast path's hazard guard
+#          throws out of a batched body while the group's other lanes
+#          are parked), the hand-written stack switch and its
+#          fiber-to-fiber handoffs in real kernels, and the guard pages
+#          around the lazily committed global-memory arena.
 #
 # Usage: tools/ci.sh [build-dir-prefix]   (default: build-ci)
 set -euo pipefail
@@ -109,7 +111,7 @@ same_bytes() {
   done
 }
 
-echo "=== stage 1: knob lint, regular build + full ctest ==="
+echo "=== stage 1: knob lint, -Werror build + full ctest ==="
 if grep -rn 'std::getenv' src \
     | grep -v '^src/gpusim/knobs\.' \
     | grep -vE 'getenv\("SIMTOMP_(LOG|LOG_FILE|METRICS|TUNE_CACHE)"\)'; then
@@ -117,7 +119,8 @@ if grep -rn 'std::getenv' src \
     "add a knob-table row instead" >&2
   exit 1
 fi
-cmake -B "${prefix}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
+cmake -B "${prefix}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DSIMTOMP_WERROR=ON
 cmake --build "${prefix}" -j "${jobs}"
 ctest --test-dir "${prefix}" --output-on-failure -j "${jobs}"
 
@@ -466,7 +469,7 @@ print(f"{bench['trace_events']} trace events "
 EOF
 echo "observability zero-perturbation guard passed"
 
-echo "=== stage 13: ASan+UBSan build, parser/cli/fault/serve-trace/knob/fiber/memory/fast-path suites ==="
+echo "=== stage 13: ASan+UBSan build, parser/cli/fault/serve-trace/knob/fiber/gpusim/omprt/fast-path suites ==="
 cmake -B "${prefix}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DSIMTOMP_SANITIZE=address -DSIMTOMP_BUILD_BENCH=OFF \
   -DSIMTOMP_BUILD_EXAMPLES=OFF
@@ -474,6 +477,6 @@ cmake --build "${prefix}-asan" -j "${jobs}"
 ASAN_OPTIONS="halt_on_error=1 detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
   ctest --test-dir "${prefix}-asan" --output-on-failure -j "${jobs}" \
-  -R '^(front|support|cli|simfault|simserve_mix|simserve_trace|hostrt_defaults|knobs|fiber|gpusim_memory|fastpath)_'
+  -R '^(front|support|cli|simfault|simserve_mix|simserve_trace|hostrt_defaults|knobs|fiber|gpusim|omprt|fastpath)_'
 
 echo "=== ci.sh: all stages passed ==="
