@@ -137,17 +137,12 @@ void asanUnpoison(const char*, size_t) {}
 #endif
 }  // namespace
 
-Fiber::Fiber(size_t index, Entry entry, size_t stack_size,
-             char* external_stack)
-    : index_(index), entry_(std::move(entry)) {
-  if (external_stack != nullptr) {
-    stack_data_ = external_stack;
-    asanUnpoison(stack_data_, stack_size);
-  } else {
-    owned_stack_.resize(stack_size);
-    stack_data_ = owned_stack_.data();
-  }
-  stack_bytes_ = stack_size;
+Fiber::Fiber(size_t index, Entry entry, size_t stack_size, char* stack)
+    : index_(index),
+      entry_(std::move(entry)),
+      stack_data_(stack),
+      stack_bytes_(stack_size) {
+  asanUnpoison(stack_data_, stack_bytes_);
   tsan_fiber_ = tsanCreateFiber();
   // First entry: a frame simtomp_fiber_switch pops into trampoline() as
   // if trampoline had been called, so rsp + 8 is 16-byte aligned at its
@@ -183,9 +178,7 @@ void Fiber::trampoline() {
   SIMTOMP_CHECK(false, "resumed a finished fiber");
 }
 
-FiberScheduler::FiberScheduler(size_t stack_size,
-                               StackAllocator stack_allocator)
-    : stack_size_(stack_size), stack_allocator_(std::move(stack_allocator)) {
+FiberScheduler::FiberScheduler(size_t stack_size) : stack_size_(stack_size) {
   SIMTOMP_CHECK(stack_size_ >= 16 * 1024, "fiber stack too small to be safe");
 }
 
@@ -198,10 +191,8 @@ size_t FiberScheduler::spawn(Fiber::Entry entry) {
   SIMTOMP_CHECK(fibers_.size() < kMaxFibers,
                 "spawn() beyond FiberScheduler::kMaxFibers fibers");
   const size_t index = fibers_.size();
-  char* external_stack =
-      stack_allocator_ ? stack_allocator_(stack_size_) : nullptr;
-  fibers_.emplace_back(
-      new Fiber(index, std::move(entry), stack_size_, external_stack));
+  char* stack = static_cast<char*>(arena_.arena().allocate(stack_size_, 64));
+  fibers_.emplace_back(new Fiber(index, std::move(entry), stack_size_, stack));
   markReady(*fibers_.back());
   return index;
 }

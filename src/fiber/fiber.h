@@ -40,6 +40,7 @@
 #include <thread>
 #include <vector>
 
+#include "support/arena.h"
 #include "support/status.h"
 
 namespace simtomp::fiber {
@@ -49,11 +50,11 @@ enum class FiberState : uint8_t { kReady, kRunning, kBlocked, kFinished };
 class Fiber;
 class FiberScheduler;
 
-/// The fibers blocked on one wait point (a barrier, a batch
-/// rendezvous), linked through the fibers themselves, so blocking and
-/// waking allocate nothing. It lives in the object fibers wait for and
-/// must outlive every fiber blocked on it; its address is the wait tag
-/// that diagnostics number. One list serves one scheduler.
+/// The fibers blocked on one wait point (a barrier), linked through
+/// the fibers themselves, so blocking and waking allocate nothing. It
+/// lives in the object fibers wait for and must outlive every fiber
+/// blocked on it; its address is the wait tag that diagnostics number.
+/// One list serves one scheduler.
 class WaitList {
  public:
   WaitList() = default;
@@ -81,15 +82,13 @@ class Fiber {
 
  private:
   friend class FiberScheduler;
-  /// `external_stack` non-null: use that storage (size `stack_size`,
-  /// owned by the caller, e.g. an arena) instead of heap-allocating.
-  Fiber(size_t index, Entry entry, size_t stack_size, char* external_stack);
+  /// `stack` is `stack_size` bytes of the scheduler's arena.
+  Fiber(size_t index, Entry entry, size_t stack_size, char* stack);
 
   static void trampoline();
 
   size_t index_;
   Entry entry_;
-  std::vector<char> owned_stack_;  ///< empty when the stack is external
   char* stack_data_ = nullptr;
   size_t stack_bytes_ = 0;
   void* sp_ = nullptr;  ///< saved stack pointer while switched out
@@ -107,17 +106,14 @@ class Fiber {
 /// execution, the worker that runs the block). spawn/run/yield/block/
 /// unblockAll assert they are called on that thread — fiber stacks
 /// must never migrate between host threads.
+///
+/// Fiber stacks bump through an arena the scheduler leases from its
+/// thread's pool (support::ArenaLease), so spawning reuses warm slabs
+/// instead of allocating. The lease outlives every fiber; owners such as
+/// BlockEngine park their own per-block state in the same arena.
 class FiberScheduler {
  public:
-  /// Optional external stack storage: called once per spawn with the
-  /// stack size; must return `stack_size` writable bytes that outlive
-  /// the scheduler (e.g. arena memory). nullptr = heap-allocate per
-  /// fiber (the pre-arena behaviour; stacks are then zero-initialized,
-  /// external stacks are handed out as-is).
-  using StackAllocator = std::function<char*(size_t stack_size)>;
-
-  explicit FiberScheduler(size_t stack_size = kDefaultStackSize,
-                          StackAllocator stack_allocator = nullptr);
+  explicit FiberScheduler(size_t stack_size = kDefaultStackSize);
   ~FiberScheduler();
 
   FiberScheduler(const FiberScheduler&) = delete;
@@ -175,6 +171,9 @@ class FiberScheduler {
   [[nodiscard]] size_t fiberCount() const { return fibers_.size(); }
   [[nodiscard]] size_t finishedCount() const { return finished_count_; }
 
+  /// The arena fiber stacks come from; it lives as long as the scheduler.
+  [[nodiscard]] support::Arena& arena() { return arena_.arena(); }
+
  private:
   friend class Fiber;
 
@@ -196,8 +195,9 @@ class FiberScheduler {
   [[nodiscard]] std::string describeBlockedFibers() const;
   [[nodiscard]] std::string describeFiberStates() const;
 
+  // Declared first so it is released last: every fiber stack lives in it.
+  support::ArenaLease arena_;
   size_t stack_size_;
-  StackAllocator stack_allocator_;
   std::thread::id owner_thread_ = std::this_thread::get_id();
   std::vector<std::unique_ptr<Fiber>> fibers_;
   /// Ready fibers: bit i%64 of ready_[i/64]; bit w of ready_words_ is

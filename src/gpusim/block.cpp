@@ -1,6 +1,7 @@
 #include "gpusim/block.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "support/log.h"
 
@@ -10,8 +11,8 @@ namespace simtomp::gpusim {
 // destructors; the context must not grow owning members.
 static_assert(std::is_trivially_destructible_v<ThreadCtx>,
               "ThreadCtx lives in the block arena");
-static_assert(std::is_trivially_destructible_v<BatchPoint>,
-              "BatchPoint lives in the block arena");
+static_assert(std::is_trivially_destructible_v<SyncPoint>,
+              "SyncPoint lives in the block arena");
 
 BlockEngine::BlockEngine(const ArchSpec& arch, const CostModel& cost,
                          DeviceMemory& global_memory, uint32_t block_id,
@@ -20,14 +21,7 @@ BlockEngine::BlockEngine(const ArchSpec& arch, const CostModel& cost,
       cost_(&cost),
       global_(&global_memory),
       block_id_(block_id),
-      shared_(arch.sharedMemPerBlock),
-      scheduler_(fiber::FiberScheduler::kDefaultStackSize,
-                 [this](size_t stack_size) {
-                   // Fiber stacks bump through the block arena (and its
-                   // thread-local pool of warm slabs) instead of the heap.
-                   return static_cast<char*>(
-                       arena_.arena().allocate(stack_size, 64));
-                 }) {
+      shared_(arch.sharedMemPerBlock) {
   SIMTOMP_CHECK(num_threads > 0, "block must have at least one thread");
   SIMTOMP_CHECK(num_threads <= arch.maxThreadsPerBlock,
                 "block exceeds maxThreadsPerBlock");
@@ -35,8 +29,7 @@ BlockEngine::BlockEngine(const ArchSpec& arch, const CostModel& cost,
   warps_.resize(num_warps);
   num_threads_ = num_threads;
   threads_ = static_cast<ThreadCtx*>(
-      arena_.arena().allocate(num_threads * sizeof(ThreadCtx),
-                              alignof(ThreadCtx)));
+      arena().allocate(num_threads * sizeof(ThreadCtx), alignof(ThreadCtx)));
   for (uint32_t tid = 0; tid < num_threads; ++tid) {
     ::new (static_cast<void*>(threads_ + tid)) ThreadCtx(
         *this, cost, block_id, num_blocks, tid, num_threads, arch.warpSize);
@@ -132,14 +125,14 @@ Status BlockEngine::run(const Kernel& kernel) {
 }
 
 SyncPoint& BlockEngine::findOrCreateSync(WarpState& warp, LaneMask mask) {
-  for (auto& sp : warp.syncs) {
+  for (SyncPoint* sp : warp.syncs) {
     if (sp->mask == mask) return *sp;
   }
-  auto sp = std::make_unique<SyncPoint>();
+  SyncPoint* sp = arena().create<SyncPoint>();
   sp->mask = mask;
   sp->target = static_cast<uint32_t>(popcount(mask & warp.memberMask));
-  warp.syncs.push_back(std::move(sp));
-  return *warp.syncs.back();
+  warp.syncs.push_back(sp);
+  return *sp;
 }
 
 void BlockEngine::arriveAtSync(ThreadCtx& t, SyncPoint& sp) {
@@ -175,22 +168,31 @@ void BlockEngine::arriveAtSync(ThreadCtx& t, SyncPoint& sp) {
   t.alignTimeTo(sp.releaseTime[my_generation & 1]);
 }
 
-void BlockEngine::warpBarrier(ThreadCtx& t, LaneMask mask, bool charged) {
-  // Covers syncWarp and, transitively, shuffle/ballot (both rendezvous
-  // here) for convergence-hazard classification.
-  t.noteHazard("warp barrier / cross-lane op");
+SyncPoint& BlockEngine::warpSync(const ThreadCtx& t, LaneMask mask) {
   SIMTOMP_CHECK(laneIn(mask, t.laneId()),
                 "warp barrier mask excludes the calling lane");
-  WarpState& warp = warps_[t.warpId()];
-  SyncPoint& sp = findOrCreateSync(warp, mask);
+  SyncPoint& sp = findOrCreateSync(warps_[t.warpId()], mask);
   SIMTOMP_CHECK(sp.target > 0, "warp barrier with no member lanes");
+  return sp;
+}
+
+void BlockEngine::announceWarpArrival(ThreadCtx& t, SyncPoint& sp,
+                                      bool charged) {
   t.noteEnter(simprof::Construct::kBarrier);
   t.charge(Counter::kWarpSync, charged ? cost_->warpSync : 0);
   if (checker_ != nullptr) {
     checker_->onSyncArrive(t.threadId(), &sp, t.warpId() * arch_->warpSize,
-                           mask & warp.memberMask, t.warpId(),
-                           /*is_block=*/false);
+                           sp.mask & warps_[t.warpId()].memberMask,
+                           t.warpId(), /*is_block=*/false);
   }
+}
+
+void BlockEngine::warpBarrier(ThreadCtx& t, LaneMask mask, bool charged) {
+  // Covers syncWarp and, transitively, shuffle/ballot (both rendezvous
+  // here) for convergence-hazard classification.
+  t.noteHazard("warp barrier / cross-lane op");
+  SyncPoint& sp = warpSync(t, mask);
+  announceWarpArrival(t, sp, charged);
   arriveAtSync(t, sp);
   t.noteExit();
 }
@@ -207,30 +209,45 @@ void BlockEngine::blockBarrier(ThreadCtx& t) {
   t.noteExit();
 }
 
-BatchPoint& BlockEngine::convergentBatchPoint(ThreadCtx& t, LaneMask mask) {
-  WarpState& warp = warps_[t.warpId()];
-  for (BatchPoint* bp : warp.batches) {
-    if (bp->mask == mask) return *bp;
+bool BlockEngine::groupArrive(ThreadCtx& t, LaneMask mask, bool charged) {
+  SyncPoint& sp = warpSync(t, mask);
+  announceWarpArrival(t, sp, charged);
+  if (++sp.parked < sp.target) {
+    scheduler_.block(sp.waiters);
+    return false;
   }
-  BatchPoint* bp = arena_.arena().create<BatchPoint>();
-  bp->mask = mask;
-  bp->target = static_cast<uint32_t>(popcount(mask & warp.memberMask));
-  warp.batches.push_back(bp);
-  return *bp;
+  sp.parked = 0;
+  closeGroupBarrier(t, mask);
+  return true;
 }
 
-bool BlockEngine::convergentBatchArrive(BatchPoint& bp) {
-  bp.arrived += 1;
-  if (bp.arrived == bp.target) {
-    bp.arrived = 0;
-    return true;
+void BlockEngine::groupBarrier(ThreadCtx& runner, LaneMask mask,
+                               bool charged) {
+  SyncPoint& sp = warpSync(runner, mask);
+  const uint32_t warp_base = runner.warpId() * arch_->warpSize;
+  for (LaneMask rest = mask; rest != 0; rest &= rest - 1) {
+    announceWarpArrival(threads_[warp_base + std::countr_zero(rest)], sp,
+                        charged);
   }
-  scheduler_.block(bp.waiters);
-  return false;
+  closeGroupBarrier(runner, mask);
 }
 
-void BlockEngine::convergentBatchRelease(BatchPoint& bp) {
-  scheduler_.unblockAll(bp.waiters);
+void BlockEngine::closeGroupBarrier(const ThreadCtx& runner, LaneMask mask) {
+  const uint32_t warp_base = runner.warpId() * arch_->warpSize;
+  uint64_t release = 0;
+  for (LaneMask rest = mask; rest != 0; rest &= rest - 1) {
+    release = std::max(release,
+                       threads_[warp_base + std::countr_zero(rest)].time());
+  }
+  for (LaneMask rest = mask; rest != 0; rest &= rest - 1) {
+    ThreadCtx& lane = threads_[warp_base + std::countr_zero(rest)];
+    lane.alignTimeTo(release);
+    lane.noteExit();
+  }
+}
+
+void BlockEngine::groupRelease(const ThreadCtx& runner, LaneMask mask) {
+  scheduler_.unblockAll(warpSync(runner, mask).waiters);
 }
 
 void ThreadCtx::hazardForbidden(const char* what) {
@@ -240,18 +257,17 @@ void ThreadCtx::hazardForbidden(const char* what) {
 }
 
 LaneMask BlockEngine::ballot(ThreadCtx& t, bool predicate, LaneMask mask) {
-  WarpState& warp = warps_[t.warpId()];
-  warp.exchange[t.laneId()] = predicate ? 1 : 0;
-  t.charge(Counter::kShuffle, cost_->aluOp);
-  warpBarrier(t, mask);
-  LaneMask result = 0;
-  for (unsigned lane = 0; lane < 64; ++lane) {
-    if (laneIn(mask & warp.memberMask, lane) && warp.exchange[lane] != 0) {
-      result |= LaneMask{1} << lane;
-    }
-  }
-  warpBarrier(t, mask);
-  return result;
+  return exchangeRound(
+      t, predicate ? 1 : 0, mask, [mask](const WarpState& warp) {
+        LaneMask result = 0;
+        for (unsigned lane = 0; lane < 64; ++lane) {
+          if (laneIn(mask & warp.memberMask, lane) &&
+              warp.exchange[lane] != 0) {
+            result |= LaneMask{1} << lane;
+          }
+        }
+        return result;
+      });
 }
 
 }  // namespace simtomp::gpusim

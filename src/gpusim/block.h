@@ -15,7 +15,6 @@
 
 #include <array>
 #include <cstring>
-#include <memory>
 #include <vector>
 
 #include "fiber/fiber.h"
@@ -31,10 +30,16 @@
 namespace simtomp::gpusim {
 
 /// Barrier bookkeeping for one (warp, mask) or block-wide sync point.
+/// Warp sync points live in the block arena (stable address for the
+/// wait list); trivially destructible by construction.
 struct SyncPoint {
   LaneMask mask = 0;
   uint32_t target = 0;
   uint32_t arrived = 0;
+  /// Lanes parked in BlockEngine::groupArrive, counted apart from
+  /// `arrived`: a group split between the fast path and a plain
+  /// barrier then deadlocks (and is reported) instead of releasing.
+  uint32_t parked = 0;
   uint64_t pendingMax = 0;
   uint64_t generation = 0;
   // Release times double-buffered by generation parity: waiters of
@@ -44,24 +49,12 @@ struct SyncPoint {
   fiber::WaitList waiters;  ///< lanes parked until the release
 };
 
-/// Rendezvous + result slot for one convergence fast-path batch (one
-/// (warp, mask) pair). The last lane to arrive becomes the *runner*: it
-/// executes the batched loop bodies for every lane, deposits per-lane
-/// results, and releases the others. Arena-allocated (stable address
-/// for its wait list); trivially destructible by construction.
-struct BatchPoint {
-  LaneMask mask = 0;
-  uint32_t target = 0;
-  uint32_t arrived = 0;
-  std::array<double, 64> result{};  ///< per-lane reduce results (by lane id)
-  fiber::WaitList waiters;  ///< lanes parked until the runner releases them
-};
-
 struct WarpState {
   LaneMask memberMask = 0;                 ///< lanes that exist in the block
-  std::vector<std::unique_ptr<SyncPoint>> syncs;  ///< stable addresses (wait lists)
-  std::vector<BatchPoint*> batches;        ///< arena-owned, keyed by mask
-  std::array<uint64_t, 64> exchange{};     ///< shuffle/ballot staging
+  std::vector<SyncPoint*> syncs;           ///< arena-owned, keyed by mask
+  /// shuffle/ballot staging; also where the convergence fast path's
+  /// runner leaves each lane's reduce result
+  std::array<uint64_t, 64> exchange{};
 };
 
 class BlockEngine {
@@ -89,14 +82,11 @@ class BlockEngine {
     static_assert(sizeof(T) <= sizeof(uint64_t) &&
                       std::is_trivially_copyable_v<T>,
                   "shuffle values must fit a 64-bit exchange slot");
-    WarpState& warp = warps_[t.warpId()];
     uint64_t raw = 0;
     std::memcpy(&raw, &value, sizeof(T));
-    warp.exchange[t.laneId()] = raw;
-    t.charge(Counter::kShuffle, t.cost().aluOp);
-    warpBarrier(t, mask);
-    const uint64_t fetched = warp.exchange[src_lane];
-    warpBarrier(t, mask);  // keep slots stable until every lane has read
+    const uint64_t fetched = exchangeRound(
+        t, raw, mask,
+        [src_lane](const WarpState& warp) { return warp.exchange[src_lane]; });
     T out;
     std::memcpy(&out, &fetched, sizeof(T));
     return out;
@@ -108,11 +98,11 @@ class BlockEngine {
   [[nodiscard]] DeviceMemory& globalMemory() { return *global_; }
   [[nodiscard]] const ArchSpec& arch() const { return *arch_; }
   [[nodiscard]] fiber::FiberScheduler& scheduler() { return scheduler_; }
-  /// Per-block bump arena; everything created here dies with the block.
-  /// The engine's own state (fiber stacks, thread contexts, batch
-  /// points) already lives here; the OpenMP runtime parks its TeamState
-  /// in it too.
-  [[nodiscard]] support::Arena& arena() { return arena_.arena(); }
+  /// Per-block bump arena (the scheduler's); everything created here
+  /// dies with the block. The engine's own state (fiber stacks, thread
+  /// contexts, warp sync points) already lives here; the OpenMP runtime
+  /// parks its TeamState in it too.
+  [[nodiscard]] support::Arena& arena() { return scheduler_.arena(); }
   /// Grid position of this block; under host-parallel execution the
   /// setup hook keys per-block state slots off this.
   [[nodiscard]] uint32_t blockId() const { return block_id_; }
@@ -127,16 +117,27 @@ class BlockEngine {
   /// the exact lane-per-fiber arrival sequence they were tuned against.
   [[nodiscard]] bool hasArmedFault() const { return fault_ != nullptr; }
 
-  // ---- Convergence fast path rendezvous ----
-  /// The batch point for (this warp, mask); created in the arena on
-  /// first use.
-  BatchPoint& convergentBatchPoint(ThreadCtx& t, LaneMask mask);
-  /// Arrive at a batch point. Returns true for the runner (the last
-  /// arrival, mirroring arriveAtSync's release rule); everyone else
-  /// blocks until convergentBatchRelease and returns false.
-  bool convergentBatchArrive(BatchPoint& bp);
-  /// Wake every lane parked at `bp` (runner only, after the batch).
-  void convergentBatchRelease(BatchPoint& bp);
+  // ---- Convergence fast path: one lane runs a warp group ----
+  // The group is the lanes of `mask` in the caller's warp; each call
+  // below works on the warp's SyncPoint for `mask`, so the group
+  // synchronizes exactly where warpBarrier(mask) would.
+  /// Arrive at the group's warp barrier exactly as warpBarrier does,
+  /// then park. The last arrival is the *runner*: it closes the barrier
+  /// for every lane (ascending lane order) and returns true, and from
+  /// then on runs the construct on behalf of the whole group. Every
+  /// other lane returns false only after groupRelease.
+  bool groupArrive(ThreadCtx& t, LaneMask mask, bool charged);
+  /// Runner only: one full warp barrier for every lane of the group,
+  /// in ascending lane order — the events each lane's warpBarrier would
+  /// produce, without the rendezvous.
+  void groupBarrier(ThreadCtx& runner, LaneMask mask, bool charged);
+  /// Runner only: wake every lane parked in groupArrive.
+  void groupRelease(const ThreadCtx& runner, LaneMask mask);
+  /// The caller's warp exchange slots; the runner leaves lane l's reduce
+  /// result in slot l before groupRelease.
+  [[nodiscard]] std::array<uint64_t, 64>& exchangeSlots(const ThreadCtx& t) {
+    return warps_[t.warpId()].exchange;
+  }
 
   /// Arbitrary per-block runtime state slot (the OpenMP runtime parks its
   /// TeamState here so device code can reach it from any thread).
@@ -179,16 +180,37 @@ class BlockEngine {
 
  private:
   SyncPoint& findOrCreateSync(WarpState& warp, LaneMask mask);
+  /// The sync point of `t`'s warp for `mask`, which must hold `t`'s lane.
+  SyncPoint& warpSync(const ThreadCtx& t, LaneMask mask);
+  /// The arrival half of every warp barrier, for lane `t` at `sp`:
+  /// enter the kBarrier span, charge kWarpSync (0 when not `charged`),
+  /// report the arrival to simcheck.
+  void announceWarpArrival(ThreadCtx& t, SyncPoint& sp, bool charged);
+  /// Release half of a group barrier the runner performs for the whole
+  /// group: align every lane to the latest arrival, exit its span.
+  void closeGroupBarrier(const ThreadCtx& runner, LaneMask mask);
   void arriveAtSync(ThreadCtx& t, SyncPoint& sp);
+  /// One cross-lane exchange round: deposit `raw` in the caller's slot,
+  /// charge kShuffle, barrier, `read` the warp's slots, barrier (keeps
+  /// the slots stable until every lane has read).
+  template <typename Read>
+  auto exchangeRound(ThreadCtx& t, uint64_t raw, LaneMask mask,
+                     const Read& read) {
+    WarpState& warp = warps_[t.warpId()];
+    warp.exchange[t.laneId()] = raw;
+    t.charge(Counter::kShuffle, cost_->aluOp);
+    warpBarrier(t, mask);
+    const auto out = read(warp);
+    warpBarrier(t, mask);
+    return out;
+  }
 
   const ArchSpec* arch_;
   const CostModel* cost_;
   DeviceMemory* global_;
   uint32_t block_id_;
   SharedMemory shared_;
-  // Declared before the scheduler and thread contexts: both allocate
-  // from it (fiber stacks / ThreadCtx array), so it must outlive them.
-  support::ArenaLease arena_;
+  // Owns the block arena; declared before everything allocated from it.
   fiber::FiberScheduler scheduler_;
   ThreadCtx* threads_ = nullptr;  ///< arena array, length num_threads_
   uint32_t num_threads_ = 0;

@@ -41,7 +41,8 @@ struct BlockOutcome {
 std::string spanLabel(const simprof::RawSpan& span, uint32_t block_id) {
   std::string label(simprof::constructName(span.construct));
   if (span.construct == simprof::Construct::kSimdLoop && span.detail != 0) {
-    label += "@" + std::to_string(span.detail);
+    label += '@';
+    label += std::to_string(span.detail);
   }
   label += " (b" + std::to_string(block_id) + ")";
   return label;

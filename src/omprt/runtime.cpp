@@ -163,120 +163,69 @@ void** publishSimdWork(OmpContext& ctx, void* fn, SimdWorkKind kind,
 // charge/profile/checker event sequence the lane-per-fiber path
 // produces, so modeled cycles, counters, traces, profiles and simcheck
 // verdicts are bit-identical; only the fiber-switch host cost
-// disappears. See DESIGN.md section 3.6.
+// disappears. The group's warp barriers (arrival, replay, release) are
+// BlockEngine::group* calls on the warp's sync point; this file only
+// runs the loop bodies. See DESIGN.md section 3.6.
 // ---------------------------------------------------------------------
 
-/// Everything the batched runner needs about the convergent group.
+/// Lane iteration over a convergent group: lane i is the group's i-th
+/// thread, in ascending warp-lane order.
 struct BatchGroup {
   gpusim::BlockEngine* eng = nullptr;
-  TeamState* ts = nullptr;
-  gpusim::BatchPoint* bp = nullptr;
-  LaneMask mask = 0;
   uint32_t groupSize = 0;
-  uint32_t firstTid = 0;   ///< thread id of the group's lane 0
-  uint32_t laneBase = 0;   ///< warp lane of the group's lane 0
-  uint32_t warpId = 0;
-  uint32_t warpBase = 0;
-  simcheck::BlockChecker* checker = nullptr;
+  uint32_t firstTid = 0;  ///< thread id of the group's lane 0
+
+  explicit BatchGroup(OmpContext& ctx)
+      : eng(&ctx.gpu().block()),
+        groupSize(ctx.simdGroupSize()),
+        firstTid(ctx.simdGroup() * ctx.simdGroupSize()) {}
 
   [[nodiscard]] gpusim::ThreadCtx& lane(uint32_t i) const {
     return eng->thread(firstTid + i);
   }
 };
 
-BatchGroup makeBatchGroup(OmpContext& ctx) {
-  gpusim::ThreadCtx& t = ctx.gpu();
-  BatchGroup g;
-  g.eng = &t.block();
-  g.ts = &ctx.team();
-  g.mask = ctx.simdMask();
-  g.bp = &g.eng->convergentBatchPoint(t, g.mask);
-  g.groupSize = ctx.simdGroupSize();
-  g.firstTid = ctx.simdGroup() * g.groupSize;
-  g.laneBase = (t.laneId() / g.groupSize) * g.groupSize;
-  g.warpId = t.warpId();
-  g.warpBase = g.warpId * t.warpSize();
-  g.checker = t.checker();
-  return g;
-}
-
-/// Close a barrier the group is collectively inside: align every lane
-/// to the max arrival time (the slow path's SyncPoint release rule)
-/// and pop its kBarrier span, in ascending lane order.
-void batchAlignAndExit(const BatchGroup& g) {
-  uint64_t release = 0;
-  for (uint32_t i = 0; i < g.groupSize; ++i) {
-    release = std::max(release, g.lane(i).time());
-  }
-  for (uint32_t i = 0; i < g.groupSize; ++i) {
-    g.lane(i).alignTimeTo(release);
-    g.lane(i).noteExit();
-  }
-}
-
-/// Replay, for every lane in ascending order, the exact event sequence
-/// BlockEngine::warpBarrier produces: enter span, kWarpSync charge,
-/// checker arrival, release-time alignment, exit span.
-void emulateGroupBarrier(const BatchGroup& g, bool charged) {
-  for (uint32_t i = 0; i < g.groupSize; ++i) {
-    gpusim::ThreadCtx& lane = g.lane(i);
-    lane.noteEnter(simprof::Construct::kBarrier);
-    lane.charge(Counter::kWarpSync, charged ? lane.cost().warpSync : 0);
-    if (g.checker != nullptr) {
-      g.checker->onSyncArrive(lane.threadId(), g.bp, g.warpBase, g.mask,
-                              g.warpId, /*is_block=*/false);
-    }
-  }
-  batchAlignAndExit(g);
-}
-
 /// Per-lane entry of a batched simd construct, on the lane's own fiber:
 /// charge exactly what the slow path charges up to and including the
-/// prologue group barrier's *arrival*, then rendezvous at the batch
-/// point. Returns true for the runner (the last arrival); every other
-/// lane blocks here and wakes only after the runner replayed the whole
-/// construct on its behalf.
-bool arriveAtBatch(OmpContext& ctx, const BatchGroup& g) {
+/// prologue group barrier's *arrival*, then park at the group's warp
+/// sync point. Returns true for the runner (the last arrival), with the
+/// prologue barrier closed for every lane; every other lane blocks here
+/// and wakes only after the runner replayed the whole construct on its
+/// behalf.
+bool arriveAtBatch(OmpContext& ctx) {
   gpusim::ThreadCtx& t = ctx.gpu();
   t.chargeLocal();  // iv = simdGroupId()
-  t.noteEnter(simprof::Construct::kBarrier);
-  t.charge(Counter::kWarpSync,
-           g.ts->archHasWarpBarrier ? t.cost().warpSync : 0);
-  if (g.checker != nullptr) {
-    g.checker->onSyncArrive(t.threadId(), g.bp, g.warpBase, g.mask, g.warpId,
-                            /*is_block=*/false);
-  }
-  return g.eng->convergentBatchArrive(*g.bp);
+  return t.block().groupArrive(t, ctx.simdMask(),
+                               ctx.team().archHasWarpBarrier);
 }
 
-/// Runner core: finish the prologue barrier, then execute `perLane`
-/// (the lane's whole share of the iteration space) for each lane in
-/// ascending order under the kForbid hazard guard, with simcheck's
-/// convergent-batch read dedupe active.
+/// Runner core: execute `perLane` (the lane's whole share of the
+/// iteration space) for each lane in ascending order under the kForbid
+/// hazard guard, with simcheck's convergent-batch read dedupe active.
 template <typename PerLane>
 void runLanesBatched(OmpContext& ctx, const BatchGroup& g,
                      const void* fn_key, const PerLane& perLane) {
-  batchAlignAndExit(g);  // prologue barrier release (T0)
+  simcheck::BlockChecker* checker = ctx.gpu().checker();
   const DispatchPlan plan = Dispatcher::global().prepare(fn_key);
-  if (g.checker != nullptr) g.checker->beginConvergentBatch();
+  if (checker != nullptr) checker->beginConvergentBatch();
   for (uint32_t i = 0; i < g.groupSize; ++i) {
     gpusim::ThreadCtx& lane = g.lane(i);
-    OmpContext lane_ctx(lane, *g.ts);
+    OmpContext lane_ctx(lane, ctx.team());
     lane_ctx.enterParallel(ctx.parallelConfig(), ctx.numThreads());
     if (plan.known) plan.charge(lane);
     lane.setHazardGuard(true);
     perLane(lane_ctx, lane, plan);
     lane.setHazardGuard(false);
   }
-  if (g.checker != nullptr) g.checker->endConvergentBatch();
+  if (checker != nullptr) checker->endConvergentBatch();
 }
 
 /// Batched __simd_loop: bit-identical stats to
 /// workshareLoopSimd + syncSimdGroup on the lane-per-fiber path.
 void runSimdLoopBatched(OmpContext& ctx, LoopBodyFn fn, uint64_t tripCount,
                         void** args) {
-  const BatchGroup g = makeBatchGroup(ctx);
-  if (!arriveAtBatch(ctx, g)) return;  // runner did our share
+  if (!arriveAtBatch(ctx)) return;  // runner did our share
+  const BatchGroup g(ctx);
   runLanesBatched(
       ctx, g, reinterpret_cast<const void*>(fn),
       [&](OmpContext& lane_ctx, gpusim::ThreadCtx& lane,
@@ -290,19 +239,25 @@ void runSimdLoopBatched(OmpContext& ctx, LoopBodyFn fn, uint64_t tripCount,
         }
       });
   // rt::simd's closing syncSimdGroup.
-  emulateGroupBarrier(g, g.ts->archHasWarpBarrier);
-  g.eng->convergentBatchRelease(*g.bp);
+  gpusim::ThreadCtx& t = ctx.gpu();
+  const LaneMask mask = ctx.simdMask();
+  t.block().groupBarrier(t, mask, ctx.team().archHasWarpBarrier);
+  t.block().groupRelease(t, mask);
 }
 
 /// Batched reducing simd loop: accumulate per lane, then replay the
 /// simdReduceAdd butterfly stage by stage (shuffle charge + two charged
-/// barriers + fma per lane per stage). Every lane's total lands in the
-/// batch point's result slot; woken lanes pick theirs up on return.
+/// barriers + fma per lane per stage). Every lane's total lands in its
+/// warp exchange slot; woken lanes pick theirs up on return.
 double runSimdReduceBatched(OmpContext& ctx, ReduceBodyF64 fn,
                             uint64_t tripCount, void** args) {
-  const BatchGroup g = makeBatchGroup(ctx);
   gpusim::ThreadCtx& t = ctx.gpu();
-  if (!arriveAtBatch(ctx, g)) return g.bp->result[t.laneId()];
+  gpusim::BlockEngine& eng = t.block();
+  std::array<uint64_t, 64>& slots = eng.exchangeSlots(t);
+  if (!arriveAtBatch(ctx)) return std::bit_cast<double>(slots[t.laneId()]);
+  const BatchGroup g(ctx);
+  const LaneMask mask = ctx.simdMask();
+  const uint32_t lane_base = std::countr_zero(mask);
   std::array<double, 64> values{};
   runLanesBatched(
       ctx, g, reinterpret_cast<const void*>(fn),
@@ -326,24 +281,24 @@ double runSimdReduceBatched(OmpContext& ctx, ReduceBodyF64 fn,
       gpusim::ThreadCtx& lane = g.lane(i);
       lane.charge(Counter::kShuffle, lane.cost().aluOp);
     }
-    emulateGroupBarrier(g, /*charged=*/true);  // publish exchange slots
+    eng.groupBarrier(t, mask, /*charged=*/true);  // publish exchange slots
     std::array<double, 64> fetched{};
     for (uint32_t i = 0; i < g.groupSize; ++i) {
-      const uint32_t lane_id = g.laneBase + i;
+      const uint32_t lane_id = lane_base + i;
       fetched[lane_id] = values[lane_id ^ offset];
     }
-    emulateGroupBarrier(g, /*charged=*/true);  // keep slots stable
+    eng.groupBarrier(t, mask, /*charged=*/true);  // keep slots stable
     for (uint32_t i = 0; i < g.groupSize; ++i) {
-      values[g.laneBase + i] += fetched[g.laneBase + i];
+      values[lane_base + i] += fetched[lane_base + i];
       g.lane(i).fma();
     }
   }
   for (uint32_t i = 0; i < g.groupSize; ++i) {
-    g.bp->result[g.laneBase + i] = values[g.laneBase + i];
+    slots[lane_base + i] = std::bit_cast<uint64_t>(values[lane_base + i]);
   }
   // rt::simdLoopReduceAdd's closing syncSimdGroup.
-  emulateGroupBarrier(g, g.ts->archHasWarpBarrier);
-  g.eng->convergentBatchRelease(*g.bp);
+  eng.groupBarrier(t, mask, ctx.team().archHasWarpBarrier);
+  eng.groupRelease(t, mask);
   return values[t.laneId()];
 }
 

@@ -569,13 +569,8 @@ Status LaunchService::migrateLocked(const std::vector<uint64_t>& ids) {
       metrics.add(simprof::metric::kServeRetriesExhaustedTotal);
       ++retiredTotal_;
       if (tracer_) {
-        // Ticks at the last hop's latency, or the queue delay when the
-        // request never migrated.
-        const uint64_t tick =
-            request.hops.empty()
-                ? request.aheadAtAdmission * kQueueSlotCycles
-                : request.hops.back().latency;
-        tracer_->noteRetryExhausted(id, tick, request.retries - 1);
+        tracer_->noteRetryExhausted(id, request.modeledLatency,
+                                    request.retries - 1);
         tracer_->noteRetired(id, /*ok=*/false, StatusCode::kUnavailable,
                              request.modeledLatency, 0,
                              DeadlineVerdict::kNone);

@@ -12,6 +12,15 @@
 
 namespace simtomp {
 
+/// `text` in single quotes, for diagnostics. Built by appending: GCC 12
+/// at -O3 misreports `"'" + std::string(...)` as a -Wrestrict overlap.
+[[nodiscard]] inline std::string quoted(std::string_view text) {
+  std::string out = "'";
+  out += text;
+  out += '\'';
+  return out;
+}
+
 /// Parse `text` as a decimal unsigned integer no greater than `max`.
 /// Only the digits 0-9 are accepted (no sign, no whitespace). Empty or
 /// non-digit text is kInvalidArgument; a value above `max` (including
@@ -22,12 +31,12 @@ namespace simtomp {
   uint64_t value = 0;
   for (const char c : text) {
     if (c < '0' || c > '9') {
-      return Status::invalidArgument("'" + std::string(text) +
-                                     "' is not an unsigned integer");
+      return Status::invalidArgument(quoted(text) +
+                                     " is not an unsigned integer");
     }
     const auto digit = static_cast<uint64_t>(c - '0');
     if (digit > max || value > (max - digit) / 10) {
-      return Status::outOfRange("'" + std::string(text) + "' exceeds " +
+      return Status::outOfRange(quoted(text) + " exceeds " +
                                 std::to_string(max));
     }
     value = value * 10 + digit;

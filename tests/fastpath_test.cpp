@@ -175,6 +175,37 @@ TEST(BodyClassificationTest, UndeclaredBodyNeverBatches) {
   EXPECT_EQ(second.stats.value().toJson(), off.stats.value().toJson());
 }
 
+// A group whose lanes split between a batched simd construct and a
+// plain group barrier is an invalid program: it must fail the launch
+// as a deadlock, as two separate rendezvous would, not batch.
+void splitGroupRegion(OmpContext& ctx, void** args) {
+  if (ctx.simdGroupId() < kGroup / 2) {
+    omprt::rt::syncSimdGroup(ctx);
+    return;
+  }
+  omprt::rt::simd(ctx, &cleanBody, kTrip, args, 0, /*convergent=*/true);
+}
+
+TEST(BodyClassificationTest, GroupSplitAcrossTheFastPathDeadlocks) {
+  Device dev(ArchSpec::testTiny());
+  omprt::TargetConfig config;
+  config.teamsMode = ExecMode::kSPMD;
+  config.numTeams = 1;
+  config.threadsPerTeam = 32;
+  config.hostWorkers = 1;
+  config.fastPath = FastPathMode::kOn;
+  void* args[] = {nullptr};
+  const Result<KernelStats> stats =
+      launchTarget(dev, config, [&](OmpContext& ctx) {
+        omprt::rt::parallel(ctx, &splitGroupRegion, args, 1,
+                            {ExecMode::kSPMD, kGroup});
+      });
+  ASSERT_FALSE(stats.isOk());
+  EXPECT_EQ(stats.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(stats.status().toString().find("deadlock"), std::string::npos)
+      << stats.status().toString();
+}
+
 // Directives that adapt the user's body (collapse, tile) pass its
 // declaration on, so a declared body batches through them too.
 TEST(BodyClassificationTest, AdaptersKeepTheDeclaration) {
@@ -229,8 +260,7 @@ TEST(BodyClassificationTest, FalseConvergentPromiseFailsLoudly) {
 
 struct LaunchArtifacts {
   KernelStats stats;
-  std::string checkSummary;
-  uint64_t checkTotal = 0;
+  std::string checkReport;
   std::string profileTable;
   std::vector<double> result;
 };
@@ -238,14 +268,20 @@ struct LaunchArtifacts {
 constexpr uint64_t kRows = 192;
 constexpr uint64_t kInner = 8;
 
-/// The bench/host_throughput reduce kernel at test size: full-SPMD,
+/// The two bench/host_throughput kernels: rt::simd (map) and
+/// rt::simdLoopReduceAdd (butterfly reduce).
+enum class ConvergentKernel { kMap, kReduce };
+
+/// A bench/host_throughput kernel at test size: full-SPMD,
 /// dsl::convergent body, fast path engaged whenever enabled.
-LaunchArtifacts runConvergentReduce(FastPathMode fast, uint32_t workers,
-                                    bool check, bool profile) {
-  Device dev(ArchSpec::testTiny());
+LaunchArtifacts runConvergent(ConvergentKernel kernel, const ArchSpec& arch,
+                              FastPathMode fast, uint32_t workers,
+                              bool check, bool profile) {
+  Device dev(arch);
+  const bool map = kernel == ConvergentKernel::kMap;
   const std::vector<double> host_in(kRows * kInner, 0.75);
   auto in_up = apps::toDevice<double>(dev, host_in);
-  auto out_up = apps::zeroDevice<double>(dev, kRows);
+  auto out_up = apps::zeroDevice<double>(dev, map ? kRows * kInner : kRows);
   EXPECT_TRUE(in_up.isOk() && out_up.isOk());
   const GlobalSpan<double> in = in_up.value();
   const GlobalSpan<double> out = out_up.value();
@@ -265,6 +301,17 @@ LaunchArtifacts runConvergentReduce(FastPathMode fast, uint32_t workers,
 
   auto stats = dsl::targetTeamsDistributeParallelFor(
       dev, spec, kRows, [&](OmpContext& ctx, uint64_t row) {
+        if (map) {
+          dsl::simd(ctx, kInner,
+                    dsl::convergent([in, out, row](OmpContext& inner,
+                                                   uint64_t k) {
+                      gpusim::ThreadCtx& it = inner.gpu();
+                      const double v = in.get(it, row * kInner + k);
+                      it.fma();
+                      out.set(it, row * kInner + k, v * 2.0 + 1.0);
+                    }));
+          return;
+        }
         const double sum = dsl::simdReduceAdd(
             ctx, kInner,
             dsl::convergent([in, row](OmpContext& inner,
@@ -280,39 +327,47 @@ LaunchArtifacts runConvergentReduce(FastPathMode fast, uint32_t workers,
 
   LaunchArtifacts a;
   if (stats.isOk()) a.stats = stats.value();
-  if (check) {
-    a.checkSummary = dev.lastCheckReport().summary();
-    a.checkTotal = dev.lastCheckReport().total();
-  }
+  if (check) a.checkReport = dev.lastCheckReport().toString();
   if (profile) a.profileTable = dev.lastProfile().table();
   a.result = apps::toHost(out);
   return a;
 }
 
+// Both batched runners, on an arch whose group barriers are charged
+// (testTiny) and one where syncSimdGroup's are free (MI100: no
+// wavefront barrier instruction).
 TEST(FastPathIdentityTest, ReduceMatrixBitIdentical) {
-  const LaunchArtifacts ref = runConvergentReduce(
-      FastPathMode::kOff, /*workers=*/1, /*check=*/true, /*profile=*/true);
-  EXPECT_EQ(ref.checkTotal, 0u) << ref.checkSummary;
-
-  for (FastPathMode fast : {FastPathMode::kOff, FastPathMode::kOn}) {
-    for (uint32_t workers : {1u, 8u}) {
-      for (bool check : {false, true}) {
-        for (bool profile : {false, true}) {
-          const LaunchArtifacts got =
-              runConvergentReduce(fast, workers, check, profile);
-          const std::string tag =
-              std::string("fast=") +
-              (fast == FastPathMode::kOn ? "on" : "off") + " workers=" +
-              std::to_string(workers) + " check=" + std::to_string(check) +
-              " profile=" + std::to_string(profile);
-          EXPECT_EQ(got.stats.toJson(), ref.stats.toJson()) << tag;
-          EXPECT_EQ(got.result, ref.result) << tag;
-          if (check) {
-            EXPECT_EQ(got.checkSummary, ref.checkSummary) << tag;
-            EXPECT_EQ(got.checkTotal, ref.checkTotal) << tag;
-          }
-          if (profile) {
-            EXPECT_EQ(got.profileTable, ref.profileTable) << tag;
+  for (ConvergentKernel kernel :
+       {ConvergentKernel::kReduce, ConvergentKernel::kMap}) {
+    for (const ArchSpec& arch : {ArchSpec::testTiny(), ArchSpec::amdMI100()}) {
+      const std::string where =
+          std::string(kernel == ConvergentKernel::kMap ? "map" : "reduce") +
+          " on " + arch.name + ": ";
+      const LaunchArtifacts ref =
+          runConvergent(kernel, arch, FastPathMode::kOff, /*workers=*/1,
+                        /*check=*/true, /*profile=*/true);
+      EXPECT_EQ(ref.checkReport, "simcheck: clean") << where;
+      for (FastPathMode fast : {FastPathMode::kOff, FastPathMode::kOn}) {
+        for (uint32_t workers : {1u, 8u}) {
+          for (bool check : {false, true}) {
+            for (bool profile : {false, true}) {
+              const LaunchArtifacts got =
+                  runConvergent(kernel, arch, fast, workers, check, profile);
+              const std::string tag =
+                  where + "fast=" +
+                  (fast == FastPathMode::kOn ? "on" : "off") + " workers=" +
+                  std::to_string(workers) + " check=" +
+                  std::to_string(check) + " profile=" +
+                  std::to_string(profile);
+              EXPECT_EQ(got.stats.toJson(), ref.stats.toJson()) << tag;
+              EXPECT_EQ(got.result, ref.result) << tag;
+              if (check) {
+                EXPECT_EQ(got.checkReport, ref.checkReport) << tag;
+              }
+              if (profile) {
+                EXPECT_EQ(got.profileTable, ref.profileTable) << tag;
+              }
+            }
           }
         }
       }

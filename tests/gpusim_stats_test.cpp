@@ -57,8 +57,10 @@ TEST(KernelStatsJsonTest, RoundTripsEveryCounterByName) {
   const std::string json = stats.toJson();
   for (size_t i = 0; i < kNumCounters; ++i) {
     const auto c = static_cast<Counter>(i);
-    const std::string key =
-        "\"" + std::string(counterName(c)) + "\": " + std::to_string(100 + i);
+    std::string key = "\"";
+    key += counterName(c);
+    key += "\": ";
+    key += std::to_string(100 + i);
     EXPECT_NE(json.find(key), std::string::npos)
         << "missing or wrong: " << key;
     // And the name parses back to the same counter, so a consumer can

@@ -268,6 +268,45 @@ TEST(ServeTraceTest, MigrationShowsUpInTimelineAndFlightRing) {
   EXPECT_NE(physical.str().find("# physical ring"), std::string::npos);
 }
 
+/// The `tick=` field of the first line of `dump` that contains `event`.
+std::string tickOf(const std::string& dump, const std::string& event) {
+  const size_t at = dump.find(event);
+  if (at == std::string::npos) return "missing: " + event;
+  const size_t line = dump.rfind('\n', at) + 1;  // npos + 1 == 0
+  const size_t tick = dump.find("tick=", line);
+  if (tick == std::string::npos || tick > at) return "no tick: " + event;
+  return dump.substr(tick, dump.find(' ', tick) - tick);
+}
+
+TEST(ServeTraceTest, RetryExhaustedTicksAtTheModeledLatencyWithoutHops) {
+  // A retries=0 tenant's first device loss exhausts its budget before
+  // any migration: the event ticks where the retirement does, not at
+  // the queue delay.
+  hostrt::DeviceManager mgr({ArchSpec::testTiny(), ArchSpec::testTiny()});
+  ServiceConfig config;
+  config.trace.enabled = true;
+  LaunchService service(mgr, config);
+  TenantSpec tenant;
+  tenant.name = "a";
+  tenant.maxRetries = 0;
+  ASSERT_TRUE(service.registerTenant(tenant).isOk());
+  ASSERT_TRUE(service
+                  .submit("a", plainConfig(), [](omprt::OmpContext&) {}, "k0")
+                  .isOk());
+  ASSERT_TRUE(service
+                  .submit("a", plainConfig("device_lost_post:count=1"),
+                          [](omprt::OmpContext&) {}, "k1")
+                  .isOk());
+  ASSERT_TRUE(service.runToCompletion().isOk());
+
+  std::ostringstream flight;
+  service.tracer()->dumpFlight(flight, /*physical=*/false);
+  const std::string retire = tickOf(flight.str(), " retire req=1 ");
+  EXPECT_EQ(retire.rfind("tick=", 0), 0u) << retire;
+  EXPECT_NE(retire, "tick=0");
+  EXPECT_EQ(tickOf(flight.str(), " retry_exhausted req=1 hops=0"), retire);
+}
+
 TEST(ServeTraceTest, RingCapacityBoundsTheRecorderAndCountsDrops) {
   hostrt::DeviceManager mgr({ArchSpec::testTiny()});
   ServiceConfig config;
@@ -276,9 +315,11 @@ TEST(ServeTraceTest, RingCapacityBoundsTheRecorderAndCountsDrops) {
   LaunchService service(mgr, config);
   ASSERT_TRUE(service.registerTenant({"a"}).isOk());
   for (int i = 0; i < 8; ++i) {
+    std::string kernel = "k";
+    kernel += std::to_string(i);
     ASSERT_TRUE(service
                     .submit("a", plainConfig(), [](omprt::OmpContext&) {},
-                            "k" + std::to_string(i))
+                            kernel)
                     .isOk());
   }
   ASSERT_TRUE(service.runToCompletion().isOk());

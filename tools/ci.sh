@@ -2,7 +2,9 @@
 # CI gate for the host-parallel block executor.
 #
 # Stage 1: knob lint, regular build with warnings as errors
-#          (SIMTOMP_WERROR=ON), full test suite. The lint fails
+#          (SIMTOMP_WERROR=ON), full test suite, then a Release
+#          (-O3) -Werror build of the simtomp binary, since GCC
+#          reports some warnings only at -O3. The lint fails
 #          the build when std::getenv appears under src/ outside the
 #          knob module (src/gpusim/knobs.*) and the deployment-path
 #          readers (SIMTOMP_LOG, SIMTOMP_LOG_FILE, SIMTOMP_METRICS,
@@ -43,7 +45,12 @@
 #          convergent map+reduce kernels with the fast path off and on,
 #          the dumped KernelStats must be byte-identical, and the
 #          barrier-bound reduce series must clear a 3x
-#          modeled-cycles-per-host-second gate.
+#          modeled-cycles-per-host-second gate. "Off" is the
+#          lane-per-fiber path; "on" replays each group's warp
+#          barriers through BlockEngine's group calls, the same
+#          engine code the off path's warpBarrier runs. The ratio
+#          sits near 3x on a 4-core host, so this stage can flake;
+#          the fast path is kept on e2e evidence (DESIGN.md 3.6).
 # Stage 9: launch-service determinism + throughput guard; a seeded
 #          request mix replays through `simtomp serve` twice at 1 host
 #          worker and once each at 8 workers and a prime shard count,
@@ -84,9 +91,11 @@
 #          simfault_, simserve_mix, simserve_trace, hostrt_defaults,
 #          knobs_, fiber_, gpusim_, omprt_, fastpath_) run with every
 #          report fatal, including exceptions unwinding on
-#          arena-allocated fiber stacks (the fast path's hazard guard
-#          throws out of a batched body while the group's other lanes
-#          are parked), the hand-written stack switch and its
+#          arena-allocated fiber stacks (every fiber stack comes from
+#          its scheduler's arena, fiber_test's included; the fast
+#          path's hazard guard throws out of a batched body while the
+#          group's other lanes are parked on their warp sync point),
+#          the hand-written stack switch and its
 #          fiber-to-fiber handoffs in real kernels, and the guard pages
 #          around the lazily committed global-memory arena.
 #
@@ -111,7 +120,7 @@ same_bytes() {
   done
 }
 
-echo "=== stage 1: knob lint, -Werror build + full ctest ==="
+echo "=== stage 1: knob lint, -Werror build + full ctest, Release -Werror simtomp ==="
 if grep -rn 'std::getenv' src \
     | grep -v '^src/gpusim/knobs\.' \
     | grep -vE 'getenv\("SIMTOMP_(LOG|LOG_FILE|METRICS|TUNE_CACHE)"\)'; then
@@ -123,6 +132,12 @@ cmake -B "${prefix}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DSIMTOMP_WERROR=ON
 cmake --build "${prefix}" -j "${jobs}"
 ctest --test-dir "${prefix}" --output-on-failure -j "${jobs}"
+# GCC reports some warnings only at -O3, the level bench/e2e builds at:
+# the simtomp binary (every library under src/) must build clean there
+# too.
+cmake -B "${prefix}-release" -S . -DCMAKE_BUILD_TYPE=Release \
+  -DSIMTOMP_WERROR=ON
+cmake --build "${prefix}-release" -j "${jobs}" --target simtomp
 
 echo "=== stage 2: TSan build, gpusim+omprt+fiber suites at 8 host workers ==="
 cmake -B "${prefix}-tsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -45,7 +45,7 @@ class Assign {
     const std::optional<T> value = gpusim::matchKnob(*flag.knob, text_);
     if (!value.has_value()) {
       return Status::invalidArgument(
-          "'" + std::string(text_) + "' is not one of " +
+          quoted(text_) + " is not one of " +
           gpusim::knobAcceptedValues(*flag.knob));
     }
     *flag.dest = *value;
