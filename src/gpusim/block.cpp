@@ -1,7 +1,6 @@
 #include "gpusim/block.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "support/log.h"
 
@@ -224,26 +223,21 @@ bool BlockEngine::groupArrive(ThreadCtx& t, LaneMask mask, bool charged) {
 void BlockEngine::groupBarrier(ThreadCtx& runner, LaneMask mask,
                                bool charged) {
   SyncPoint& sp = warpSync(runner, mask);
-  const uint32_t warp_base = runner.warpId() * arch_->warpSize;
-  for (LaneMask rest = mask; rest != 0; rest &= rest - 1) {
-    announceWarpArrival(threads_[warp_base + std::countr_zero(rest)], sp,
-                        charged);
-  }
+  forEachLane(runner, mask, [&](ThreadCtx& lane) {
+    announceWarpArrival(lane, sp, charged);
+  });
   closeGroupBarrier(runner, mask);
 }
 
 void BlockEngine::closeGroupBarrier(const ThreadCtx& runner, LaneMask mask) {
-  const uint32_t warp_base = runner.warpId() * arch_->warpSize;
   uint64_t release = 0;
-  for (LaneMask rest = mask; rest != 0; rest &= rest - 1) {
-    release = std::max(release,
-                       threads_[warp_base + std::countr_zero(rest)].time());
-  }
-  for (LaneMask rest = mask; rest != 0; rest &= rest - 1) {
-    ThreadCtx& lane = threads_[warp_base + std::countr_zero(rest)];
+  forEachLane(runner, mask, [&release](const ThreadCtx& lane) {
+    release = std::max(release, lane.time());
+  });
+  forEachLane(runner, mask, [release](ThreadCtx& lane) {
     lane.alignTimeTo(release);
     lane.noteExit();
-  }
+  });
 }
 
 void BlockEngine::groupRelease(const ThreadCtx& runner, LaneMask mask) {

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstring>
 #include <vector>
 
@@ -108,10 +109,6 @@ class BlockEngine {
   [[nodiscard]] uint32_t blockId() const { return block_id_; }
   [[nodiscard]] ThreadCtx& thread(uint32_t tid) { return threads_[tid]; }
   [[nodiscard]] uint32_t numThreads() const { return num_threads_; }
-  /// Lanes of warp `w` that exist in the block.
-  [[nodiscard]] LaneMask warpMemberMask(uint32_t w) const {
-    return warps_[w].memberMask;
-  }
   /// True when simfault armed anything for this block — the convergence
   /// fast path is disabled then, so injected sync faults keep observing
   /// the exact lane-per-fiber arrival sequence they were tuned against.
@@ -133,8 +130,32 @@ class BlockEngine {
   void groupBarrier(ThreadCtx& runner, LaneMask mask, bool charged);
   /// Runner only: wake every lane parked in groupArrive.
   void groupRelease(const ThreadCtx& runner, LaneMask mask);
-  /// The caller's warp exchange slots; the runner leaves lane l's reduce
-  /// result in slot l before groupRelease.
+  /// Runner only: the group's twin of exchangeRound (shuffle/ballot) —
+  /// charge kShuffle for every lane in ascending lane order, one group
+  /// barrier, `read` the warp's slots, one group barrier. The runner
+  /// deposits each lane's value in its exchange slot before the call.
+  template <typename Read>
+  auto groupExchangeRound(ThreadCtx& runner, LaneMask mask,
+                          const Read& read) {
+    forEachLane(runner, mask,
+                [this](ThreadCtx& lane) { chargeShuffle(lane); });
+    groupBarrier(runner, mask, /*charged=*/true);
+    const auto out = read(warps_[runner.warpId()]);
+    groupBarrier(runner, mask, /*charged=*/true);
+    return out;
+  }
+  /// Call `f` on every lane of `mask` in `t`'s warp, in ascending lane
+  /// order.
+  template <typename F>
+  void forEachLane(const ThreadCtx& t, LaneMask mask, const F& f) {
+    ThreadCtx* warp = threads_ + t.warpId() * arch_->warpSize;
+    for (LaneMask rest = mask; rest != 0; rest &= rest - 1) {
+      f(warp[std::countr_zero(rest)]);
+    }
+  }
+  /// The caller's warp exchange slots: the runner's deposits for
+  /// groupExchangeRound, and where it leaves lane l's simd result (slot
+  /// l) before groupRelease.
   [[nodiscard]] std::array<uint64_t, 64>& exchangeSlots(const ThreadCtx& t) {
     return warps_[t.warpId()].exchange;
   }
@@ -190,6 +211,10 @@ class BlockEngine {
   /// group: align every lane to the latest arrival, exit its span.
   void closeGroupBarrier(const ThreadCtx& runner, LaneMask mask);
   void arriveAtSync(ThreadCtx& t, SyncPoint& sp);
+  /// What one lane's exchange round costs besides its two barriers.
+  void chargeShuffle(ThreadCtx& t) {
+    t.charge(Counter::kShuffle, cost_->aluOp);
+  }
   /// One cross-lane exchange round: deposit `raw` in the caller's slot,
   /// charge kShuffle, barrier, `read` the warp's slots, barrier (keeps
   /// the slots stable until every lane has read).
@@ -198,7 +223,7 @@ class BlockEngine {
                      const Read& read) {
     WarpState& warp = warps_[t.warpId()];
     warp.exchange[t.laneId()] = raw;
-    t.charge(Counter::kShuffle, cost_->aluOp);
+    chargeShuffle(t);
     warpBarrier(t, mask);
     const auto out = read(warp);
     warpBarrier(t, mask);

@@ -90,9 +90,7 @@ Status DeviceManager::resolveTuning(size_t n, omprt::TargetConfig& config,
   // trial launches would reorder against queued work).
   if (mode == simtune::TuneMode::kTune && device != nullptr &&
       region != nullptr) {
-    simtune::TuneRequest request;
-    request.strategy = simtune::TuneStrategy::kHillClimb;
-    request.maxTrials = 64;
+    simtune::TuneRequest request = simtune::launchTuneRequest();
     request.check = config.check;
     const Result<simtune::TuneOutcome> tuned =
         tuner->tuneTarget(*device, config, *region, request);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <type_traits>
 
 #include "support/log.h"
 
@@ -41,32 +42,56 @@ class ConstructSpan {
   gpusim::ThreadCtx& t_;
 };
 
-/// Per-lane accumulate phase of a reducing simd loop (shared by the
-/// leader/SPMD path and the worker state machine so barrier counts
-/// match exactly).
-double reduceLoopLocal(OmpContext& ctx, ReduceBodyF64 fn, uint64_t trip,
-                       void** args) {
+/// Whether a simd body's values are summed: a ReduceBodyF64 returns
+/// what its iteration adds to the group's total.
+template <typename Body>
+constexpr bool kReduces = std::is_same_v<Body, ReduceBodyF64>;
+
+/// One lane's share of __simd_loop (paper Fig. 8): the cyclic
+/// lane-strided iterations iv = lane, lane + g, ... of a group of g.
+/// Known outlined bodies: the compiler hoists the if-cascade out of the
+/// loop and inlines the body (one-time cost). Unknown bodies pay an
+/// indirect call every iteration (paper section 5.5); `plan` resolved
+/// the cascade once, so iterations charge without locking. A reducing
+/// loop sums its values, one fma each. Returns that lane sum (0 for a
+/// plain loop). The lane-per-fiber path and the batched runner both run
+/// a lane through here, so their charges cannot drift apart.
+template <typename Body>
+double runLaneShare(OmpContext& ctx, Body fn, uint64_t tripCount, void** args,
+                    const DispatchPlan& plan) {
   gpusim::ThreadCtx& t = ctx.gpu();
-  uint64_t iv = ctx.simdGroupId();
-  t.chargeLocal();
-  syncSimdGroup(ctx);
   const uint32_t stride = ctx.simdGroupSize();
-  // Known outlined bodies: the compiler hoists the if-cascade out of
-  // the loop and inlines the body (one-time cost). Unknown bodies pay
-  // an indirect call every iteration (paper section 5.5). prepare()
-  // resolves the cascade once; iterations charge without locking.
-  const DispatchPlan plan =
-      Dispatcher::global().prepare(reinterpret_cast<const void*>(fn));
   if (plan.known) plan.charge(t);
   double acc = 0.0;
-  while (iv < trip) {
+  for (uint64_t iv = ctx.simdGroupId(); iv < tripCount; iv += stride) {
     if (!plan.known) plan.charge(t);
-    acc += fn(ctx, iv, args);
-    t.fma();
-    iv += stride;
-    t.work(2);
+    if constexpr (kReduces<Body>) {
+      acc += fn(ctx, iv, args);
+      t.fma();
+    } else {
+      fn(ctx, iv, args);
+    }
+    t.work(2);  // induction update + bound check
   }
   return acc;
+}
+
+/// __simd_loop on the calling lane's own fiber: the prologue group
+/// barrier, the lane's share, and for a reducing loop the simdReduceAdd
+/// butterfly. Returns the group total (0 for a plain loop).
+template <typename Body>
+double simdLoopOnLane(OmpContext& ctx, Body fn, uint64_t tripCount,
+                      void** args) {
+  ctx.gpu().chargeLocal();  // iv = simdGroupId()
+  syncSimdGroup(ctx);
+  const double local = runLaneShare(
+      ctx, fn, tripCount, args,
+      Dispatcher::global().prepare(reinterpret_cast<const void*>(fn)));
+  if constexpr (kReduces<Body>) {
+    return simdReduceAdd(ctx, local);
+  } else {
+    return local;
+  }
 }
 
 /// Shared worker/leader body for executing one published simd work item
@@ -96,18 +121,15 @@ bool runPublishedSimdWork(OmpContext& ctx) {
                                 ctx.simdGroupSize());
   switch (gs.kind) {
     case SimdWorkKind::kLoop:
-      workshareLoopSimd(ctx, reinterpret_cast<LoopBodyFn>(fn), trip, args);
+      (void)simdLoopOnLane(ctx, reinterpret_cast<LoopBodyFn>(fn), trip, args);
       break;
-    case SimdWorkKind::kReduceAddF64: {
-      const double local = reduceLoopLocal(
-          ctx, reinterpret_cast<ReduceBodyF64>(fn), trip, args);
-      (void)simdReduceAdd(ctx, local);  // workers discard the total
+    case SimdWorkKind::kReduceAddF64:  // workers discard the total
+      (void)simdLoopOnLane(ctx, reinterpret_cast<ReduceBodyF64>(fn), trip,
+                           args);
       break;
-    }
   }
   return true;
 }
-
 
 /// Book the paper's "thread waste" (section 6.5) for one simd loop:
 /// a group of g lanes runs ceil(trip/g) lockstep rounds; lane-rounds
@@ -159,164 +181,126 @@ void** publishSimdWork(OmpContext& ctx, void* fn, SimdWorkKind kind,
 // barrier, cross-lane op, atomic or divergent branch; dsl::convergent),
 // the group's per-lane loops are executed back to back in a tight host
 // loop on ONE fiber — the last lane to arrive at the construct (the
-// "runner") replays, for each lane in ascending order, the exact
-// charge/profile/checker event sequence the lane-per-fiber path
-// produces, so modeled cycles, counters, traces, profiles and simcheck
-// verdicts are bit-identical; only the fiber-switch host cost
-// disappears. The group's warp barriers (arrival, replay, release) are
-// BlockEngine::group* calls on the warp's sync point; this file only
-// runs the loop bodies. See DESIGN.md section 3.6.
+// "runner") runs runLaneShare for each lane in ascending order, so
+// modeled cycles, counters, traces, profiles and simcheck verdicts are
+// bit-identical to the lane-per-fiber path; only the fiber-switch host
+// cost disappears. The group's warp barriers (arrival, replay, release)
+// and the butterfly's exchange rounds are BlockEngine::group* calls on
+// the warp's sync point and exchange slots; this file only runs the
+// loop bodies and adds. See DESIGN.md section 3.6.
 // ---------------------------------------------------------------------
 
-/// Lane iteration over a convergent group: lane i is the group's i-th
-/// thread, in ascending warp-lane order.
-struct BatchGroup {
-  gpusim::BlockEngine* eng = nullptr;
-  uint32_t groupSize = 0;
-  uint32_t firstTid = 0;  ///< thread id of the group's lane 0
-
-  explicit BatchGroup(OmpContext& ctx)
-      : eng(&ctx.gpu().block()),
-        groupSize(ctx.simdGroupSize()),
-        firstTid(ctx.simdGroup() * ctx.simdGroupSize()) {}
-
-  [[nodiscard]] gpusim::ThreadCtx& lane(uint32_t i) const {
-    return eng->thread(firstTid + i);
-  }
-};
-
-/// Per-lane entry of a batched simd construct, on the lane's own fiber:
-/// charge exactly what the slow path charges up to and including the
-/// prologue group barrier's *arrival*, then park at the group's warp
-/// sync point. Returns true for the runner (the last arrival), with the
-/// prologue barrier closed for every lane; every other lane blocks here
-/// and wakes only after the runner replayed the whole construct on its
-/// behalf.
-bool arriveAtBatch(OmpContext& ctx) {
-  gpusim::ThreadCtx& t = ctx.gpu();
-  t.chargeLocal();  // iv = simdGroupId()
-  return t.block().groupArrive(t, ctx.simdMask(),
-                               ctx.team().archHasWarpBarrier);
-}
-
-/// Runner core: execute `perLane` (the lane's whole share of the
-/// iteration space) for each lane in ascending order under the kForbid
-/// hazard guard, with simcheck's convergent-batch read dedupe active.
-template <typename PerLane>
-void runLanesBatched(OmpContext& ctx, const BatchGroup& g,
-                     const void* fn_key, const PerLane& perLane) {
-  simcheck::BlockChecker* checker = ctx.gpu().checker();
-  const DispatchPlan plan = Dispatcher::global().prepare(fn_key);
-  if (checker != nullptr) checker->beginConvergentBatch();
-  for (uint32_t i = 0; i < g.groupSize; ++i) {
-    gpusim::ThreadCtx& lane = g.lane(i);
-    OmpContext lane_ctx(lane, ctx.team());
-    lane_ctx.enterParallel(ctx.parallelConfig(), ctx.numThreads());
-    if (plan.known) plan.charge(lane);
-    lane.setHazardGuard(true);
-    perLane(lane_ctx, lane, plan);
-    lane.setHazardGuard(false);
-  }
-  if (checker != nullptr) checker->endConvergentBatch();
-}
-
-/// Batched __simd_loop: bit-identical stats to
-/// workshareLoopSimd + syncSimdGroup on the lane-per-fiber path.
-void runSimdLoopBatched(OmpContext& ctx, LoopBodyFn fn, uint64_t tripCount,
-                        void** args) {
-  if (!arriveAtBatch(ctx)) return;  // runner did our share
-  const BatchGroup g(ctx);
-  runLanesBatched(
-      ctx, g, reinterpret_cast<const void*>(fn),
-      [&](OmpContext& lane_ctx, gpusim::ThreadCtx& lane,
-          const DispatchPlan& plan) {
-        uint64_t iv = lane_ctx.simdGroupId();
-        while (iv < tripCount) {
-          if (!plan.known) plan.charge(lane);
-          fn(lane_ctx, iv, args);
-          iv += g.groupSize;
-          lane.work(2);  // induction update + bound check
-        }
-      });
-  // rt::simd's closing syncSimdGroup.
-  gpusim::ThreadCtx& t = ctx.gpu();
-  const LaneMask mask = ctx.simdMask();
-  t.block().groupBarrier(t, mask, ctx.team().archHasWarpBarrier);
-  t.block().groupRelease(t, mask);
-}
-
-/// Batched reducing simd loop: accumulate per lane, then replay the
-/// simdReduceAdd butterfly stage by stage (shuffle charge + two charged
-/// barriers + fma per lane per stage). Every lane's total lands in its
-/// warp exchange slot; woken lanes pick theirs up on return.
-double runSimdReduceBatched(OmpContext& ctx, ReduceBodyF64 fn,
-                            uint64_t tripCount, void** args) {
+/// simdReduceAdd for the whole group, on the runner: lane l's running
+/// sum lives in exchange slot l. Each stage is one engine exchange round
+/// (what every lane's shflXor does), then each lane's add and fma.
+/// Group masks are power-of-two aligned, so lane ^ offset stays inside
+/// the group.
+void butterflyBatched(OmpContext& ctx) {
   gpusim::ThreadCtx& t = ctx.gpu();
   gpusim::BlockEngine& eng = t.block();
   std::array<uint64_t, 64>& slots = eng.exchangeSlots(t);
-  if (!arriveAtBatch(ctx)) return std::bit_cast<double>(slots[t.laneId()]);
-  const BatchGroup g(ctx);
   const LaneMask mask = ctx.simdMask();
-  const uint32_t lane_base = std::countr_zero(mask);
-  std::array<double, 64> values{};
-  runLanesBatched(
-      ctx, g, reinterpret_cast<const void*>(fn),
-      [&](OmpContext& lane_ctx, gpusim::ThreadCtx& lane,
-          const DispatchPlan& plan) {
-        uint64_t iv = lane_ctx.simdGroupId();
-        double acc = 0.0;
-        while (iv < tripCount) {
-          if (!plan.known) plan.charge(lane);
-          acc += fn(lane_ctx, iv, args);
-          lane.fma();
-          iv += g.groupSize;
-          lane.work(2);
-        }
-        values[lane.laneId()] = acc;
-      });
-  // Butterfly all-reduce. Group masks are power-of-two aligned, so
-  // lane ^ offset stays inside the group for every stage.
-  for (uint32_t offset = g.groupSize / 2; offset > 0; offset /= 2) {
-    for (uint32_t i = 0; i < g.groupSize; ++i) {
-      gpusim::ThreadCtx& lane = g.lane(i);
-      lane.charge(Counter::kShuffle, lane.cost().aluOp);
-    }
-    eng.groupBarrier(t, mask, /*charged=*/true);  // publish exchange slots
-    std::array<double, 64> fetched{};
-    for (uint32_t i = 0; i < g.groupSize; ++i) {
-      const uint32_t lane_id = lane_base + i;
-      fetched[lane_id] = values[lane_id ^ offset];
-    }
-    eng.groupBarrier(t, mask, /*charged=*/true);  // keep slots stable
-    for (uint32_t i = 0; i < g.groupSize; ++i) {
-      values[lane_base + i] += fetched[lane_base + i];
-      g.lane(i).fma();
-    }
+  for (uint32_t offset = ctx.simdGroupSize() / 2; offset > 0; offset /= 2) {
+    const std::array<uint64_t, 64> partner = eng.groupExchangeRound(
+        t, mask, [&](const gpusim::WarpState& warp) {
+          std::array<uint64_t, 64> read{};
+          for (LaneMask rest = mask; rest != 0; rest &= rest - 1) {
+            const uint32_t lane = std::countr_zero(rest);
+            read[lane] = warp.exchange[lane ^ offset];
+          }
+          return read;
+        });
+    eng.forEachLane(t, mask, [&](gpusim::ThreadCtx& lane) {
+      const uint32_t l = lane.laneId();
+      slots[l] = std::bit_cast<uint64_t>(std::bit_cast<double>(slots[l]) +
+                                         std::bit_cast<double>(partner[l]));
+      lane.fma();
+    });
   }
-  for (uint32_t i = 0; i < g.groupSize; ++i) {
-    slots[lane_base + i] = std::bit_cast<uint64_t>(values[lane_base + i]);
-  }
-  // rt::simdLoopReduceAdd's closing syncSimdGroup.
-  eng.groupBarrier(t, mask, ctx.team().archHasWarpBarrier);
-  eng.groupRelease(t, mask);
-  return values[t.laneId()];
 }
 
-/// Launch/region/group-shape gate for the fast path. Every input is
-/// identical across the lanes of one group, so the whole group always
-/// agrees — a split decision would deadlock the rendezvous.
-bool fastPathEligible(OmpContext& ctx) {
-  const TeamState& ts = ctx.team();
-  if (!ts.fastPathEnabled) return false;
-  // Generic mode routes bodies through the worker state machine; the
-  // batch protocol only models the SPMD "all lanes call" shape.
-  if (!ctx.parallelIsSPMD()) return false;
-  const uint32_t group_size = ctx.simdGroupSize();
-  if (group_size <= 1) return false;
+/// Batched simdLoopOnLane + closing syncSimdGroup, bit-identical in
+/// stats to every lane running them on its own fiber. Each lane charges
+/// its prologue barrier's arrival and parks at the group's warp sync
+/// point; the last arrival runs every lane's share (under the kForbid
+/// hazard guard, with simcheck's convergent-batch read dedupe active),
+/// the butterfly and the closing barrier, leaves each lane's result in
+/// its exchange slot and wakes the group.
+template <typename Body>
+double runSimdBatched(OmpContext& ctx, Body fn, uint64_t tripCount,
+                      void** args) {
   gpusim::ThreadCtx& t = ctx.gpu();
+  gpusim::BlockEngine& eng = t.block();
+  std::array<uint64_t, 64>& slots = eng.exchangeSlots(t);
   const LaneMask mask = ctx.simdMask();
-  // Full convergence: every lane of the group must exist in the block.
-  return (mask & t.block().warpMemberMask(t.warpId())) == mask;
+  const bool charged = ctx.team().archHasWarpBarrier;
+  t.chargeLocal();  // iv = simdGroupId()
+  if (eng.groupArrive(t, mask, charged)) {
+    simcheck::BlockChecker* checker = t.checker();
+    const DispatchPlan plan =
+        Dispatcher::global().prepare(reinterpret_cast<const void*>(fn));
+    if (checker != nullptr) checker->beginConvergentBatch();
+    eng.forEachLane(t, mask, [&](gpusim::ThreadCtx& lane) {
+      OmpContext lane_ctx(lane, ctx.team());
+      lane_ctx.enterParallel(ctx.parallelConfig(), ctx.numThreads());
+      lane.setHazardGuard(true);
+      const double sum = runLaneShare(lane_ctx, fn, tripCount, args, plan);
+      lane.setHazardGuard(false);
+      slots[lane.laneId()] = std::bit_cast<uint64_t>(sum);
+    });
+    if (checker != nullptr) checker->endConvergentBatch();
+    if constexpr (kReduces<Body>) butterflyBatched(ctx);
+    eng.groupBarrier(t, mask, charged);  // the closing syncSimdGroup
+    eng.groupRelease(t, mask);
+  }
+  return std::bit_cast<double>(slots[t.laneId()]);
+}
+
+/// Launch/group-shape gate for the fast path in an SPMD region. Every
+/// input is identical across the lanes of one group, so the whole group
+/// always agrees — a split decision would deadlock the rendezvous. Every
+/// lane of a group exists: teams are whole warps
+/// (TargetConfig::validate).
+bool fastPathEligible(const OmpContext& ctx) {
+  return ctx.team().fastPathEnabled && ctx.simdGroupSize() > 1;
+}
+
+/// __simd (paper Fig. 4) for either loop kind; rt::simd and
+/// rt::simdLoopReduceAdd check their preconditions, then land here.
+/// Returns the group total of a reducing loop (0 for a plain loop).
+template <typename Body>
+double simdConstruct(OmpContext& ctx, Body fn, uint64_t tripCount,
+                     void** args, uint32_t numArgs, bool convergent) {
+  gpusim::ThreadCtx& t = ctx.gpu();
+  const ConstructSpan simd_span(t, simprof::Construct::kSimdLoop,
+                                ctx.simdGroupSize());
+  if (ctx.isSimdGroupLeader()) {
+    t.charge(Counter::kSimdLoop, 0);
+    chargeLaneUtilization(ctx, tripCount);
+  }
+
+  if (ctx.parallelIsSPMD()) {
+    // All lanes hold the loop description locally: no communication.
+    if (convergent && fastPathEligible(ctx)) {
+      return runSimdBatched(ctx, fn, tripCount, args);
+    }
+    const double total = simdLoopOnLane(ctx, fn, tripCount, args);
+    syncSimdGroup(ctx);
+    return total;
+  }
+
+  // Generic mode: only the SIMD main reaches this call. Publish the
+  // loop and share the argument pointers through the sharing space.
+  void** shared_args = publishSimdWork(
+      ctx, reinterpret_cast<void*>(fn),
+      kReduces<Body> ? SimdWorkKind::kReduceAddF64 : SimdWorkKind::kLoop,
+      tripCount, args, numArgs);
+  const double total = simdLoopOnLane(ctx, fn, tripCount, shared_args);
+  syncSimdGroup(ctx);
+  if (sharesSimdArgs(ctx, numArgs)) {
+    ctx.team().sharing->endSharing(t, ctx.simdGroup());
+  }
+  return total;
 }
 
 /// Fig. 3 core: how one worker-capable thread executes a parallel
@@ -443,37 +427,10 @@ void parallel(OmpContext& ctx, OutlinedFn fn, void** args, uint32_t numArgs,
 
 void simd(OmpContext& ctx, LoopBodyFn fn, uint64_t tripCount, void** args,
           uint32_t numArgs, bool convergent) {
-  gpusim::ThreadCtx& t = ctx.gpu();
-  TeamState& ts = ctx.team();
   SIMTOMP_CHECK(ctx.inParallel(), "simd() requires an enclosing parallel");
-  const ConstructSpan simd_span(t, simprof::Construct::kSimdLoop,
-                                ctx.simdGroupSize());
-  if (ctx.isSimdGroupLeader()) {
-    t.charge(Counter::kSimdLoop, 0);
-    chargeLaneUtilization(ctx, tripCount);
-  }
-
-  if (ctx.parallelIsSPMD()) {
-    // All lanes hold the loop description locally: no communication.
-    if (convergent && fastPathEligible(ctx)) {
-      runSimdLoopBatched(ctx, fn, tripCount, args);
-      return;
-    }
-    workshareLoopSimd(ctx, fn, tripCount, args);
-    syncSimdGroup(ctx);
-    return;
-  }
-
-  // Generic mode: only the SIMD main reaches this call. Publish the
-  // loop and share the argument pointers through the sharing space.
-  SIMTOMP_CHECK(ctx.isSimdGroupLeader(),
+  SIMTOMP_CHECK(ctx.parallelIsSPMD() || ctx.isSimdGroupLeader(),
                 "generic-mode simd() reached by a worker thread");
-  void** shared_args = publishSimdWork(ctx, reinterpret_cast<void*>(fn),
-                                       SimdWorkKind::kLoop, tripCount, args,
-                                       numArgs);
-  workshareLoopSimd(ctx, fn, tripCount, shared_args);
-  syncSimdGroup(ctx);
-  if (sharesSimdArgs(ctx, numArgs)) ts.sharing->endSharing(t, ctx.simdGroup());
+  (void)simdConstruct(ctx, fn, tripCount, args, numArgs, convergent);
 }
 
 void workshareFor(OmpContext& ctx, uint64_t tripCount, LoopBodyFn fn,
@@ -729,20 +686,7 @@ void simdStateMachine(OmpContext& ctx) {
 
 void workshareLoopSimd(OmpContext& ctx, LoopBodyFn fn, uint64_t tripCount,
                        void** args) {
-  gpusim::ThreadCtx& t = ctx.gpu();
-  uint64_t iv = ctx.simdGroupId();
-  t.chargeLocal();
-  syncSimdGroup(ctx);
-  const uint32_t stride = ctx.simdGroupSize();
-  const DispatchPlan plan =
-      Dispatcher::global().prepare(reinterpret_cast<const void*>(fn));
-  if (plan.known) plan.charge(t);
-  while (iv < tripCount) {
-    if (!plan.known) plan.charge(t);
-    fn(ctx, iv, args);
-    iv += stride;
-    t.work(2);  // induction update + bound check
-  }
+  (void)simdLoopOnLane(ctx, fn, tripCount, args);
 }
 
 void invokeMicrotask(OmpContext& ctx, OutlinedFn fn, void** args) {
@@ -767,36 +711,10 @@ void setSimdFn(OmpContext& ctx, void* fn, SimdWorkKind kind,
 double simdLoopReduceAdd(OmpContext& ctx, ReduceBodyF64 fn,
                          uint64_t tripCount, void** args, uint32_t numArgs,
                          bool convergent) {
-  gpusim::ThreadCtx& t = ctx.gpu();
-  TeamState& ts = ctx.team();
   SIMTOMP_CHECK(ctx.inParallel(), "simd reduction requires parallel");
-  const ConstructSpan simd_span(t, simprof::Construct::kSimdLoop,
-                                ctx.simdGroupSize());
-  if (ctx.isSimdGroupLeader()) {
-    t.charge(Counter::kSimdLoop, 0);
-    chargeLaneUtilization(ctx, tripCount);
-  }
-
-  if (ctx.parallelIsSPMD()) {
-    if (convergent && fastPathEligible(ctx)) {
-      return runSimdReduceBatched(ctx, fn, tripCount, args);
-    }
-    const double local = reduceLoopLocal(ctx, fn, tripCount, args);
-    const double total = simdReduceAdd(ctx, local);
-    syncSimdGroup(ctx);
-    return total;
-  }
-
-  SIMTOMP_CHECK(ctx.isSimdGroupLeader(),
+  SIMTOMP_CHECK(ctx.parallelIsSPMD() || ctx.isSimdGroupLeader(),
                 "generic-mode simd reduction reached by a worker thread");
-  void** shared_args = publishSimdWork(ctx, reinterpret_cast<void*>(fn),
-                                       SimdWorkKind::kReduceAddF64, tripCount,
-                                       args, numArgs);
-  const double local = reduceLoopLocal(ctx, fn, tripCount, shared_args);
-  const double total = simdReduceAdd(ctx, local);
-  syncSimdGroup(ctx);
-  if (sharesSimdArgs(ctx, numArgs)) ts.sharing->endSharing(t, ctx.simdGroup());
-  return total;
+  return simdConstruct(ctx, fn, tripCount, args, numArgs, convergent);
 }
 
 }  // namespace simtomp::omprt::rt

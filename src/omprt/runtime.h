@@ -22,6 +22,14 @@
 // Extensions past the paper's evaluation (its section 7 future work):
 // simdReduceAdd / simd loops with reduction, available to benches as an
 // alternative to the atomic updates the paper had to use.
+//
+// simd and simdLoopReduceAdd are one construct over two body types, and
+// runtime.cpp writes the per-lane __simd_loop once: a lane runs it on
+// its own fiber, or the convergence fast path's batched runner runs it
+// for every lane of a group (DESIGN.md section 3.6). Warp primitives —
+// barriers, the shuffle's exchange round and the runner's group twins
+// of both — live in gpusim::BlockEngine; this layer charges none of
+// them itself.
 #pragma once
 
 #include <cstdint>

@@ -109,6 +109,16 @@ struct TuneRequest {
   bool skipCache = false;
 };
 
+/// The search a launch runs on a cache miss when tuning is on
+/// (SIMTOMP_TUNE=tune): hill-climb, capped at 64 trial launches.
+/// DeviceManager's synchronous launches and `simtomp run` both use it.
+inline TuneRequest launchTuneRequest() {
+  TuneRequest request;
+  request.strategy = TuneStrategy::kHillClimb;
+  request.maxTrials = 64;
+  return request;
+}
+
 struct TuneOutcome {
   TuneKey key;
   TunedShape shape;

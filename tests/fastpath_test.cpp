@@ -272,16 +272,29 @@ constexpr uint64_t kInner = 8;
 /// rt::simdLoopReduceAdd (butterfly reduce).
 enum class ConvergentKernel { kMap, kReduce };
 
+/// The simd loop of one row: group size (simdlen) and trip count.
+struct SimdShape {
+  uint32_t group = kInner;
+  uint64_t trip = kInner;
+};
+
 /// A bench/host_throughput kernel at test size: full-SPMD,
 /// dsl::convergent body, fast path engaged whenever enabled.
 LaunchArtifacts runConvergent(ConvergentKernel kernel, const ArchSpec& arch,
                               FastPathMode fast, uint32_t workers,
-                              bool check, bool profile) {
+                              bool check, bool profile,
+                              SimdShape shape = {}) {
   Device dev(arch);
   const bool map = kernel == ConvergentKernel::kMap;
-  const std::vector<double> host_in(kRows * kInner, 0.75);
+  const uint64_t trip = shape.trip;
+  // Distinct values, so a lane that reads the wrong partner in the
+  // butterfly changes the sum.
+  std::vector<double> host_in(kRows * trip);
+  for (size_t i = 0; i < host_in.size(); ++i) {
+    host_in[i] = 0.75 + 0.125 * static_cast<double>(i % 13);
+  }
   auto in_up = apps::toDevice<double>(dev, host_in);
-  auto out_up = apps::zeroDevice<double>(dev, map ? kRows * kInner : kRows);
+  auto out_up = apps::zeroDevice<double>(dev, map ? kRows * trip : kRows);
   EXPECT_TRUE(in_up.isOk() && out_up.isOk());
   const GlobalSpan<double> in = in_up.value();
   const GlobalSpan<double> out = out_up.value();
@@ -291,7 +304,7 @@ LaunchArtifacts runConvergent(ConvergentKernel kernel, const ArchSpec& arch,
   spec.threadsPerTeam = 64;
   spec.teamsMode = ExecMode::kSPMD;
   spec.parallelMode = ExecMode::kSPMD;
-  spec.simdlen = kInner;
+  spec.simdlen = shape.group;
   spec.hostWorkers = workers;
   spec.fastPath = fast;
   spec.check.mode = check ? simcheck::CheckMode::kReport
@@ -302,22 +315,22 @@ LaunchArtifacts runConvergent(ConvergentKernel kernel, const ArchSpec& arch,
   auto stats = dsl::targetTeamsDistributeParallelFor(
       dev, spec, kRows, [&](OmpContext& ctx, uint64_t row) {
         if (map) {
-          dsl::simd(ctx, kInner,
-                    dsl::convergent([in, out, row](OmpContext& inner,
-                                                   uint64_t k) {
+          dsl::simd(ctx, trip,
+                    dsl::convergent([in, out, row, trip](OmpContext& inner,
+                                                         uint64_t k) {
                       gpusim::ThreadCtx& it = inner.gpu();
-                      const double v = in.get(it, row * kInner + k);
+                      const double v = in.get(it, row * trip + k);
                       it.fma();
-                      out.set(it, row * kInner + k, v * 2.0 + 1.0);
+                      out.set(it, row * trip + k, v * 2.0 + 1.0);
                     }));
           return;
         }
         const double sum = dsl::simdReduceAdd(
-            ctx, kInner,
-            dsl::convergent([in, row](OmpContext& inner,
-                                      uint64_t k) -> double {
+            ctx, trip,
+            dsl::convergent([in, row, trip](OmpContext& inner,
+                                            uint64_t k) -> double {
               gpusim::ThreadCtx& it = inner.gpu();
-              const double v = in.get(it, row * kInner + k);
+              const double v = in.get(it, row * trip + k);
               it.fma();
               return v * 3.0 + 1.0;
             }));
@@ -333,9 +346,13 @@ LaunchArtifacts runConvergent(ConvergentKernel kernel, const ArchSpec& arch,
   return a;
 }
 
-// Both batched runners, on an arch whose group barriers are charged
-// (testTiny) and one where syncSimdGroup's are free (MI100: no
-// wavefront barrier instruction).
+// Both loop kinds of the batched runner, on an arch whose group
+// barriers are charged (testTiny) and one where syncSimdGroup's are
+// free (MI100: no wavefront barrier instruction). The full matrix runs
+// group 8 at trip 8; then group sizes 2, 8 and the warp (32 and 64
+// lanes, so MI100 reaches lane 63 and every exchange slot) each run
+// trips below, at and above (not a multiple of) the group size — idle
+// lanes, one round, uneven rounds — at 1 worker, checked and profiled.
 TEST(FastPathIdentityTest, ReduceMatrixBitIdentical) {
   for (ConvergentKernel kernel :
        {ConvergentKernel::kReduce, ConvergentKernel::kMap}) {
@@ -369,6 +386,23 @@ TEST(FastPathIdentityTest, ReduceMatrixBitIdentical) {
               }
             }
           }
+        }
+      }
+      for (const uint32_t group : {2u, 8u, arch.warpSize}) {
+        for (const uint64_t trip : {group / 2, group, 2 * group + 1}) {
+          const SimdShape shape{group, trip};
+          const std::string tag = where + "group=" + std::to_string(group) +
+                                  " trip=" + std::to_string(trip);
+          const LaunchArtifacts off =
+              runConvergent(kernel, arch, FastPathMode::kOff, 1, true, true,
+                            shape);
+          const LaunchArtifacts on = runConvergent(
+              kernel, arch, FastPathMode::kOn, 1, true, true, shape);
+          EXPECT_EQ(off.checkReport, "simcheck: clean") << tag;
+          EXPECT_EQ(on.stats.toJson(), off.stats.toJson()) << tag;
+          EXPECT_EQ(on.result, off.result) << tag;
+          EXPECT_EQ(on.checkReport, off.checkReport) << tag;
+          EXPECT_EQ(on.profileTable, off.profileTable) << tag;
         }
       }
     }

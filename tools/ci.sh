@@ -113,10 +113,56 @@ same_bytes() {
   local label="$1" ref="$2" file
   shift 2
   for file in "$@"; do
-    if ! cmp "${ref}" "${file}"; then
+    if ! cmp "${ref}" "${file}" >&2; then
       echo "ci.sh: ${label} differ (${ref} vs ${file})" >&2
       exit 1
     fi
+  done
+}
+
+# same_runs <name> <label> <outputs> <variant>... -- <cmd>...: run <cmd>
+# once per variant and fail unless each output is byte-identical across
+# the runs. A variant is a word list: NAME=value words set the run's
+# environment, the other words are appended to <cmd>. <outputs> lists
+# what a run writes, as <kind>:<ext> words, where <kind> is ">" for
+# stdout or a flag that takes an output path (appended after the
+# variant's words). Run n = a, b, ... writes ${prefix}/<name>-<n>.<ext>,
+# removed first; uncaptured stdout is left alone.
+same_runs() {
+  local name="$1" label="$2" outputs="$3" letters=abcdefgh variants=()
+  local i word out
+  shift 3
+  while [ "$1" != "--" ]; do variants+=("$1"); shift; done
+  shift
+  for ((i = 0; i < ${#variants[@]}; i++)); do
+    local run="${prefix}/${name}-${letters:i:1}" env=() args=() stdout=""
+    for word in ${variants[i]}; do
+      if [[ "${word}" == [A-Z]*=* ]]; then
+        env+=("${word}")
+      else
+        args+=("${word}")
+      fi
+    done
+    for out in ${outputs}; do
+      rm -f "${run}.${out#*:}"
+      if [ "${out%%:*}" = ">" ]; then
+        stdout="${run}.${out#*:}"
+      else
+        args+=("${out%%:*}" "${run}.${out#*:}")
+      fi
+    done
+    if [ -n "${stdout}" ]; then
+      env "${env[@]}" "$@" "${args[@]}" > "${stdout}"
+    else
+      env "${env[@]}" "$@" "${args[@]}"
+    fi
+  done
+  for out in ${outputs}; do
+    local files=()
+    for ((i = 1; i < ${#variants[@]}; i++)); do
+      files+=("${prefix}/${name}-${letters:i:1}.${out#*:}")
+    done
+    same_bytes "${label}" "${prefix}/${name}-a.${out#*:}" "${files[@]}"
   done
 }
 
@@ -139,7 +185,7 @@ cmake -B "${prefix}-release" -S . -DCMAKE_BUILD_TYPE=Release \
   -DSIMTOMP_WERROR=ON
 cmake --build "${prefix}-release" -j "${jobs}" --target simtomp
 
-echo "=== stage 2: TSan build, gpusim+omprt+fiber suites at 8 host workers ==="
+echo "=== stage 2: TSan build, gpusim/omprt/simfault/fastpath/hostrt/simserve/simfuzz/simprof/fiber suites at 8 host workers ==="
 cmake -B "${prefix}-tsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DSIMTOMP_SANITIZE=thread -DSIMTOMP_BUILD_BENCH=OFF \
   -DSIMTOMP_BUILD_EXAMPLES=OFF
@@ -172,29 +218,15 @@ fi
 echo "sim_cycles bit-identical with checking off vs on"
 
 echo "=== stage 5: tune smoke + cache-determinism guard ==="
-tune_apps="su3,ideal"
-tune_cmd=("${simtomp}" tune tune --apps "${tune_apps}" --small \
-          --strategy hill --budget 12)
-cache_a="${prefix}/tune-guard-a.json"
-cache_b="${prefix}/tune-guard-b.json"
-cache_c="${prefix}/tune-guard-c.json"
-rm -f "${cache_a}" "${cache_b}" "${cache_c}"
-"${tune_cmd[@]}" --workers 1 --cache "${cache_a}"
-"${tune_cmd[@]}" --workers 1 --cache "${cache_b}"
-"${tune_cmd[@]}" --workers 8 --cache "${cache_c}"
-same_bytes "tune caches (rerun, 1 vs 8 host workers)" \
-  "${cache_a}" "${cache_b}" "${cache_c}"
+same_runs tune-guard "tune caches (rerun, 1 vs 8 host workers)" \
+  "--cache:json" "--workers 1" "--workers 1" "--workers 8" -- \
+  "${simtomp}" tune tune --apps su3,ideal --small --strategy hill --budget 12
 echo "tune caches byte-identical across reruns and worker counts"
 
 echo "=== stage 6: fault-matrix smoke + resilience-determinism guard ==="
-matrix_a="${prefix}/fault-matrix-a.txt"
-matrix_b="${prefix}/fault-matrix-b.txt"
-matrix_c="${prefix}/fault-matrix-c.txt"
-"${simtomp}" fault matrix --workers 1 > "${matrix_a}"
-"${simtomp}" fault matrix --workers 1 > "${matrix_b}"
-"${simtomp}" fault matrix --workers 8 > "${matrix_c}"
-same_bytes "fault matrices (rerun, 1 vs 8 host workers)" \
-  "${matrix_a}" "${matrix_b}" "${matrix_c}"
+same_runs fault-matrix "fault matrices (rerun, 1 vs 8 host workers)" \
+  ">:txt" "--workers 1" "--workers 1" "--workers 8" -- \
+  "${simtomp}" fault matrix
 echo "resilience reports byte-identical across reruns and worker counts"
 # The overhead bench aborts if the watchdog perturbs modeled cycles.
 (cd "${prefix}/bench" && ./resilience_overhead >/dev/null)
@@ -204,23 +236,12 @@ echo "=== stage 7: observability determinism + overhead guard ==="
 prof_cmd=("${simtomp}" run ideal
           "target teams distribute parallel for simd num_teams(64) \
 thread_limit(128) simdlen(8)")
-prof_a="${prefix}/prof-guard-a.txt"
-prof_b="${prefix}/prof-guard-b.txt"
-folded_a="${prefix}/prof-guard-a.folded"
-folded_b="${prefix}/prof-guard-b.folded"
-metrics_a="${prefix}/prof-guard-a.prom"
-metrics_b="${prefix}/prof-guard-b.prom"
 trace_json="${prefix}/prof-guard.trace.json"
-SIMTOMP_HOST_WORKERS=1 "${prof_cmd[@]}" --prof --metrics "${metrics_a}" \
-  > "${prof_a}"
-SIMTOMP_HOST_WORKERS=8 "${prof_cmd[@]}" --prof --metrics "${metrics_b}" \
-  > "${prof_b}"
-SIMTOMP_HOST_WORKERS=1 "${prof_cmd[@]}" --folded > "${folded_a}"
-SIMTOMP_HOST_WORKERS=8 "${prof_cmd[@]}" --folded > "${folded_b}"
-same_bytes "profile tables at 1 vs 8 host workers" "${prof_a}" "${prof_b}"
-same_bytes "folded stacks at 1 vs 8 host workers" "${folded_a}" "${folded_b}"
-same_bytes "metrics dumps at 1 vs 8 host workers" \
-  "${metrics_a}" "${metrics_b}"
+same_runs prof-guard "profile tables and metrics dumps at 1 vs 8 host workers" \
+  ">:txt --metrics:prom" SIMTOMP_HOST_WORKERS=1 SIMTOMP_HOST_WORKERS=8 -- \
+  "${prof_cmd[@]}" --prof
+same_runs prof-guard "folded stacks at 1 vs 8 host workers" ">:folded" \
+  SIMTOMP_HOST_WORKERS=1 SIMTOMP_HOST_WORKERS=8 -- "${prof_cmd[@]}" --folded
 echo "profile/folded/metrics byte-identical across worker counts"
 SIMTOMP_HOST_WORKERS=8 "${prof_cmd[@]}" --prof --trace "${trace_json}" \
   >/dev/null
@@ -259,22 +280,12 @@ echo "fast-path throughput gate passed"
 
 echo "=== stage 9: launch-service determinism + throughput guard ==="
 serve_mix="${prefix}/serve-guard.mix"
-serve_a="${prefix}/serve-guard-a.txt"
-serve_b="${prefix}/serve-guard-b.txt"
-serve_c="${prefix}/serve-guard-c.txt"
-serve_d="${prefix}/serve-guard-d.txt"
 "${simtomp}" serve gen --seed 11 --tenants 4 --requests 96 \
   --pump-every 32 --fault-permille 20 --out "${serve_mix}"
-"${simtomp}" serve replay "${serve_mix}" --workers 1 \
-  --stats "${serve_a}" >/dev/null
-"${simtomp}" serve replay "${serve_mix}" --workers 1 \
-  --stats "${serve_b}" >/dev/null
-"${simtomp}" serve replay "${serve_mix}" --workers 8 \
-  --stats "${serve_c}" >/dev/null
-"${simtomp}" serve replay "${serve_mix}" --workers 8 \
-  --shards 13 --stats "${serve_d}" >/dev/null
-same_bytes "launch-service stats (rerun, 1 vs 8 host workers, shards)" \
-  "${serve_a}" "${serve_b}" "${serve_c}" "${serve_d}"
+same_runs serve-guard \
+  "launch-service stats (rerun, 1 vs 8 host workers, shards)" "--stats:txt" \
+  "--workers 1" "--workers 1" "--workers 8" "--workers 8 --shards 13" -- \
+  "${simtomp}" serve replay "${serve_mix}" >/dev/null
 echo "per-tenant stat dumps byte-identical across reruns/workers/shards"
 # The bench aborts if fewer than 1000 launches are concurrently in
 # flight across 4 devices or if per-tenant stats diverge between runs.
@@ -293,16 +304,13 @@ echo "serving throughput gate passed"
 
 echo "=== stage 10: differential-fuzz smoke + minimizer guard ==="
 fuzz=("${simtomp}" fuzz)
-fuzz_a="${prefix}/fuzz-guard-a.log"
-fuzz_b="${prefix}/fuzz-guard-b.log"
 # Clean smoke: the findings log is the determinism artifact — it must
 # be byte-identical for any SIMTOMP_HOST_WORKERS (each matrix cell pins
 # its own worker count) and must report zero divergences.
-SIMTOMP_HOST_WORKERS=1 "${fuzz[@]}" run --seeds=0..8 --tiny-only > "${fuzz_a}"
-SIMTOMP_HOST_WORKERS=8 "${fuzz[@]}" run --seeds=0..8 --tiny-only > "${fuzz_b}"
-same_bytes "fuzz findings logs across SIMTOMP_HOST_WORKERS" \
-  "${fuzz_a}" "${fuzz_b}"
-grep -q 'divergences=0' "${fuzz_a}" || {
+same_runs fuzz-guard "fuzz findings logs across SIMTOMP_HOST_WORKERS" \
+  ">:log" SIMTOMP_HOST_WORKERS=1 SIMTOMP_HOST_WORKERS=8 -- \
+  "${fuzz[@]}" run --seeds=0..8 --tiny-only
+grep -q 'divergences=0' "${prefix}/fuzz-guard-a.log" || {
   echo "ci.sh: clean fuzz smoke reported divergences" >&2
   exit 1
 }
@@ -316,15 +324,10 @@ echo "fuzz findings log byte-identical across worker counts, 0 divergences"
 # output, so the sweep must stay divergence-free AND its findings log
 # must be byte-identical across worker counts — fault injection
 # composes with the differential matrix deterministically.
-fuzz_fa="${prefix}/fuzz-guard-fault-a.log"
-fuzz_fb="${prefix}/fuzz-guard-fault-b.log"
-SIMTOMP_HOST_WORKERS=1 "${fuzz[@]}" run --seeds=0..8 --tiny-only \
-  --fault=sharing_exhausted:count=1 > "${fuzz_fa}"
-SIMTOMP_HOST_WORKERS=8 "${fuzz[@]}" run --seeds=0..8 --tiny-only \
-  --fault=sharing_exhausted:count=1 > "${fuzz_fb}"
-same_bytes "fault-armed fuzz logs across SIMTOMP_HOST_WORKERS" \
-  "${fuzz_fa}" "${fuzz_fb}"
-grep -q 'divergences=0' "${fuzz_fa}" || {
+same_runs fuzz-guard-fault "fault-armed fuzz logs across SIMTOMP_HOST_WORKERS" \
+  ">:log" SIMTOMP_HOST_WORKERS=1 SIMTOMP_HOST_WORKERS=8 -- \
+  "${fuzz[@]}" run --seeds=0..8 --tiny-only --fault=sharing_exhausted:count=1
+grep -q 'divergences=0' "${prefix}/fuzz-guard-fault-a.log" || {
   echo "ci.sh: fault-armed fuzz sweep reported divergences" >&2
   exit 1
 }
@@ -371,20 +374,14 @@ echo "fuzz campaign rerun byte-identity guard passed"
 echo "=== stage 11: chaos campaign + resilience goodput gate ==="
 serve=("${simtomp}" serve)
 chaos_a="${prefix}/chaos-guard-a.txt"
-chaos_b="${prefix}/chaos-guard-b.txt"
-chaos_c="${prefix}/chaos-guard-c.txt"
-chaos_d="${prefix}/chaos-guard-d.txt"
 # The campaign asserts the service's invariants (conservation,
 # terminal definiteness, no loss, no reorder, SLO accounting) per seed
 # and exits non-zero on any violation. Its report is built exclusively
 # from shard-invariant surfaces, so four runs — rerun, 8 host workers,
 # a prime shard count — must produce identical bytes.
-"${serve[@]}" chaos --seeds=0..17 --out "${chaos_a}" >/dev/null
-"${serve[@]}" chaos --seeds=0..17 --out "${chaos_b}" >/dev/null
-"${serve[@]}" chaos --seeds=0..17 --workers 8 --out "${chaos_c}" >/dev/null
-"${serve[@]}" chaos --seeds=0..17 --shards 13 --out "${chaos_d}" >/dev/null
-same_bytes "chaos reports (rerun, 1 vs 8 host workers, shards)" \
-  "${chaos_a}" "${chaos_b}" "${chaos_c}" "${chaos_d}"
+same_runs chaos-guard "chaos reports (rerun, 1 vs 8 host workers, shards)" \
+  "--out:txt" "" "" "--workers 8" "--shards 13" -- \
+  "${serve[@]}" chaos --seeds=0..17 >/dev/null
 grep -q 'violations=0$' "${chaos_a}" || {
   echo "ci.sh: chaos campaign reported invariant violations" >&2
   exit 1
@@ -407,18 +404,6 @@ echo "resilience goodput gate passed"
 
 echo "=== stage 12: serving-trace determinism + observability guard ==="
 trace_mix="${prefix}/trace-guard.mix"
-trace_a="${prefix}/trace-guard-a.txt"
-trace_b="${prefix}/trace-guard-b.txt"
-trace_c="${prefix}/trace-guard-c.txt"
-trace_d="${prefix}/trace-guard-d.txt"
-flight_a="${prefix}/trace-guard-a.flight"
-flight_b="${prefix}/trace-guard-b.flight"
-flight_c="${prefix}/trace-guard-c.flight"
-flight_d="${prefix}/trace-guard-d.flight"
-perfetto_a="${prefix}/trace-guard-a.perfetto.json"
-perfetto_b="${prefix}/trace-guard-b.perfetto.json"
-perfetto_c="${prefix}/trace-guard-c.perfetto.json"
-perfetto_d="${prefix}/trace-guard-d.perfetto.json"
 # The trace surfaces record only shard-invariant facts on the modeled
 # clock (device/shard ids live on the physical ring, which the
 # canonical dump withholds), so every dump must be byte-identical
@@ -426,24 +411,16 @@ perfetto_d="${prefix}/trace-guard-d.perfetto.json"
 # faults included.
 "${serve[@]}" gen --seed 11 --tenants 4 --requests 96 \
   --pump-every 32 --fault-permille 20 --out "${trace_mix}"
-SIMTOMP_HOST_WORKERS=1 "${serve[@]}" trace "${trace_mix}" --workers 1 \
-  --flight "${flight_a}" --perfetto "${perfetto_a}" > "${trace_a}"
-SIMTOMP_HOST_WORKERS=1 "${serve[@]}" trace "${trace_mix}" --workers 1 \
-  --flight "${flight_b}" --perfetto "${perfetto_b}" > "${trace_b}"
-SIMTOMP_HOST_WORKERS=8 "${serve[@]}" trace "${trace_mix}" --workers 8 \
-  --flight "${flight_c}" --perfetto "${perfetto_c}" > "${trace_c}"
-SIMTOMP_HOST_WORKERS=8 "${serve[@]}" trace "${trace_mix}" --workers 8 \
-  --shards 13 --flight "${flight_d}" --perfetto "${perfetto_d}" \
-  > "${trace_d}"
-same_bytes "trace dumps (rerun, 1 vs 8 host workers, shards)" \
-  "${trace_a}" "${trace_b}" "${trace_c}" "${trace_d}"
-same_bytes "flight-recorder dumps (rerun, 1 vs 8 host workers, shards)" \
-  "${flight_a}" "${flight_b}" "${flight_c}" "${flight_d}"
-same_bytes "perfetto exports (rerun, 1 vs 8 host workers, shards)" \
-  "${perfetto_a}" "${perfetto_b}" "${perfetto_c}" "${perfetto_d}"
+same_runs trace-guard \
+  "trace, flight-recorder and perfetto dumps (rerun, 1 vs 8 host workers, shards)" \
+  ">:txt --flight:flight --perfetto:perfetto.json" \
+  "SIMTOMP_HOST_WORKERS=1 --workers 1" "SIMTOMP_HOST_WORKERS=1 --workers 1" \
+  "SIMTOMP_HOST_WORKERS=8 --workers 8" \
+  "SIMTOMP_HOST_WORKERS=8 --workers 8 --shards 13" -- \
+  "${serve[@]}" trace "${trace_mix}"
 echo "trace, flight and perfetto dumps byte-identical across" \
   "reruns/workers/shards"
-python3 -m json.tool "${perfetto_a}" >/dev/null
+python3 -m json.tool "${prefix}/trace-guard-a.perfetto.json" >/dev/null
 echo "perfetto export is valid JSON"
 # Tracing must not perturb the chaos campaign either: the report with
 # --trace must match stage 11's untraced report for the same seeds.

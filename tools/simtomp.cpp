@@ -311,9 +311,7 @@ Status resolveLaunchTuning(std::string_view kernel, gpusim::Device& device,
     std::printf("  tuning     : key %s resolved from cache (%s=%s)\n",
                 config.tuneKey.c_str(), mode.source, mode.envValue.c_str());
   } else if (mode.value == simtune::TuneMode::kTune) {
-    simtune::TuneRequest request;
-    request.strategy = simtune::TuneStrategy::kHillClimb;
-    request.maxTrials = 64;
+    simtune::TuneRequest request = simtune::launchTuneRequest();
     request.tripCount = app.tripCount;
     const Result<simtune::TuneOutcome> tuned =
         tuner.tune(config.tuneKey, device.arch(), device.costModel(), app.axes,
