@@ -61,12 +61,10 @@ RunOut runOnce(uint32_t workers, uint32_t shards) {
   simserve::LaunchService service(mgr, config);
 
   const simserve::Mix mix = theMix();
-  simserve::ReplayOptions options;
-  options.hostWorkers = workers;
 
   const bench::WallTimer timer;
   const simserve::ReplayReport report =
-      checkOk(simserve::replayMix(service, mix, options), "serve replay");
+      checkOk(simserve::replayMix(service, mix, workers), "serve replay");
   RunOut out;
   out.hostMs = timer.elapsedMs();
   out.peakInFlight = service.peakInFlight();

@@ -22,10 +22,6 @@ std::string shapeString(const omprt::TargetConfig& config) {
   return out;
 }
 
-/// Only UNAVAILABLE (a lost device) is worth retrying with the same
-/// shape: a trap, deadline or exhaustion reproduces deterministically.
-bool isTransient(StatusCode code) { return code == StatusCode::kUnavailable; }
-
 }  // namespace
 
 DeviceManager::DeviceManager(std::vector<gpusim::ArchSpec> specs,
@@ -192,18 +188,18 @@ Result<gpusim::KernelStats> DeviceManager::launchResilient(
   bool ok = attempt(simfault::RecoveryStage::kInitial, config, 0);
 
   // Rung 1: same shape again, after a reset and capped exponential
-  // backoff — transient (UNAVAILABLE) faults only; everything else
-  // reproduces deterministically and retrying it is wasted work.
-  for (uint32_t retry = 1;
-       !ok && retry <= policy.maxRetries && isTransient(result.status().code());
-       ++retry) {
+  // backoff, for as long as the shared retry rule allows (transient
+  // faults only, within policy.maxRetries).
+  for (uint32_t retry = 1; !ok; ++retry) {
+    const simfault::RetryDecision decision =
+        simfault::decideRetry(result.status().code(), retry,
+                              policy.maxRetries, simfault::kResilienceBackoffMs);
+    if (decision.verdict != simfault::RetryVerdict::kRetry) break;
     resetForRecovery();
     metrics.add(simprof::metric::kResilienceRetriesTotal);
     noteRung("resilience retry");
-    const auto backoff =
-        static_cast<uint32_t>(simfault::cappedExponentialBackoff(
-            policy.backoffBaseMs, policy.backoffCapMs, retry));
-    ok = attempt(simfault::RecoveryStage::kRetry, config, backoff);
+    ok = attempt(simfault::RecoveryStage::kRetry, config,
+                 static_cast<uint32_t>(decision.backoff));
   }
 
   // Rung 2: give up SIMD and run the parallel regions in generic mode,

@@ -66,11 +66,11 @@ class DeviceManager {
   /// Resilience policy driving the synchronous launch path. `mode` kAuto
   /// defers to the SIMTOMP_RESILIENCE knob on every launch (default:
   /// on). When the resolved mode is on, launchOn runs the degradation
-  /// chain
-  /// — retry with capped (modeled) backoff for transient UNAVAILABLE
-  /// faults, SIMD -> generic mode fallback, host-serial reference — and
-  /// publishes a ResilienceReport. Deferred launches (launchOnAsync)
-  /// never run the chain: a retry would reorder against queued work.
+  /// chain — retry while simfault::decideRetry allows (transient
+  /// UNAVAILABLE faults, modeled kResilienceBackoffMs backoff), SIMD ->
+  /// generic mode fallback, host-serial reference — and publishes a
+  /// ResilienceReport. Deferred launches (launchOnAsync) never run
+  /// the chain: a retry would reorder against queued work.
   void setDefaultResilience(
       simfault::ResiliencePolicy policy,
       simfault::ResilienceMode mode = simfault::ResilienceMode::kAuto) {

@@ -33,10 +33,8 @@ bool CircuitBreaker::noteTrip(uint64_t epoch) {
     case BreakerState::kClosed: {
       window_.push_back(epoch);
       // Drop trips that slid out of the window.
-      const uint64_t width = policy_.windowEpochs == 0
-                                 ? 1
-                                 : policy_.windowEpochs;
-      while (!window_.empty() && window_.front() + width <= epoch) {
+      while (!window_.empty() &&
+             window_.front() + kBreakerWindowEpochs <= epoch) {
         window_.pop_front();
       }
       if (window_.size() >= policy_.tripThreshold) {

@@ -6,8 +6,8 @@
 // follows the classic three-state protocol —
 //
 //   kClosed    traffic flows; trips accumulate in a sliding window
-//   kOpen      tripThreshold trips landed within windowEpochs: the
-//              device is quarantined until cooldownEpochs elapse
+//   kOpen      tripThreshold trips landed within kBreakerWindowEpochs:
+//              the device is quarantined until cooldownEpochs elapse
 //   kHalfOpen  cool-down over: the device takes traffic again, and the
 //              first completed launch decides (ok -> kClosed, another
 //              trip -> kOpen with a fresh cool-down)
@@ -26,14 +26,15 @@
 
 namespace simtomp::simfault {
 
+/// Sliding trip-window width in logical epochs: a trip at epoch e
+/// counts against trips at epochs > e - kBreakerWindowEpochs.
+inline constexpr uint32_t kBreakerWindowEpochs = 4;
+
 /// Trip accounting knobs. All windows are logical epochs.
 struct BreakerPolicy {
-  /// Trips within windowEpochs that open the breaker. 0 disables the
-  /// breaker entirely (it never leaves kClosed).
+  /// Trips within kBreakerWindowEpochs that open the breaker. 0
+  /// disables the breaker entirely (it never leaves kClosed).
   uint32_t tripThreshold = 2;
-  /// Sliding window width: a trip at epoch e counts against trips at
-  /// epochs > e - windowEpochs (0 is treated as 1: this epoch only).
-  uint32_t windowEpochs = 4;
   /// Epochs a device stays quarantined before half-open probing.
   uint32_t cooldownEpochs = 2;
 };

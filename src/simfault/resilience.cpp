@@ -14,14 +14,17 @@ std::string_view deviceHealthName(DeviceHealth health) {
   return "unknown";
 }
 
-uint64_t cappedExponentialBackoff(uint64_t base, uint64_t cap,
-                                  uint32_t attempt) {
-  if (attempt == 0 || base == 0) return 0;
-  const uint32_t shift = attempt - 1;
+RetryDecision decideRetry(StatusCode code, uint32_t retry, uint32_t budget,
+                          BackoffSchedule schedule) {
+  if (code != StatusCode::kUnavailable) return {};
+  if (retry > budget) return {RetryVerdict::kExhausted, 0};
+  const uint32_t shift = retry - 1;
   // base << shift would overflow past 63 shifts (and exceeds any sane
   // cap long before that): saturate at the cap instead.
-  if (shift >= 64 || (base << shift) >> shift != base) return cap;
-  return std::min(base << shift, cap);
+  if (shift >= 64 || (schedule.base << shift) >> shift != schedule.base) {
+    return {RetryVerdict::kRetry, schedule.cap};
+  }
+  return {RetryVerdict::kRetry, std::min(schedule.base << shift, schedule.cap)};
 }
 
 std::string_view recoveryStageName(RecoveryStage stage) {

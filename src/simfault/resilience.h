@@ -7,6 +7,9 @@
 // what happened as a per-device ResilienceReport, the same way
 // Device::lastCheckReport() publishes simcheck findings.
 //
+// decideRetry() is the one retry rule: simserve's re-dispatch asks it
+// too, supplying only its own budget and backoff schedule.
+//
 // Everything here is deterministic by construction: backoff delays are
 // *modeled* (recorded in the report, never slept on wall-clock), shape
 // strings exclude the host worker count, and attempts are recorded in
@@ -49,23 +52,43 @@ enum class ResilienceMode : uint8_t {
 [[nodiscard]] std::string_view deviceHealthName(DeviceHealth health);
 [[nodiscard]] std::string_view recoveryStageName(RecoveryStage stage);
 
-/// Knobs of the degradation chain.
+/// Knobs of the degradation chain (retry backoff: kResilienceBackoffMs).
 struct ResiliencePolicy {
-  uint32_t maxRetries = 2;     ///< same-shape retries after the initial try
-  uint32_t backoffBaseMs = 1;  ///< modeled delay before retry 1
-  uint32_t backoffCapMs = 64;  ///< modeled exponential backoff cap
-  bool modeFallback = true;    ///< allow SIMD -> generic fallback
-  bool hostSerial = true;      ///< allow the host-serial reference rung
+  uint32_t maxRetries = 2;   ///< same-shape retries after the initial try
+  bool modeFallback = true;  ///< allow SIMD -> generic fallback
+  bool hostSerial = true;    ///< allow the host-serial reference rung
 };
 
-/// The modeled capped-exponential-backoff schedule every retry path in
-/// the repo shares: min(base << (attempt - 1), cap) for attempt >= 1
-/// (attempt 0 returns 0 — the initial try never waits). The shift
-/// saturates at the cap instead of overflowing, so any attempt count
-/// is safe. Units are the caller's (ms for the device-manager chain,
-/// modeled cycles for simserve re-dispatch).
-[[nodiscard]] uint64_t cappedExponentialBackoff(uint64_t base, uint64_t cap,
-                                                uint32_t attempt);
+/// Capped exponential backoff: retry n (n >= 1) waits
+/// min(base << (n - 1), cap), modeled in the caller's units.
+struct BackoffSchedule {
+  uint64_t base = 0;
+  uint64_t cap = 0;
+};
+
+/// The retry rung's schedule in modeled ms (the report's `backoff=Nms`).
+inline constexpr BackoffSchedule kResilienceBackoffMs{1, 64};
+
+/// decideRetry's answer for one failed attempt.
+enum class RetryVerdict : uint8_t {
+  kPermanent = 0,  ///< the failure reproduces deterministically
+  kRetry,          ///< transient and within budget: retry after backoff
+  kExhausted,      ///< transient, but the retry budget is spent
+};
+
+struct RetryDecision {
+  RetryVerdict verdict = RetryVerdict::kPermanent;
+  uint64_t backoff = 0;  ///< modeled delay before the retry (kRetry only)
+};
+
+/// The one retry rule: may retry number `retry` (>= 1) of a failure
+/// with `code` run, and after what modeled delay? Only UNAVAILABLE (a
+/// lost device) is transient: a trap, deadline or exhaustion reproduces
+/// deterministically. A transient failure is retried while
+/// `retry <= budget`; the backoff saturates at the cap for any `retry`.
+[[nodiscard]] RetryDecision decideRetry(StatusCode code, uint32_t retry,
+                                        uint32_t budget,
+                                        BackoffSchedule schedule);
 
 /// One launch attempt in the chain, as recorded in the report.
 struct AttemptRecord {

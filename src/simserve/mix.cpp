@@ -290,7 +290,7 @@ std::string ReplayReport::toString() const {
 }
 
 Result<ReplayReport> replayMix(LaunchService& service, const Mix& mix,
-                               const ReplayOptions& options) {
+                               uint32_t hostWorkers) {
   ReplayReport report;
   struct Pending {
     uint64_t id;
@@ -323,7 +323,7 @@ Result<ReplayReport> replayMix(LaunchService& service, const Mix& mix,
         config.threadsPerTeam = 64;
         config.parallelMode = omprt::ExecMode::kSPMD;
         config.simdlen = op.simdlen;
-        config.hostWorkers = options.hostWorkers;
+        config.hostWorkers = hostWorkers;
         config.check.mode = simcheck::CheckMode::kOff;
         config.tuneKey = op.kernel;
         config.tripCount = op.trip;

@@ -96,19 +96,15 @@ struct ReplayReport {
 /// not hang a replay.
 inline constexpr uint64_t kRequestWatchdogSteps = 2000000;
 
-struct ReplayOptions {
-  /// hostWorkers stamped on every request config (0 = runtime auto).
-  uint32_t hostWorkers = 1;
-};
-
 /// Drive a mix through a LaunchService: register tenants, submit
 /// requests (building the named kernel regions), pump/drain where the
 /// script says, then runToCompletion and verify every completed
 /// request's output buffer. Non-ok when the service failed or a kernel
 /// produced wrong values; shed requests are expected, not errors.
+/// `hostWorkers` is stamped on every request config (0 = runtime auto).
 [[nodiscard]] Result<ReplayReport> replayMix(LaunchService& service,
                                              const Mix& mix,
-                                             const ReplayOptions& options = {});
+                                             uint32_t hostWorkers = 1);
 
 /// The built-in kernel names, for tools that enumerate them.
 [[nodiscard]] const std::vector<std::string>& mixKernelNames();

@@ -70,15 +70,12 @@ LaunchService::LaunchService(hostrt::DeviceManager& manager,
   if (config_.shardCount == 0) {
     config_.shardCount = static_cast<uint32_t>(mgr_->numDevices());
   }
-  if (config_.maxBatch == 0) config_.maxBatch = 1;
   if (config_.brownoutHighWater == 0) {
     config_.brownoutHighWater = (config_.maxQueued * 3) / 4;
   }
   shardDevice_.assign(config_.shardCount, 0);
-  deviceServing_.assign(mgr_->numDevices(), true);
   breakers_.assign(mgr_->numDevices(),
                    simfault::CircuitBreaker(config_.breaker));
-  probing_.assign(mgr_->numDevices(), false);
   if (config_.trace.enabled) {
     tracer_ = std::make_unique<ServiceTracer>(config_.trace);
   }
@@ -302,10 +299,7 @@ void LaunchService::notePumpWatermarksLocked() {
 size_t LaunchService::pump() {
   std::lock_guard<std::mutex> lock(mu_);
   size_t dispatched = 0;
-  const bool any_serving =
-      std::any_of(deviceServing_.begin(), deviceServing_.end(),
-                  [](bool serving) { return serving; });
-  if (!any_serving) {
+  if (!anyServingLocked()) {
     notePumpWatermarksLocked();
     return 0;
   }
@@ -358,8 +352,7 @@ size_t LaunchService::pump() {
     // under pressure stranding many requests on one faulting dispatch
     // costs more than the amortized resolution saves. Re-evaluated per
     // leader, so batching resumes as the pump works the queue down.
-    const uint32_t max_batch =
-        brownoutActiveLocked() ? 1 : config_.maxBatch;
+    const uint32_t max_batch = brownoutActiveLocked() ? 1 : kMaxBatch;
     uint32_t batch = 1;
     while (batch < max_batch && pick_pos < cls.fifo.size()) {
       Request& next = requests_[cls.fifo[pick_pos]];
@@ -371,7 +364,7 @@ size_t LaunchService::pump() {
       ++dispatched;
     }
     ++batches_;
-    ++batchSizes_[std::min<size_t>(batch, batchSizes_.size()) - 1];
+    ++batchSizes_[batch - 1];
     amortized_ += batch - 1;
     metrics.add(simprof::metric::kServeBatchesTotal);
     if (tracer_) tracer_->noteBatch(leader.fingerprint, batch);
@@ -401,7 +394,7 @@ Status LaunchService::drain() {
       if (tracer_) tracer_->noteEpoch(epoch_);
       return Status::ok();
     }
-    std::vector<uint64_t> migrate;
+    std::vector<Stranded> stranded;
     for (const uint64_t id : to_retire) {
       Request* request = nullptr;
       {
@@ -434,40 +427,41 @@ Status LaunchService::drain() {
             metrics.add(simprof::metric::kServeDeadlineMissTotal);
           }
         }
-        if (probing_[request->device]) {
-          // First successful retirement from a half-open device closes
-          // its breaker (the probe passed).
-          breakers_[request->device].noteProbeSuccess();
-          probing_[request->device] = false;
-        }
+        // The first successful retirement from a half-open device closes
+        // its breaker (the probe passed); a no-op in any other state.
+        breakers_[request->device].noteProbeSuccess();
         ++retiredTotal_;
         if (tracer_) {
           tracer_->noteRetired(request->id, /*ok=*/true, StatusCode::kOk,
                                request->modeledLatency, request->cycles,
                                request->verdict);
         }
-      } else if (result.status().code() == StatusCode::kUnavailable) {
-        // Device lost: quiesce it now; migration happens once this
-        // wave's futures are all in, so ordering is preserved.
-        deviceServing_[request->device] = false;
-        migrate.push_back(id);
-      } else {
-        request->status = result.status();
-        request->state = RequestState::kFailed;
-        ++t.stats.failed;
-        ++retiredTotal_;
-        if (tracer_) {
-          tracer_->noteRetired(request->id, /*ok=*/false,
-                               request->status.code(),
-                               request->modeledLatency, 0,
-                               DeadlineVerdict::kNone);
-          tracer_->onFailureTrigger("failed_launch");
-        }
+        continue;
+      }
+      const simfault::RetryDecision retry = simfault::decideRetry(
+          result.status().code(),
+          static_cast<uint32_t>(request->hops.size()) + 1, t.spec.maxRetries,
+          kRetryBackoffCycles);
+      if (retry.verdict != simfault::RetryVerdict::kPermanent) {
+        // A transient failure is a lost device: migration happens once
+        // this wave's futures are all in, so ordering is preserved.
+        stranded.push_back(Stranded{id, retry});
+        continue;
+      }
+      request->status = result.status();
+      request->state = RequestState::kFailed;
+      ++t.stats.failed;
+      ++retiredTotal_;
+      if (tracer_) {
+        tracer_->noteRetired(request->id, /*ok=*/false, request->status.code(),
+                             request->modeledLatency, 0,
+                             DeadlineVerdict::kNone);
+        tracer_->onFailureTrigger("failed_launch");
       }
     }
-    if (!migrate.empty()) {
+    if (!stranded.empty()) {
       std::lock_guard<std::mutex> lock(mu_);
-      const Status migrated = migrateLocked(migrate);
+      const Status migrated = migrateLocked(stranded);
       if (!migrated.isOk()) return migrated;
     }
     // Loop: the migrated re-dispatches appended to dispatchOrder_ and
@@ -475,15 +469,16 @@ Status LaunchService::drain() {
   }
 }
 
-Status LaunchService::migrateLocked(const std::vector<uint64_t>& ids) {
+Status LaunchService::migrateLocked(const std::vector<Stranded>& stranded) {
   auto& metrics = simprof::MetricsRegistry::global();
   // Charge one breaker trip per stranded request, attributed to the
   // request's tenant — a shard-invariant count (how many requests hit
   // faults never depends on which physical device served the shard).
   // A breaker that crosses its threshold quarantines its device: out
   // of the shard map and fast-failed by the manager until cool-down.
-  for (const uint64_t id : ids) {
-    Request& request = requests_[id];
+  std::vector<bool> lost(breakers_.size(), false);
+  for (const Stranded& s : stranded) {
+    Request& request = requests_[s.id];
     ++tenants_[request.tenant].stats.breakerTrips;
     metrics.add(simprof::metric::kServeBreakerTripsTotal);
     if (tracer_) {
@@ -491,58 +486,50 @@ Status LaunchService::migrateLocked(const std::vector<uint64_t>& ids) {
                                request.device);
     }
     const size_t d = request.device;
+    lost[d] = true;
     if (breakers_[d].noteTrip(epoch_)) {
       mgr_->setQuarantined(d, true);
-      probing_[d] = false;
       if (tracer_) {
         tracer_->noteBreakerOpened(static_cast<uint32_t>(d), epoch_);
         tracer_->onFailureTrigger("breaker_open");
       }
     }
   }
-  // Reset every quiesced device — its in-flight work was all retired
-  // above, so this is the drain -> quiesce -> reset step of the health
-  // machine (quarantined devices too: a later half-open probe must
-  // start from a clean device). Devices whose breaker stayed closed
-  // rejoin the serving set immediately: the loss was transient.
-  for (size_t d = 0; d < deviceServing_.size(); ++d) {
-    if (deviceServing_[d]) continue;
-    mgr_->resetDevice(d);
-    if (!mgr_->isQuarantined(d)) deviceServing_[d] = true;
+  // Reset every device lost in this wave — its in-flight work was all
+  // retired above, so this is the drain -> quiesce -> reset step of the
+  // health machine — and every quarantined device (a later half-open
+  // probe must start from a clean device). Devices whose breaker stayed
+  // closed keep serving: the loss was transient.
+  for (size_t d = 0; d < breakers_.size(); ++d) {
+    if (lost[d] || !servingLocked(d)) mgr_->resetDevice(d);
   }
-  // Panic revival: never leave the serving set empty. The breaker
-  // nearest its reopen epoch (ties to the lowest device number) is
-  // forced half-open so traffic keeps flowing.
+  // Panic revival: never leave the serving set empty. Every breaker is
+  // open here; the one nearest its reopen epoch (ties to the lowest
+  // device number) is forced half-open so traffic keeps flowing.
   if (config_.panicRevival && !anyServingLocked()) {
-    size_t pick = deviceServing_.size();
-    for (size_t d = 0; d < deviceServing_.size(); ++d) {
-      if (breakers_[d].state() != simfault::BreakerState::kOpen) continue;
-      if (pick == deviceServing_.size() ||
-          breakers_[d].reopenEpoch() < breakers_[pick].reopenEpoch()) {
+    size_t pick = 0;
+    for (size_t d = 1; d < breakers_.size(); ++d) {
+      if (breakers_[d].reopenEpoch() < breakers_[pick].reopenEpoch()) {
         pick = d;
       }
     }
-    if (pick != deviceServing_.size()) {
-      breakers_[pick].forceHalfOpen();
-      mgr_->setQuarantined(pick, false);
-      deviceServing_[pick] = true;
-      probing_[pick] = true;
-      if (tracer_) {
-        tracer_->notePanicRevival(static_cast<uint32_t>(pick), epoch_);
-      }
+    breakers_[pick].forceHalfOpen();
+    mgr_->setQuarantined(pick, false);
+    if (tracer_) {
+      tracer_->notePanicRevival(static_cast<uint32_t>(pick), epoch_);
     }
   }
   rebuildShardMapLocked();
   if (!anyServingLocked()) {
-    for (const uint64_t id : ids) {
-      Request& request = requests_[id];
+    for (const Stranded& s : stranded) {
+      Request& request = requests_[s.id];
       request.status =
           Status::unavailable("no healthy device left for migration");
       request.state = RequestState::kFailed;
       ++tenants_[request.tenant].stats.failed;
       ++retiredTotal_;
       if (tracer_) {
-        tracer_->noteRetired(id, /*ok=*/false, StatusCode::kUnavailable,
+        tracer_->noteRetired(s.id, /*ok=*/false, StatusCode::kUnavailable,
                              request.modeledLatency, 0,
                              DeadlineVerdict::kNone);
       }
@@ -550,28 +537,25 @@ Status LaunchService::migrateLocked(const std::vector<uint64_t>& ids) {
     if (tracer_) tracer_->onFailureTrigger("all_devices_lost");
     return Status::unavailable("launch service lost every device");
   }
-  for (const uint64_t id : ids) {
-    Request& request = requests_[id];
+  for (const Stranded& s : stranded) {
+    Request& request = requests_[s.id];
     Tenant& t = tenants_[request.tenant];
-    // Retry budget: hop h is re-dispatch number h. A tenant's budget
-    // caps hops per request; past it the request fails for good with a
+    const auto hops = static_cast<uint32_t>(request.hops.size());
+    // Past its tenant's retry budget the request fails for good with a
     // definite status instead of bouncing between dying devices.
-    ++request.retries;
-    if (request.retries > t.spec.maxRetries) {
+    if (s.retry.verdict == simfault::RetryVerdict::kExhausted) {
       request.status = Status::unavailable(
-          "retry budget exhausted after " +
-          std::to_string(request.retries - 1) + " re-dispatches (tenant '" +
-          t.spec.name + "' allows " + std::to_string(t.spec.maxRetries) +
-          ")");
+          "retry budget exhausted after " + std::to_string(hops) +
+          " re-dispatches (tenant '" + t.spec.name + "' allows " +
+          std::to_string(t.spec.maxRetries) + ")");
       request.state = RequestState::kFailed;
       ++t.stats.failed;
       ++t.stats.retriesExhausted;
       metrics.add(simprof::metric::kServeRetriesExhaustedTotal);
       ++retiredTotal_;
       if (tracer_) {
-        tracer_->noteRetryExhausted(id, request.modeledLatency,
-                                    request.retries - 1);
-        tracer_->noteRetired(id, /*ok=*/false, StatusCode::kUnavailable,
+        tracer_->noteRetryExhausted(s.id, request.modeledLatency, hops);
+        tracer_->noteRetired(s.id, /*ok=*/false, StatusCode::kUnavailable,
                              request.modeledLatency, 0,
                              DeadlineVerdict::kNone);
         tracer_->onFailureTrigger("retry_exhausted");
@@ -584,10 +568,9 @@ Status LaunchService::migrateLocked(const std::vector<uint64_t>& ids) {
     // poisonous — the migrated copy must not re-arm device loss on the
     // healthy device.
     request.config.fault.spec = "off";
-    // Each hop is charged a dispatch plus capped exponential backoff —
+    // Each hop is charged a dispatch plus the retry rule's backoff —
     // modeled cycles, never slept, so latency stays reproducible.
-    const uint64_t backoff = simfault::cappedExponentialBackoff(
-        kRetryBackoffBaseCycles, kRetryBackoffCapCycles, request.retries);
+    const uint64_t backoff = s.retry.backoff;
     request.modeledLatency += kDispatchCycles + backoff;
     t.stats.retryBackoffCycles += backoff;
     metrics.observe(simprof::metric::kServeRetryBackoffCycles, backoff);
@@ -600,19 +583,20 @@ Status LaunchService::migrateLocked(const std::vector<uint64_t>& ids) {
     request.device = static_cast<uint32_t>(device);
     request.state = RequestState::kDispatched;
     request.hops.push_back(Hop{from_device, backoff, request.modeledLatency});
-    dispatchOrder_.push_back(id);
+    dispatchOrder_.push_back(s.id);
     if (tracer_) {
-      tracer_->noteMigrated(id, request.retries, backoff,
-                            request.modeledLatency, from_device,
-                            request.device);
+      tracer_->noteMigrated(s.id, hops + 1, backoff, request.modeledLatency,
+                            from_device, request.device);
     }
   }
   return Status::ok();
 }
 
 bool LaunchService::anyServingLocked() const {
-  return std::any_of(deviceServing_.begin(), deviceServing_.end(),
-                     [](bool serving) { return serving; });
+  for (size_t d = 0; d < breakers_.size(); ++d) {
+    if (servingLocked(d)) return true;
+  }
+  return false;
 }
 
 void LaunchService::advanceBreakersLocked() {
@@ -622,8 +606,6 @@ void LaunchService::advanceBreakersLocked() {
     breakers_[d].onEpoch(epoch_);
     if (breakers_[d].state() == simfault::BreakerState::kHalfOpen) {
       mgr_->setQuarantined(d, false);
-      deviceServing_[d] = true;
-      probing_[d] = true;
       changed = true;
       if (tracer_) {
         tracer_->noteBreakerHalfOpen(static_cast<uint32_t>(d), epoch_);
@@ -635,8 +617,8 @@ void LaunchService::advanceBreakersLocked() {
 
 void LaunchService::rebuildShardMapLocked() {
   std::vector<size_t> serving;
-  for (size_t d = 0; d < deviceServing_.size(); ++d) {
-    if (deviceServing_[d]) serving.push_back(d);
+  for (size_t d = 0; d < breakers_.size(); ++d) {
+    if (servingLocked(d)) serving.push_back(d);
   }
   if (serving.empty()) return;  // pump()/migrateLocked() guard on this
   for (size_t s = 0; s < shardDevice_.size(); ++s) {
@@ -669,13 +651,11 @@ Status LaunchService::runToCompletion() {
 
 void LaunchService::reviveDevice(size_t n) {
   std::lock_guard<std::mutex> lock(mu_);
-  SIMTOMP_CHECK(n < deviceServing_.size(), "device number out of range");
-  // Manual revival outranks the breaker: close it, clear the
-  // quarantine and forget any outstanding probe.
+  SIMTOMP_CHECK(n < breakers_.size(), "device number out of range");
+  // Manual revival outranks the breaker: close it (forgetting any
+  // outstanding probe) and clear the quarantine.
   breakers_[n].forceClose();
   mgr_->setQuarantined(n, false);
-  probing_[n] = false;
-  deviceServing_[n] = true;
   if (tracer_) {
     tracer_->noteDeviceRevived(static_cast<uint32_t>(n), epoch_);
   }
@@ -747,7 +727,7 @@ RequestOutcome LaunchService::outcome(uint64_t id) const {
   out.deadlineCycles = request.deadline;
   out.device = request.device;
   out.shard = request.shard;
-  out.retries = request.retries;
+  out.retries = static_cast<uint32_t>(request.hops.size());
   out.batchFollower = request.batchFollower;
   out.migrated = !request.hops.empty();
   return out;
@@ -768,8 +748,8 @@ size_t LaunchService::shardDevice(size_t shard) const {
 
 bool LaunchService::deviceServing(size_t n) const {
   std::lock_guard<std::mutex> lock(mu_);
-  SIMTOMP_CHECK(n < deviceServing_.size(), "device number out of range");
-  return deviceServing_[n];
+  SIMTOMP_CHECK(n < breakers_.size(), "device number out of range");
+  return servingLocked(n);
 }
 
 TenantStats LaunchService::tenantStats(std::string_view name) const {

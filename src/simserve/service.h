@@ -27,11 +27,12 @@
 //   - SLOs: per-request modeled deadline budgets checked at admission
 //     (shed DEADLINE_EXCEEDED when the queue-ahead cost alone blows
 //     the budget) and scored at retirement (deadline hit/miss).
-//   - resilience: re-dispatch is bounded by per-tenant retry budgets
-//     with capped modeled exponential backoff; each device carries a
-//     circuit breaker (simfault::CircuitBreaker on a logical epoch
-//     clock = completed drains) that quarantines repeat offenders from
-//     the shard map until a cool-down, then probes half-open.
+//   - resilience: simfault::decideRetry (DeviceManager's retry rule)
+//     decides re-dispatch under per-tenant retry budgets. Each device
+//     carries a circuit breaker (simfault::CircuitBreaker on a logical
+//     epoch clock = completed drains), the service's only per-device
+//     state: an open breaker takes its device out of the shard map
+//     until a cool-down, then the device probes while half-open.
 //   - brownout: past a queue high-water mark the service sheds
 //     lowest-priority arrivals and disables batching before the hard
 //     bound refuses work outright.
@@ -63,6 +64,7 @@
 #include "hostrt/device_manager.h"
 #include "omprt/target.h"
 #include "simfault/breaker.h"
+#include "simfault/resilience.h"
 #include "simserve/trace.h"
 #include "support/status.h"
 
@@ -101,9 +103,6 @@ struct ServiceConfig {
   uint32_t shardCount = 0;
   /// Global logical-queue bound; beyond it the shedding rule applies.
   uint64_t maxQueued = 4096;
-  /// Same-fingerprint coalescing bound per dispatch (1 disables
-  /// batching).
-  uint32_t maxBatch = 16;
   /// Brownout high-water mark on the global logical queue. While
   /// queue occupancy is at or past it, arrivals from the lowest
   /// registered priority are shed and same-kernel batching is
@@ -147,11 +146,10 @@ enum class RequestState : uint8_t {
 inline constexpr uint64_t kQueueSlotCycles = 16;
 inline constexpr uint64_t kDispatchCycles = 256;
 inline constexpr uint64_t kBatchFollowCycles = 32;
-// Modeled capped exponential backoff charged per re-dispatch hop
-// (shared schedule: simfault::cappedExponentialBackoff). Hop h adds
-// kDispatchCycles + min(kRetryBackoffBaseCycles << (h-1), cap).
-inline constexpr uint64_t kRetryBackoffBaseCycles = 64;
-inline constexpr uint64_t kRetryBackoffCapCycles = 4096;
+// Hop h is charged kDispatchCycles + min(64 << (h-1), 4096) backoff.
+inline constexpr simfault::BackoffSchedule kRetryBackoffCycles{64, 4096};
+/// Same-fingerprint coalescing bound per dispatch.
+inline constexpr uint32_t kMaxBatch = 16;
 
 /// Per-tenant service counters; toString() is a byte-identity surface.
 /// Every field is a pure function of logical state and modeled cycles
@@ -274,6 +272,7 @@ class LaunchService {
   [[nodiscard]] std::vector<uint64_t> dispatchOrder() const;
   [[nodiscard]] size_t shardCount() const;
   [[nodiscard]] size_t shardDevice(size_t shard) const;
+  /// Whether device n takes traffic: its breaker is not open.
   [[nodiscard]] bool deviceServing(size_t n) const;
   /// Copy of a tenant's stats (aborts on unknown name).
   [[nodiscard]] TenantStats tenantStats(std::string_view name) const;
@@ -333,11 +332,11 @@ class LaunchService {
     uint64_t modeledLatency = 0;
     uint64_t cycles = 0;
     uint64_t deadline = kNoDeadline;  ///< resolved at admission
-    uint32_t device = 0;   ///< current (last) device
-    uint32_t retries = 0;  ///< re-dispatch hops taken so far
+    uint32_t device = 0;  ///< current (last) device
     bool batchFollower = false;
     DeadlineVerdict verdict = DeadlineVerdict::kNone;  ///< set when done
     /// Migrations in order; empty (and unallocated) unless migrated.
+    /// The next retry is number hops.size() + 1.
     std::vector<Hop> hops;
     Status status;
     std::future<Result<gpusim::KernelStats>> future;
@@ -363,8 +362,16 @@ class LaunchService {
   void rebuildShardMapLocked();
   void writeTimelineLocked(std::ostream& out, const Request& request,
                            bool physical) const;
-  [[nodiscard]] Status migrateLocked(const std::vector<uint64_t>& ids);
+  /// A request stranded by a lost device, and the retry rule's verdict.
+  struct Stranded {
+    uint64_t id = 0;
+    simfault::RetryDecision retry;
+  };
+  [[nodiscard]] Status migrateLocked(const std::vector<Stranded>& stranded);
   void notePumpWatermarksLocked();
+  [[nodiscard]] bool servingLocked(size_t d) const {
+    return breakers_[d].state() != simfault::BreakerState::kOpen;
+  }
   [[nodiscard]] bool anyServingLocked() const;
   [[nodiscard]] bool brownoutActiveLocked() const {
     return queuedCount_ >= config_.brownoutHighWater;
@@ -388,12 +395,8 @@ class LaunchService {
   std::vector<uint64_t> dispatchOrder_;
   size_t retireCursor_ = 0;  ///< next dispatchOrder_ entry to retire
   std::vector<size_t> shardDevice_;
-  std::vector<bool> deviceServing_;
   /// Per-device circuit breakers driven by the logical epoch clock.
   std::vector<simfault::CircuitBreaker> breakers_;
-  /// Device is half-open with an unresolved probe: the first ok
-  /// retirement from it closes the breaker.
-  std::vector<bool> probing_;
   uint64_t epoch_ = 0;  ///< completed drain() calls
   /// Lowest priority among registered tenants (brownout shed target).
   uint32_t minPriority_ = std::numeric_limits<uint32_t>::max();
@@ -403,9 +406,8 @@ class LaunchService {
   uint64_t peakInFlight_ = 0;
   uint64_t peakQueueDepth_ = 0;
   uint64_t batches_ = 0;
-  /// Batch-size counts, sizes 1..16 (index size-1); larger batches
-  /// clamp into the last cell.
-  std::array<uint64_t, 16> batchSizes_{};
+  /// Batch-size counts, sizes 1..kMaxBatch (index size-1).
+  std::array<uint64_t, kMaxBatch> batchSizes_{};
   uint64_t amortized_ = 0;
 };
 

@@ -7,6 +7,7 @@
 // futures instead of wedging drain().
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -103,9 +104,7 @@ TEST(ResilienceTest, TransientFaultRecoversViaRetry) {
 TEST(ResilienceTest, RetryBackoffGrowsAndCaps) {
   DeviceManager mgr({ArchSpec::testTiny()});
   simfault::ResiliencePolicy policy;
-  policy.maxRetries = 4;
-  policy.backoffBaseMs = 2;
-  policy.backoffCapMs = 5;
+  policy.maxRetries = 9;  // enough retries to reach the 64 ms cap
   policy.modeFallback = false;
   policy.hostSerial = false;
   mgr.setDefaultResilience(policy, simfault::ResilienceMode::kOn);
@@ -115,14 +114,40 @@ TEST(ResilienceTest, RetryBackoffGrowsAndCaps) {
       mgr.launchOn(0, simdConfig("device_lost_pre:count=0"), kernel.region());
   ASSERT_FALSE(stats.isOk());
   const simfault::ResilienceReport& report = mgr.lastResilienceReport(0);
-  ASSERT_EQ(report.attempts.size(), 5u);  // initial + 4 retries
-  EXPECT_EQ(report.attempts[1].backoffMs, 2u);
-  EXPECT_EQ(report.attempts[2].backoffMs, 4u);
-  EXPECT_EQ(report.attempts[3].backoffMs, 5u);  // capped
-  EXPECT_EQ(report.attempts[4].backoffMs, 5u);
+  ASSERT_EQ(report.attempts.size(), 10u);  // initial + 9 retries
+  // kResilienceBackoffMs: 1 ms, doubling per retry, capped at 64 ms.
+  const uint32_t expected[] = {0, 1, 2, 4, 8, 16, 32, 64, 64, 64};
+  for (size_t i = 0; i < report.attempts.size(); ++i) {
+    EXPECT_EQ(report.attempts[i].backoffMs, expected[i]) << i;
+  }
   EXPECT_FALSE(report.recovered);
   EXPECT_EQ(report.finalCode, StatusCode::kUnavailable);
   EXPECT_EQ(mgr.deviceHealth(0), simfault::DeviceHealth::kFaulted);
+}
+
+TEST(ResilienceTest, RetryRuleRetriesOnlyTransientFaultsWithinBudget) {
+  const simfault::BackoffSchedule schedule{64, 4096};
+  // Only UNAVAILABLE is transient; the rest reproduce deterministically.
+  for (const StatusCode code :
+       {StatusCode::kInternal, StatusCode::kDeadlineExceeded,
+        StatusCode::kResourceExhausted, StatusCode::kFailedPrecondition}) {
+    EXPECT_EQ(simfault::decideRetry(code, 1, 3, schedule).verdict,
+              simfault::RetryVerdict::kPermanent);
+  }
+  const auto retry = [&](uint32_t n, uint32_t budget) {
+    return simfault::decideRetry(StatusCode::kUnavailable, n, budget,
+                                 schedule);
+  };
+  EXPECT_EQ(retry(1, 0).verdict, simfault::RetryVerdict::kExhausted);
+  EXPECT_EQ(retry(3, 3).verdict, simfault::RetryVerdict::kRetry);
+  EXPECT_EQ(retry(4, 3).verdict, simfault::RetryVerdict::kExhausted);
+  EXPECT_EQ(retry(1, 3).backoff, 64u);
+  EXPECT_EQ(retry(2, 3).backoff, 128u);
+  EXPECT_EQ(retry(7, 7).backoff, 4096u);
+  // The doubling saturates instead of overflowing.
+  const uint32_t huge = std::numeric_limits<uint32_t>::max();
+  EXPECT_EQ(retry(64, huge).backoff, 4096u);
+  EXPECT_EQ(retry(huge, huge).backoff, 4096u);
 }
 
 TEST(ResilienceTest, SimdFaultRecoversViaModeFallback) {

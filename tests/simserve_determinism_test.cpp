@@ -44,9 +44,7 @@ std::string runMix(const Mix& mix, uint32_t workers, uint32_t shards,
   config.shardCount = shards;
   config.maxQueued = 24;  // global bound small enough to shed
   LaunchService service(mgr, config);
-  ReplayOptions options;
-  options.hostWorkers = workers;
-  const Result<ReplayReport> report = replayMix(service, mix, options);
+  const Result<ReplayReport> report = replayMix(service, mix, workers);
   EXPECT_TRUE(report.isOk()) << report.status().toString();
   if (report.isOk() && report_out != nullptr) *report_out = report.value();
   std::ostringstream out;

@@ -14,7 +14,8 @@
 #include <vector>
 
 #include "hostrt/device_manager.h"
-#include "simfault/resilience.h"
+#include "simprof/metrics.h"
+#include "simserve/mix.h"
 #include "simserve/service.h"
 
 namespace simtomp::simserve {
@@ -48,6 +49,14 @@ TenantSpec tenant(std::string name, uint32_t priority = 1,
 }
 
 std::string fp(uint64_t i) { return "fp" + std::to_string(i); }
+
+/// A fingerprint whose shard the service currently maps to `device`.
+std::string fpOn(const LaunchService& service, size_t device) {
+  for (uint64_t i = 0;; ++i) {
+    const size_t shard = fingerprintHash(fp(i)) % service.shardCount();
+    if (service.shardDevice(shard) == device) return fp(i);
+  }
+}
 
 TEST(ServiceSloTest, ZeroDeadlineRequestIsShedAtAdmission) {
   hostrt::DeviceManager mgr({ArchSpec::testTiny()});
@@ -132,6 +141,7 @@ TEST(ServiceSloTest, RetryBudgetZeroFailsOnFirstLoss) {
   EXPECT_EQ(out.state, RequestState::kFailed);
   EXPECT_EQ(out.status.code(), StatusCode::kUnavailable);
   EXPECT_FALSE(out.migrated);
+  EXPECT_EQ(out.retries, 0u);  // hops taken, not retries asked for
   const TenantStats stats = service.tenantStats("a");
   EXPECT_EQ(stats.failed, 1u);
   EXPECT_EQ(stats.retriesExhausted, 1u);
@@ -151,10 +161,9 @@ TEST(ServiceSloTest, RetryHopChargesModeledBackoff) {
   EXPECT_EQ(out.state, RequestState::kDone);
   EXPECT_TRUE(out.migrated);
   EXPECT_EQ(out.retries, 1u);
-  // Hop 1 is charged exactly base<<0 capped backoff plus a dispatch —
-  // modeled, so the total is machine-independent.
-  const uint64_t expected = simfault::cappedExponentialBackoff(
-      kRetryBackoffBaseCycles, kRetryBackoffCapCycles, 1);
+  // Hop 1 is charged exactly the schedule's base backoff plus a
+  // dispatch — modeled, so the total is machine-independent.
+  const uint64_t expected = kRetryBackoffCycles.base;
   EXPECT_EQ(service.tenantStats("a").retryBackoffCycles, expected);
   EXPECT_GE(out.modeledLatencyCycles,
             2 * kDispatchCycles + expected);  // two dispatches + backoff
@@ -246,6 +255,142 @@ TEST(ServiceSloTest, ReviveDuringHalfOpenProbeIsSafe) {
   EXPECT_EQ(stats.completed + stats.failed, stats.accepted);
   EXPECT_EQ(stats.completed, 9u);
   EXPECT_EQ(service.dispatchedOutstanding(), 0u);
+}
+
+TEST(ServiceSloTest, PanicRevivalProbesTheBreakerNearestItsReopenEpoch) {
+  hostrt::DeviceManager mgr(
+      {ArchSpec::testTiny(), ArchSpec::testTiny(), ArchSpec::testTiny()});
+  ServiceConfig config;
+  config.breaker.tripThreshold = 1;
+  config.breaker.cooldownEpochs = 10;  // no breaker half-opens on its own
+  LaunchService service(mgr, config);
+  ASSERT_TRUE(service.registerTenant(tenant("a")).isOk());
+  TenantSpec once = tenant("once");
+  once.maxRetries = 0;  // the last loss strands nothing on the probe
+  ASSERT_TRUE(service.registerTenant(once).isOk());
+  omprt::TargetConfig faulted = tinyConfig();
+  faulted.fault.spec = "device_lost_post:count=1";
+  // Lose device 2 at epoch 0, device 0 at epoch 1, device 1 at epoch 2:
+  // the reopen epochs are 10, 11 and 12, so the nearest is not device 0.
+  const size_t order[] = {2, 0, 1};
+  for (size_t i = 0; i < 3; ++i) {
+    ASSERT_EQ(service.epoch(), i);
+    const char* who = i < 2 ? "a" : "once";
+    ASSERT_TRUE(
+        service.submit(who, faulted, nop(), fpOn(service, order[i])).isOk());
+    ASSERT_TRUE(service.runToCompletion().isOk());
+  }
+  EXPECT_EQ(service.tenantStats("a").completed, 2u);  // both migrated
+  EXPECT_EQ(service.tenantStats("once").retriesExhausted, 1u);
+  // Every breaker opened; panic revival forced device 2 half-open.
+  for (size_t d = 0; d < 3; ++d) EXPECT_EQ(service.breakerOpens(d), 1u) << d;
+  EXPECT_EQ(service.breakerState(0), simfault::BreakerState::kOpen);
+  EXPECT_EQ(service.breakerState(1), simfault::BreakerState::kOpen);
+  EXPECT_EQ(service.breakerState(2), simfault::BreakerState::kHalfOpen);
+  EXPECT_FALSE(service.deviceServing(0));
+  EXPECT_FALSE(service.deviceServing(1));
+  EXPECT_TRUE(service.deviceServing(2));
+  EXPECT_FALSE(mgr.isQuarantined(2));
+  for (size_t s = 0; s < service.shardCount(); ++s) {
+    EXPECT_EQ(service.shardDevice(s), 2u) << s;
+  }
+  // The probe's first successful retirement closes its breaker.
+  ASSERT_TRUE(service.submit("a", tinyConfig(), nop(), fp(0)).isOk());
+  ASSERT_TRUE(service.runToCompletion().isOk());
+  EXPECT_EQ(service.outcome(3).device, 2u);
+  EXPECT_EQ(service.breakerState(2), simfault::BreakerState::kClosed);
+  EXPECT_EQ(service.breakerState(0), simfault::BreakerState::kOpen);
+}
+
+TEST(ServiceSloTest, PanicRevivalBreaksReopenTiesToTheLowestDevice) {
+  hostrt::DeviceManager mgr({ArchSpec::testTiny(), ArchSpec::testTiny()});
+  ServiceConfig config;
+  config.breaker.tripThreshold = 1;
+  config.breaker.cooldownEpochs = 10;
+  LaunchService service(mgr, config);
+  TenantSpec once = tenant("once");
+  once.maxRetries = 0;
+  ASSERT_TRUE(service.registerTenant(once).isOk());
+  omprt::TargetConfig faulted = tinyConfig();
+  faulted.fault.spec = "device_lost_post:count=1";
+  // Both devices die in one wave: equal reopen epochs.
+  ASSERT_TRUE(service.submit("once", faulted, nop(), fpOn(service, 1)).isOk());
+  ASSERT_TRUE(service.submit("once", faulted, nop(), fpOn(service, 0)).isOk());
+  ASSERT_TRUE(service.runToCompletion().isOk());
+  EXPECT_EQ(service.tenantStats("once").retriesExhausted, 2u);
+  EXPECT_EQ(service.breakerState(0), simfault::BreakerState::kHalfOpen);
+  EXPECT_EQ(service.breakerState(1), simfault::BreakerState::kOpen);
+  EXPECT_TRUE(service.deviceServing(0));
+  EXPECT_FALSE(service.deviceServing(1));
+}
+
+TEST(ServiceSloTest, ServeMetricsEqualTheServiceTallies) {
+  // Device loss, a deadline tenant, a retry-limited tenant and a queue
+  // bound low enough for brownout, so every serve series moves.
+  MixProfile profile;
+  profile.seed = 7;
+  profile.tenants = 5;
+  profile.requests = 160;
+  profile.pumpEvery = 48;
+  profile.faultPermille = 150;
+  profile.maxInFlight = 8;
+  profile.maxQueued = 64;
+  Mix mix = generateMix(profile);
+  for (MixOp& op : mix.ops) {
+    if (op.kind != MixOp::Kind::kTenant) continue;
+    if (op.tenant.name == "t0") op.tenant.deadlineCycles = 1400;
+    if (op.tenant.name == "t3") op.tenant.maxRetries = 0;
+  }
+  auto& metrics = simprof::MetricsRegistry::global();
+  metrics.reset();
+  std::vector<ArchSpec> specs(4, ArchSpec::testTiny());
+  hostrt::DeviceManager mgr(std::move(specs));
+  ServiceConfig config;
+  config.maxQueued = 32;
+  LaunchService service(mgr, config);
+  ASSERT_TRUE(replayMix(service, mix).isOk());
+
+  TenantStats sum;
+  for (uint32_t i = 0; i < profile.tenants; ++i) {
+    const TenantStats s = service.tenantStats("t" + std::to_string(i));
+    sum.submitted += s.submitted;
+    sum.accepted += s.accepted;
+    sum.shed += s.shed;
+    sum.brownoutShed += s.brownoutShed;
+    sum.deadlineShed += s.deadlineShed;
+    sum.completed += s.completed;
+    sum.migrated += s.migrated;
+    sum.deadlineHit += s.deadlineHit;
+    sum.deadlineMiss += s.deadlineMiss;
+    sum.retriesExhausted += s.retriesExhausted;
+    sum.retryBackoffCycles += s.retryBackoffCycles;
+    sum.breakerTrips += s.breakerTrips;
+  }
+  // The mix must reach every recovery and SLO path it is here to check.
+  EXPECT_GT(sum.migrated, 0u);
+  EXPECT_GT(sum.retriesExhausted, 0u);
+  EXPECT_GT(sum.brownoutShed, 0u);
+  EXPECT_GT(sum.deadlineShed + sum.deadlineMiss, 0u);
+  EXPECT_GT(sum.deadlineHit, 0u);
+
+  using namespace simprof::metric;
+  EXPECT_EQ(metrics.value(kServeRequestsTotal), sum.submitted);
+  EXPECT_EQ(metrics.value(kServeAcceptedTotal), sum.accepted);
+  EXPECT_EQ(metrics.value(kServeShedTotal), sum.shed);
+  EXPECT_EQ(metrics.value(kServeBrownoutShedTotal), sum.brownoutShed);
+  EXPECT_EQ(metrics.value(kServeDeadlineShedTotal), sum.deadlineShed);
+  EXPECT_EQ(metrics.value(kServeMigrationsTotal), sum.migrated);
+  EXPECT_EQ(metrics.value(kServeDeadlineHitTotal), sum.deadlineHit);
+  EXPECT_EQ(metrics.value(kServeDeadlineMissTotal), sum.deadlineMiss);
+  EXPECT_EQ(metrics.value(kServeRetriesExhaustedTotal), sum.retriesExhausted);
+  EXPECT_EQ(metrics.value(kServeBreakerTripsTotal), sum.breakerTrips);
+  EXPECT_EQ(metrics.value(kServeBatchesTotal), service.batchesDispatched());
+  EXPECT_EQ(metrics.value(kServeInFlightPeak), service.peakInFlight());
+  EXPECT_EQ(metrics.value(kServeRetryBackoffCycles), sum.migrated);
+  EXPECT_EQ(metrics.histogramSum(kServeRetryBackoffCycles),
+            sum.retryBackoffCycles);
+  EXPECT_EQ(metrics.value(kServeLatencyCycles), sum.completed);
+  metrics.reset();
 }
 
 TEST(ServiceSloTest, BrownoutShedsLowestPriorityAndDisablesBatching) {

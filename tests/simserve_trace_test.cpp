@@ -83,9 +83,7 @@ std::string replayDump(
   config.maxQueued = 24;
   config.trace.enabled = trace;
   LaunchService service(mgr, config);
-  ReplayOptions options;
-  options.hostWorkers = workers;
-  const Result<ReplayReport> report = replayMix(service, mix, options);
+  const Result<ReplayReport> report = replayMix(service, mix, workers);
   EXPECT_TRUE(report.isOk()) << report.status().toString();
   EXPECT_EQ(service.tracer() != nullptr, trace);
   std::ostringstream out;

@@ -1231,10 +1231,8 @@ int replayMixFile(std::string_view path, const ReplaySetup& setup,
   config.shardCount = setup.shards;
   simserve::LaunchService service(mgr, config);
 
-  simserve::ReplayOptions options;
-  options.hostWorkers = setup.workers;
   const Result<simserve::ReplayReport> report =
-      simserve::replayMix(service, mix.value(), options);
+      simserve::replayMix(service, mix.value(), setup.workers);
   if (!report.isOk()) {
     std::fprintf(stderr, "simtomp serve: replay failed: %s\n",
                  report.status().toString().c_str());
