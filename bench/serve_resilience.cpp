@@ -79,11 +79,7 @@ RunOut runOnce(bool storm) {
     config.watchdogSteps = simserve::kRequestWatchdogSteps;
     config.fault.spec = "off";
     if (storm && r % kFaultEvery == kFaultEvery - 1) {
-      // Unique block= discriminator: the injector's canonical-spec
-      // dedup must not swallow later storm cells (block is ignored at
-      // fire time for the device-lost kinds).
-      config.fault.spec =
-          "device_lost_pre:count=1:block=" + std::to_string(1 + r);
+      config.fault.spec = "device_lost_pre";
     }
     const std::string fingerprint = simserve::mixKernelNames()[kernel] +
                                     "/t" + std::to_string(trip);

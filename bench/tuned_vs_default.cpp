@@ -28,9 +28,8 @@ uint64_t runCandidate(const apps::TunableApp& app,
                       const gpusim::CostModel& cost,
                       const simtune::TuneCandidate& candidate) {
   gpusim::Device device(arch, cost);
-  const auto stats = bench::checkOk(
-      app.trial(device, candidate, simcheck::CheckConfig{}),
-      app.name.c_str());
+  const auto stats =
+      bench::checkOk(app.trial(device, candidate), app.name.c_str());
   return stats.cycles;
 }
 

@@ -52,8 +52,7 @@ uint64_t measure(const apps::CsrMatrix& A, const apps::SpmvOptions& options) {
 /// (generic = 2-level, SPMD = 3-level), the rest maps field-for-field.
 simtune::TrialFn spmvTrial(std::shared_ptr<const apps::CsrMatrix> A) {
   return [A = std::move(A)](gpusim::Device& scratch,
-                            const simtune::TuneCandidate& c,
-                            const simcheck::CheckConfig& /*check*/)
+                            const simtune::TuneCandidate& c)
              -> Result<gpusim::KernelStats> {
     apps::SpmvOptions options;
     options.variant = c.teamsMode == omprt::ExecMode::kGeneric
@@ -159,12 +158,13 @@ int main() {
         tuneOrDie(tuner, std::string(profile.key) + "/sweep", arch, sweep,
                   spmvTrial(A), A->numRows);
     std::printf("  -> simtune picks      simdlen(%u)  [%u trials]\n",
-                tuned.simdlen, tuned.trials);
-    if (tuned.simdlen != best_group || tuned.cycles != best_cycles) {
+                tuned.candidate.simdlen, tuned.trials);
+    if (tuned.candidate.simdlen != best_group ||
+        tuned.cycles != best_cycles) {
       std::fprintf(stderr,
                    "FATAL: tuner disagrees with the manual sweep "
                    "(simdlen %u @ %llu cycles vs %u @ %llu)\n",
-                   tuned.simdlen,
+                   tuned.candidate.simdlen,
                    static_cast<unsigned long long>(tuned.cycles), best_group,
                    static_cast<unsigned long long>(best_cycles));
       return 1;

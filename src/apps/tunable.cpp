@@ -71,8 +71,7 @@ TunableApp tunableSpmv(const gpusim::ArchSpec& arch, bool small) {
   app.axes.simdlens = simdlenAxis(arch, small);
   app.axes.scheduleChunks = {0};
   app.handPicked = {ExecMode::kSPMD, ExecMode::kGeneric, 64, 256, 8, 0};
-  app.trial = [A](gpusim::Device& scratch, const TuneCandidate& c,
-                  const simcheck::CheckConfig& check) {
+  app.trial = [A](gpusim::Device& scratch, const TuneCandidate& c) {
     SpmvOptions options;
     options.variant = c.teamsMode == ExecMode::kGeneric
                           ? SpmvVariant::kTwoLevel
@@ -82,7 +81,6 @@ TunableApp tunableSpmv(const gpusim::ArchSpec& arch, bool small) {
     options.simdlen = c.simdlen;
     options.parallelMode = c.parallelMode;
     options.hostWorkers = 1;  // trials are already fanned out
-    (void)check;  // runSpmv launches resolve SIMTOMP_CHECK themselves
     return finish(runSpmv(scratch, *A, options), "spmv");
   };
   return app;
@@ -105,13 +103,11 @@ TunableApp tunableSu3(const gpusim::ArchSpec& arch, bool small) {
   app.axes.simdlens = simdlenAxis(arch, small);
   app.axes.scheduleChunks = {0};
   app.handPicked = {ExecMode::kSPMD, ExecMode::kSPMD, 32, 128, 1, 0};
-  app.trial = [w](gpusim::Device& scratch, const TuneCandidate& c,
-                  const simcheck::CheckConfig& check) {
+  app.trial = [w](gpusim::Device& scratch, const TuneCandidate& c) {
     Su3Options options;
     options.numTeams = c.numTeams;
     options.threadsPerTeam = c.threadsPerTeam;
     options.simdlen = c.simdlen;
-    (void)check;
     return finish(runSu3(scratch, *w, options), "su3");
   };
   return app;
@@ -136,14 +132,12 @@ TunableApp tunableIdeal(const gpusim::ArchSpec& arch, bool small) {
   app.axes.scheduleChunks = {0};
   app.handPicked = {ExecMode::kSPMD, ExecMode::kGeneric, arch.numSMs, 128, 1,
                     0};
-  app.trial = [w](gpusim::Device& scratch, const TuneCandidate& c,
-                  const simcheck::CheckConfig& check) {
+  app.trial = [w](gpusim::Device& scratch, const TuneCandidate& c) {
     IdealOptions options;
     options.numTeams = c.numTeams;
     options.threadsPerTeam = c.threadsPerTeam;
     options.simdlen = c.simdlen;
     options.flopsPerElement = 2;  // the Fig. 9 setting
-    (void)check;
     return finish(runIdeal(scratch, *w, options), "ideal");
   };
   return app;
@@ -167,14 +161,12 @@ TunableApp tunableLaplace3d(const gpusim::ArchSpec& arch, bool small) {
                             : simdlenAxis(arch, false);
   app.axes.scheduleChunks = {0};
   app.handPicked = {ExecMode::kSPMD, ExecMode::kSPMD, 32, 128, 1, 0};
-  app.trial = [w](gpusim::Device& scratch, const TuneCandidate& c,
-                  const simcheck::CheckConfig& check) {
+  app.trial = [w](gpusim::Device& scratch, const TuneCandidate& c) {
     Laplace3dOptions options;
     options.mode = candidateSimdMode(c);
     options.numTeams = c.numTeams;
     options.threadsPerTeam = c.threadsPerTeam;
     options.simdlen = c.simdlen;
-    (void)check;
     return finish(runLaplace3d(scratch, *w, options), "laplace3d");
   };
   return app;
@@ -201,14 +193,12 @@ TunableApp tunableMuram(const gpusim::ArchSpec& arch, bool small,
                             : simdlenAxis(arch, false);
   app.axes.scheduleChunks = {0};
   app.handPicked = {ExecMode::kSPMD, ExecMode::kSPMD, 32, 128, 1, 0};
-  app.trial = [w, interpol](gpusim::Device& scratch, const TuneCandidate& c,
-                            const simcheck::CheckConfig& check) {
+  app.trial = [w, interpol](gpusim::Device& scratch, const TuneCandidate& c) {
     MuramOptions options;
     options.mode = candidateSimdMode(c);
     options.numTeams = c.numTeams;
     options.threadsPerTeam = c.threadsPerTeam;
     options.simdlen = c.simdlen;
-    (void)check;
     return finish(interpol ? runMuramInterpol(scratch, *w, options)
                            : runMuramTranspose(scratch, *w, options),
                   "muram");
@@ -243,14 +233,12 @@ TunableApp tunableBatchedGemm(const gpusim::ArchSpec& arch, bool small) {
                             : std::vector<uint32_t>{1, 2, 4, 8, 16};
   app.axes.scheduleChunks = {0};
   app.handPicked = {ExecMode::kSPMD, ExecMode::kGeneric, 32, 128, 1, 0};
-  app.trial = [w](gpusim::Device& scratch, const TuneCandidate& c,
-                  const simcheck::CheckConfig& check) {
+  app.trial = [w](gpusim::Device& scratch, const TuneCandidate& c) {
     BatchedGemmOptions options;
     options.numTeams = c.numTeams;
     options.threadsPerTeam = c.threadsPerTeam;
     options.simdlen = c.simdlen;
     options.parallelMode = c.parallelMode;
-    (void)check;
     return finish(runBatchedGemm(scratch, *w, options), "batched_gemm");
   };
   return app;

@@ -81,7 +81,7 @@ Result<KernelStats> Device::launch(const LaunchConfig& config,
   // state below is touched.
   const LaunchOptions knobs = resolveLaunchOptions(config);
   Result<simfault::LaunchArm> armed =
-      injector_.arm(knobs.fault, config.numBlocks);
+      simfault::armLaunch(knobs.fault, config.numBlocks);
   if (!armed.isOk()) return fail(armed.status());
   const simfault::LaunchArm arm = std::move(armed).value();
   if (arm.lostPre) {
@@ -94,23 +94,27 @@ Result<KernelStats> Device::launch(const LaunchConfig& config,
   const bool profiling = knobs.profile.mode == simprof::ProfileMode::kOn;
   last_profile_mode_ = knobs.profile.mode;
 
+  // Every block gets its checker and profiler before any block runs, so
+  // the merges below find one per block whatever happened in the run.
   std::vector<BlockOutcome> outcomes(config.numBlocks);
+  for (uint32_t b = 0; b < config.numBlocks; ++b) {
+    if (checking) {
+      outcomes[b].checker = std::make_unique<simcheck::BlockChecker>(
+          knobs.check, b, config.threadsPerBlock, arch_.warpSize);
+    }
+    if (profiling) {
+      outcomes[b].profiler = std::make_unique<simprof::BlockProfiler>(
+          b, config.threadsPerBlock, kNumCounters,
+          /*capture_spans=*/trace_ != nullptr);
+    }
+  }
   const auto runBlock = [&](uint32_t b) {
     BlockOutcome& out = outcomes[b];
     try {
       BlockEngine engine(arch_, cost_, memory_, b, config.numBlocks,
                          config.threadsPerBlock);
-      if (checking) {
-        out.checker = std::make_unique<simcheck::BlockChecker>(
-            knobs.check, b, config.threadsPerBlock, arch_.warpSize);
-        engine.setChecker(out.checker.get());
-      }
-      if (profiling) {
-        out.profiler = std::make_unique<simprof::BlockProfiler>(
-            b, config.threadsPerBlock, kNumCounters,
-            /*capture_spans=*/trace_ != nullptr);
-        engine.setProfiler(out.profiler.get());
-      }
+      if (checking) engine.setChecker(out.checker.get());
+      if (profiling) engine.setProfiler(out.profiler.get());
       engine.setWatchdog(knobs.watchdogSteps == simfault::kWatchdogOff
                              ? 0
                              : knobs.watchdogSteps);
@@ -136,15 +140,8 @@ Result<KernelStats> Device::launch(const LaunchConfig& config,
     }
   };
 
-  const uint32_t workers = std::min(knobs.hostWorkers, config.numBlocks);
-  if (workers <= 1) {
-    for (uint32_t b = 0; b < config.numBlocks; ++b) {
-      runBlock(b);
-      if (outcomes[b].exception || !outcomes[b].status.isOk()) break;
-    }
-  } else {
-    BlockExecutor::global().parallelFor(config.numBlocks, workers, runBlock);
-  }
+  BlockExecutor::global().parallelFor(config.numBlocks, knobs.hostWorkers,
+                                      runBlock);
 
   // Publish the check report before the status merge below can return:
   // a deadlocked (divergent) launch must still deliver its diagnostics.
@@ -155,7 +152,6 @@ Result<KernelStats> Device::launch(const LaunchConfig& config,
         footprints;
     footprints.reserve(config.numBlocks);
     for (uint32_t b = 0; b < config.numBlocks; ++b) {
-      if (outcomes[b].checker == nullptr) continue;  // serial early exit
       last_check_report_.merge(outcomes[b].checker->report());
       footprints.emplace_back(b, &outcomes[b].checker->footprint());
     }
@@ -174,7 +170,6 @@ Result<KernelStats> Device::launch(const LaunchConfig& config,
   last_profile_.numCounters = kNumCounters;
   if (profiling) {
     for (uint32_t b = 0; b < config.numBlocks; ++b) {
-      if (outcomes[b].profiler == nullptr) continue;  // serial early exit
       last_profile_.mergeTeam(outcomes[b].profiler->teamTree());
     }
     last_profile_.root.sortChildren();

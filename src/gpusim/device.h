@@ -80,11 +80,12 @@ class Device {
 
   /// Run a kernel over the grid. Blocks are modeled as concurrent per
   /// the SM wave schedule; on the host they execute on
-  /// `config.hostWorkers` pool threads (serially when 1). Per-block
-  /// results are merged in block order after the join, so stats,
-  /// counters and the trace timeline are identical for any worker
-  /// count. Launches on one Device must not overlap; use a
-  /// DeviceManager for concurrent multi-device work.
+  /// `config.hostWorkers` pool threads (serially when 1). Every block
+  /// runs, also after another one failed, and per-block results are
+  /// merged in block order after the join, so stats, counters, the
+  /// trace timeline, the check report and the profile are identical
+  /// for any worker count. Launches on one Device must not overlap;
+  /// use a DeviceManager for concurrent multi-device work.
   Result<KernelStats> launch(const LaunchConfig& config, const Kernel& kernel,
                              const BlockSetupHook& setup = nullptr);
 
@@ -119,16 +120,9 @@ class Device {
 
   /// Simulate a device reset (the recovery path runs this between a
   /// faulted launch and its retry). Deliberately keeps
-  /// lastCheckReport() — diagnostics must survive recovery — and the
-  /// fault injector's consumed counts, so a count-bounded transient
-  /// fault stays consumed and the retry heals.
+  /// lastCheckReport(): diagnostics must survive recovery.
   void reset() { ++reset_count_; }
   [[nodiscard]] uint64_t resetCount() const { return reset_count_; }
-
-  /// The per-device fault injector (arming state and launch ordinal).
-  [[nodiscard]] const simfault::Injector& faultInjector() const {
-    return injector_;
-  }
 
  private:
   ArchSpec arch_;
@@ -141,7 +135,6 @@ class Device {
   simcheck::CheckMode last_check_mode_ = simcheck::CheckMode::kOff;
   simprof::LaunchProfile last_profile_;
   simprof::ProfileMode last_profile_mode_ = simprof::ProfileMode::kOff;
-  simfault::Injector injector_;
 };
 
 }  // namespace simtomp::gpusim

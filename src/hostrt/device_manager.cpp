@@ -86,10 +86,8 @@ Status DeviceManager::resolveTuning(size_t n, omprt::TargetConfig& config,
   // trial launches would reorder against queued work).
   if (mode == simtune::TuneMode::kTune && device != nullptr &&
       region != nullptr) {
-    simtune::TuneRequest request = simtune::launchTuneRequest();
-    request.check = config.check;
-    const Result<simtune::TuneOutcome> tuned =
-        tuner->tuneTarget(*device, config, *region, request);
+    const Result<simtune::TuneOutcome> tuned = tuner->tuneTarget(
+        *device, config, *region, simtune::launchTuneRequest());
     if (!tuned.isOk()) return tuned.status();
   }
   return Status::ok();
@@ -150,8 +148,9 @@ Result<gpusim::KernelStats> DeviceManager::launchResilient(
 
   Result<gpusim::KernelStats> result = Status::internal("no attempt ran");
   const auto attempt = [&](simfault::RecoveryStage stage,
-                           const omprt::TargetConfig& shape,
-                           uint32_t backoff_ms) {
+                           omprt::TargetConfig shape, uint32_t backoff_ms) {
+    // The fault plan's count= and after= count this launch's attempts.
+    shape.fault.attempt = static_cast<uint32_t>(report.attempts.size());
     simfault::AttemptRecord record;
     record.stage = stage;
     record.shape = shapeString(shape);

@@ -71,7 +71,7 @@ Result<FaultSpec> parseEntry(std::string_view entry) {
     } else if (key == "count") {
       narrow = &spec.count;
     } else if (key == "after") {
-      narrow = &spec.afterLaunch;
+      narrow = &spec.after;
     } else if (key != "step") {
       return planError("unknown option '" + std::string(key) + "'");
     }
@@ -119,7 +119,7 @@ std::string FaultSpec::canonical() const {
     out += faultWhenName(when);
   }
   if (count != 1) appendOption(&out, "count", count);
-  if (afterLaunch != 0) appendOption(&out, "after", afterLaunch);
+  if (after != 0) appendOption(&out, "after", after);
   return out;
 }
 
@@ -164,20 +164,17 @@ const BlockFaultArm* LaunchArm::forBlock(uint32_t block) const {
   return &it->second;
 }
 
-Result<LaunchArm> Injector::arm(const FaultConfig& config,
-                                uint32_t numBlocks) {
+Result<LaunchArm> armLaunch(const FaultConfig& config, uint32_t numBlocks) {
   Result<FaultPlan> parsed = FaultPlan::parse(config.spec);
   if (!parsed.isOk()) return parsed.status();
   const FaultPlan& plan = parsed.value();
 
-  const uint64_t attempt = launch_ordinal_++;
+  const uint32_t attempt = config.attempt;
   LaunchArm arm;
   for (const FaultSpec& spec : plan.faults) {
     if (spec.when == FaultWhen::kSimd && !config.simdActive) continue;
-    if (attempt < spec.afterLaunch) continue;
-    uint64_t& fired = fired_[spec.canonical()];
-    if (spec.count != 0 && fired >= spec.count) continue;
-    ++fired;
+    if (attempt < spec.after) continue;
+    if (spec.count != 0 && attempt - spec.after >= spec.count) continue;
     simprof::MetricsRegistry::global().add(
         simprof::metric::kFaultInjectionsTotal);
     switch (spec.kind) {

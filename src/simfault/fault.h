@@ -7,9 +7,11 @@
 // (parsed from the SIMTOMP_FAULT env var, a fault(...) directive
 // clause, or explicit LaunchSpec plumbing — mirroring how check/tune
 // are wired) names the site, block and step at which each fault fires,
-// and the per-device Injector arms the plan at launch entry, in launch
-// order, so the same plan produces the same failures for any
-// SIMTOMP_HOST_WORKERS value.
+// and armLaunch turns it into the faults of one launch attempt at
+// launch entry. Arming is a pure function of the plan, the attempt
+// number and the launch shape — no device keeps a ledger of what has
+// fired — so the same plan produces the same failures for any
+// SIMTOMP_HOST_WORKERS value, shard count or launch order.
 //
 // Like simcheck, the subsystem sits *below* gpusim in the build: it
 // depends only on simtomp_support, and its arming API speaks plain
@@ -17,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -49,20 +50,22 @@ enum class FaultWhen : uint8_t {
 /// One entry of a fault plan. `step` is the 1-based occurrence of the
 /// site event at which the fault fires (scheduler step for kTrap,
 /// barrier arrival for kLivelock/kBarrierCorrupt, sharing begin for
-/// kSharingExhausted; ignored for the device-lost kinds). `count`
-/// bounds how many *launch attempts* arm the fault (0 = every attempt),
-/// which is what makes a count=1 device-lost transient: the retry arms
-/// nothing and succeeds. `afterLaunch` skips the first N attempts.
+/// kSharingExhausted; ignored for the device-lost kinds). `count` and
+/// `after` count the attempts of one launch (attempt 0 is the launch
+/// itself, later ones its recovery chain's retries): the spec arms on
+/// attempts [after, after + count), or on every attempt from `after`
+/// on when count is 0. That is what makes a count=1 device-lost
+/// transient: the retry arms nothing and succeeds.
 struct FaultSpec {
   FaultKind kind = FaultKind::kTrap;
   FaultWhen when = FaultWhen::kAny;
   uint32_t block = 0;
   uint64_t step = 1;
   uint32_t count = 1;
-  uint32_t afterLaunch = 0;
+  uint32_t after = 0;
 
   /// Canonical "kind:key=value:..." text (stable key order; defaults
-  /// omitted). Also the Injector's fired-count key.
+  /// omitted).
   [[nodiscard]] std::string canonical() const;
 };
 
@@ -83,11 +86,15 @@ struct FaultPlan {
 
 /// Per-launch fault request; rides gpusim::LaunchOptions the same way
 /// CheckConfig does. `spec` empty means auto: gpusim's knob resolver
-/// consults SIMTOMP_FAULT. `simdActive` is filled by the launch layer
-/// (omprt) so when=simd predicates can be evaluated at arm time.
+/// consults SIMTOMP_FAULT. The other two fields are filled at runtime,
+/// never by a knob: `simdActive` by the launch layer (omprt) so when=simd
+/// predicates can be evaluated at arm time, and `attempt` by the
+/// recovery chain (hostrt::DeviceManager) with the number of attempts
+/// the launch has already made (0 = the first).
 struct FaultConfig {
   std::string spec;
   bool simdActive = false;
+  uint32_t attempt = 0;
 };
 
 /// Sentinel: watchdog explicitly disabled on the launch config.
@@ -115,7 +122,7 @@ struct BlockFaultArm {
   }
 };
 
-/// Everything armed for one launch attempt, produced by Injector::arm.
+/// Everything armed for one launch attempt, produced by armLaunch.
 struct LaunchArm {
   bool lostPre = false;
   bool lostPost = false;
@@ -128,25 +135,10 @@ struct LaunchArm {
   }
 };
 
-/// Per-device fault injector. All plan state is consumed at arm time,
-/// on the launching thread, in launch-attempt order — never from block
-/// workers — so the (fault × policy) matrix is deterministic for any
-/// host worker count. Device::reset() intentionally does NOT clear the
-/// fired counts: a transient fault stays consumed across the reset, so
-/// the retry heals.
-class Injector {
- public:
-  /// Arm `config` for the next launch attempt (the attempt ordinal
-  /// advances even when nothing fires). `config.spec` is taken as
-  /// resolved: "" arms nothing. Returns the armed faults, or
-  /// kInvalidArgument for an unparsable plan.
-  Result<LaunchArm> arm(const FaultConfig& config, uint32_t numBlocks);
-
-  [[nodiscard]] uint64_t launchCount() const { return launch_ordinal_; }
-
- private:
-  uint64_t launch_ordinal_ = 0;          ///< attempts armed so far
-  std::map<std::string, uint64_t> fired_;  ///< canonical spec -> times armed
-};
+/// Arm `config` for attempt `config.attempt` of a `numBlocks`-block
+/// launch. `config.spec` is taken as resolved: "" arms nothing. Returns
+/// the armed faults, or kInvalidArgument for an unparsable plan. Runs
+/// on the launching thread, never from block workers.
+Result<LaunchArm> armLaunch(const FaultConfig& config, uint32_t numBlocks);
 
 }  // namespace simtomp::simfault

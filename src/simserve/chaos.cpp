@@ -327,12 +327,6 @@ void runSeed(const ChaosConfig& cfg, uint64_t seed, ChaosReport& out) {
     }
   }
 
-  // Unique discriminator for every armed fault spec, so the injector's
-  // canonical-spec dedup never swallows a cell (block= is ignored at
-  // fire time for the device-lost kinds; count= values above 1 only
-  // widen an arm budget a single carrier request cannot exhaust).
-  uint32_t ordinal = 0;
-
   const auto drawArrival = [&](Rng& rng, bool allowFault) {
     const uint32_t tenant = static_cast<uint32_t>(rng.nextBelow(3));
     const size_t kernel = static_cast<size_t>(rng.nextBelow(3));
@@ -352,7 +346,7 @@ void runSeed(const ChaosConfig& cfg, uint64_t seed, ChaosReport& out) {
     if (allowFault && faultRng.nextBelow(8) == 0) {
       // Traps fail only their own launch (INTERNAL, no migration), so
       // they are safe inside a congested wave.
-      fault = "trap:step=1:count=" + std::to_string(1000 + ++ordinal);
+      fault = "trap:step=1";
     }
     submitOne(service, run, out.violations, tenant, kernel, trip, simdlen,
               deadline, fault, cfg.workers);
@@ -382,10 +376,8 @@ void runSeed(const ChaosConfig& cfg, uint64_t seed, ChaosReport& out) {
       const uint32_t tenant = static_cast<uint32_t>(faultRng.nextBelow(3));
       const size_t kernel = static_cast<size_t>(faultRng.nextBelow(3));
       const uint64_t trip = kTile * (4 + faultRng.nextBelow(13));
-      const char* kind = faultRng.nextBelow(2) == 0 ? "device_lost_pre"
-                                                    : "device_lost_post";
-      const std::string fault =
-          std::string(kind) + ":count=1:block=" + std::to_string(++ordinal);
+      const char* fault = faultRng.nextBelow(2) == 0 ? "device_lost_pre"
+                                                     : "device_lost_post";
       submitOne(service, run, out.violations, tenant, kernel, trip,
                 /*simdlen=*/1, kInheritDeadline, fault, cfg.workers);
       service.pump();

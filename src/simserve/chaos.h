@@ -32,10 +32,9 @@
 // device-lost faults (which strand *every* request sharing the faulted
 // device) ride only in single-request waves, so they strand exactly
 // the request that armed them; trap faults (which fail only their own
-// launch) ride inside congested waves. Every armed spec carries a
-// unique discriminator (block= for device-lost, count= for traps) so
-// the per-device Injector's canonical-spec dedup cannot swallow a
-// second arm of an identical cell.
+// launch) ride inside congested waves. A fault plan is consumed by the
+// launch that carries it (docs/FAULTS.md), so every arm is a plain spec
+// and fires on its carrier's launch, whatever armed the device before.
 #pragma once
 
 #include <cstdint>

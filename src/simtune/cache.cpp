@@ -138,7 +138,8 @@ class Scanner {
   size_t pos_ = 0;
 };
 
-bool parseEntryObject(Scanner& s, std::string& key, TunedShape& shape) {
+bool parseEntryObject(Scanner& s, std::string& key, TunedShape& entry) {
+  TuneCandidate& shape = entry.candidate;
   if (!s.consume('{')) return false;
   bool have_key = false;
   while (!s.peek('}')) {
@@ -165,9 +166,9 @@ bool parseEntryObject(Scanner& s, std::string& key, TunedShape& shape) {
       } else if (field == "scheduleChunk") {
         shape.scheduleChunk = value;
       } else if (field == "cycles") {
-        shape.cycles = value;
+        entry.cycles = value;
       } else if (field == "trials") {
-        shape.trials = static_cast<uint32_t>(value);
+        entry.trials = static_cast<uint32_t>(value);
       } else {
         return false;  // unknown field: refuse rather than misread
       }
@@ -237,14 +238,18 @@ TuneKey makeTuneKey(std::string kernel, const gpusim::ArchSpec& arch,
   return key;
 }
 
-std::string TunedShape::toString() const {
+std::string TuneCandidate::toString() const {
   std::ostringstream os;
   os << "teams=" << modeToken(teamsMode) << " parallel="
      << modeToken(parallelMode) << " numTeams=" << numTeams
      << " threadsPerTeam=" << threadsPerTeam << " simdlen=" << simdlen
-     << " chunk=" << scheduleChunk << " cycles=" << cycles
-     << " trials=" << trials;
+     << " chunk=" << scheduleChunk;
   return os.str();
+}
+
+std::string TunedShape::toString() const {
+  return candidate.toString() + " cycles=" + std::to_string(cycles) +
+         " trials=" + std::to_string(trials);
 }
 
 TuneCache::TuneCache(std::string path) : path_(std::move(path)) {}
@@ -341,7 +346,8 @@ Status TuneCache::saveTo(const std::string& path) const {
   std::string out;
   out += "{\n  \"simtune_cache\": 1,\n  \"entries\": [";
   bool first = true;
-  for (const auto& [key, shape] : snapshot) {
+  for (const auto& [key, entry] : snapshot) {
+    const TuneCandidate& shape = entry.candidate;
     out += first ? "\n" : ",\n";
     first = false;
     out += "    {\"key\": \"";
@@ -357,8 +363,8 @@ Status TuneCache::saveTo(const std::string& path) const {
                   "\"cycles\": %llu, \"trials\": %u}",
                   shape.numTeams, shape.threadsPerTeam, shape.simdlen,
                   static_cast<unsigned long long>(shape.scheduleChunk),
-                  static_cast<unsigned long long>(shape.cycles),
-                  shape.trials);
+                  static_cast<unsigned long long>(entry.cycles),
+                  entry.trials);
     out += buf;
   }
   out += first ? "]\n}\n" : "\n  ]\n}\n";

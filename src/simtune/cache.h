@@ -62,14 +62,22 @@ struct TuneKey {
                                   const gpusim::CostModel& cost,
                                   uint64_t tripCount);
 
-/// A tuned launch shape: the winner of one search, plus provenance.
-struct TunedShape {
+/// One point of the launch space.
+struct TuneCandidate {
   omprt::ExecMode teamsMode = omprt::ExecMode::kSPMD;
   omprt::ExecMode parallelMode = omprt::ExecMode::kSPMD;
   uint32_t numTeams = 1;
   uint32_t threadsPerTeam = 128;
   uint32_t simdlen = 1;
   uint64_t scheduleChunk = 0;
+
+  [[nodiscard]] bool operator==(const TuneCandidate&) const = default;
+  [[nodiscard]] std::string toString() const;
+};
+
+/// A tuned launch shape: the winner of one search, plus provenance.
+struct TunedShape {
+  TuneCandidate candidate;
   uint64_t cycles = 0;   ///< modeled cycles of the winning trial
   uint32_t trials = 0;   ///< trial launches the search spent
 

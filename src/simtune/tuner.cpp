@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <map>
-#include <sstream>
 
 #include "gpusim/executor.h"
 #include "simprof/metrics.h"
@@ -39,53 +38,12 @@ bool candidateValid(const gpusim::ArchSpec& arch, const TuneCandidate& c) {
   return true;
 }
 
-/// Copy a candidate into the auto fields of a TargetConfig (explicit
-/// fields win — same rule as applyShape, so trial launches see exactly
-/// the configuration a later cache application would produce).
-void applyCandidate(const TuneCandidate& c, omprt::TargetConfig& config) {
-  if (config.teamsModeAuto) {
-    config.teamsMode = c.teamsMode;
-    config.teamsModeAuto = false;
-  }
-  if (config.parallelModeAuto) {
-    config.parallelMode = c.parallelMode;
-    config.parallelModeAuto = false;
-  }
-  if (config.numTeams == 0) config.numTeams = c.numTeams;
-  if (config.threadsPerTeam == 0) config.threadsPerTeam = c.threadsPerTeam;
-  if (config.simdlen == 0) config.simdlen = c.simdlen;
-  if (config.scheduleChunk == 0) config.scheduleChunk = c.scheduleChunk;
-}
-
-TunedShape shapeFromCandidate(const TuneCandidate& c, uint64_t cycles,
-                              uint32_t trials) {
-  TunedShape shape;
-  shape.teamsMode = c.teamsMode;
-  shape.parallelMode = c.parallelMode;
-  shape.numTeams = c.numTeams;
-  shape.threadsPerTeam = c.threadsPerTeam;
-  shape.simdlen = c.simdlen;
-  shape.scheduleChunk = c.scheduleChunk;
-  shape.cycles = cycles;
-  shape.trials = trials;
-  return shape;
-}
-
 constexpr uint64_t kFailedTrial = UINT64_MAX;
 
 }  // namespace
 
 std::string_view tuneStrategyName(TuneStrategy strategy) {
   return strategy == TuneStrategy::kExhaustive ? "exhaustive" : "hillclimb";
-}
-
-std::string TuneCandidate::toString() const {
-  std::ostringstream os;
-  os << "teams=" << omprt::execModeName(teamsMode) << " parallel="
-     << omprt::execModeName(parallelMode) << " numTeams=" << numTeams
-     << " threadsPerTeam=" << threadsPerTeam << " simdlen=" << simdlen
-     << " chunk=" << scheduleChunk;
-  return os.str();
 }
 
 TuneAxes TuneAxes::defaults(const gpusim::ArchSpec& arch) {
@@ -130,7 +88,7 @@ std::vector<TuneCandidate> TuneAxes::enumerate(
   return out;
 }
 
-void applyShape(const TunedShape& shape, omprt::TargetConfig& config) {
+void applyShape(const TuneCandidate& shape, omprt::TargetConfig& config) {
   if (config.teamsModeAuto) {
     config.teamsMode = shape.teamsMode;
     config.teamsModeAuto = false;
@@ -215,8 +173,7 @@ Result<TuneOutcome> Tuner::search(const TuneKey& key,
     gpusim::BlockExecutor::global().parallelFor(
         static_cast<uint32_t>(batch.size()), workers, [&](uint32_t i) {
           gpusim::Device scratch(arch, cost);
-          const Result<gpusim::KernelStats> r =
-              trial(scratch, batch[i], request.check);
+          const Result<gpusim::KernelStats> r = trial(scratch, batch[i]);
           if (r.isOk()) {
             cycles[i] = r.value().cycles;
           } else {
@@ -259,7 +216,7 @@ Result<TuneOutcome> Tuner::search(const TuneKey& key,
     if (best_cycles == kFailedTrial) {
       return Status::internal("every tuning trial failed: " + first_error);
     }
-    outcome.shape = shapeFromCandidate(best, best_cycles, outcome.trialsRun);
+    outcome.shape = TunedShape{best, best_cycles, outcome.trialsRun};
     return outcome;
   }
 
@@ -401,7 +358,7 @@ Result<TuneOutcome> Tuner::search(const TuneKey& key,
   if (best_cycles == kFailedTrial) {
     return Status::internal("every tuning trial failed: " + first_error);
   }
-  outcome.shape = shapeFromCandidate(best, best_cycles, outcome.trialsRun);
+  outcome.shape = TunedShape{best, best_cycles, outcome.trialsRun};
   return outcome;
 }
 
@@ -422,14 +379,15 @@ Result<TuneOutcome> Tuner::tuneTarget(gpusim::Device& device,
   if (config.simdlen != 0) axes.simdlens = {config.simdlen};
   axes.scheduleChunks = {config.scheduleChunk};
 
-  const omprt::TargetConfig base = config;
+  // A trial measures a shape, so it runs fault-free: the launch's fault
+  // plan belongs to the launch that follows the search.
+  omprt::TargetConfig base = config;
+  base.fault.spec = "off";
   const TrialFn trial = [&device, &base, &region](
                             gpusim::Device& /*scratch*/,
-                            const TuneCandidate& candidate,
-                            const simcheck::CheckConfig& check) {
+                            const TuneCandidate& candidate) {
     omprt::TargetConfig tc = base;
-    tc.check = check;
-    applyCandidate(candidate, tc);
+    applyShape(candidate, tc);
     return omprt::launchTarget(device, tc, region);
   };
 
@@ -443,7 +401,7 @@ Result<TuneOutcome> Tuner::tuneTarget(gpusim::Device& device,
       tune(config.tuneKey, device.arch(), device.costModel(), axes, trial,
            serial);
   if (!result.isOk()) return result;
-  applyShape(result.value().shape, config);
+  applyShape(result.value().shape.candidate, config);
   return result;
 }
 
@@ -465,7 +423,7 @@ bool Tuner::resolveConfig(const gpusim::ArchSpec& arch,
   ++cache_hits_;
   simprof::MetricsRegistry::global().add(
       simprof::metric::kTuneCacheHitsTotal);
-  applyShape(*hit, config);
+  applyShape(hit->candidate, config);
   return true;
 }
 

@@ -28,7 +28,6 @@
 
 #include "gpusim/device.h"
 #include "omprt/target.h"
-#include "simcheck/report.h"
 #include "simtune/cache.h"
 #include "support/status.h"
 
@@ -36,19 +35,6 @@ namespace simtomp::simtune {
 
 /// How a launch wants tuning; resolved through gpusim::kTuneKnob.
 using TuneMode = gpusim::TuneMode;
-
-/// One point of the launch space.
-struct TuneCandidate {
-  omprt::ExecMode teamsMode = omprt::ExecMode::kSPMD;
-  omprt::ExecMode parallelMode = omprt::ExecMode::kSPMD;
-  uint32_t numTeams = 1;
-  uint32_t threadsPerTeam = 128;
-  uint32_t simdlen = 1;
-  uint64_t scheduleChunk = 0;
-
-  [[nodiscard]] bool operator==(const TuneCandidate&) const = default;
-  [[nodiscard]] std::string toString() const;
-};
 
 /// The search space, one vector per axis. enumerate() takes the cross
 /// product and drops combinations the runtime would reject or silently
@@ -78,11 +64,9 @@ struct TuneAxes {
 /// Evaluate one candidate: run the kernel under `candidate` on the
 /// provided scratch device and return its stats. Called concurrently
 /// from pool workers — it must create any workload state inside the
-/// scratch device and must not touch shared mutable state. `check`
-/// forwards the launch's checking request so trials can run checked.
+/// scratch device and must not touch shared mutable state.
 using TrialFn = std::function<Result<gpusim::KernelStats>(
-    gpusim::Device& scratch, const TuneCandidate& candidate,
-    const simcheck::CheckConfig& check)>;
+    gpusim::Device& scratch, const TuneCandidate& candidate)>;
 
 enum class TuneStrategy : uint8_t {
   kExhaustive,  ///< rank every enumerated candidate
@@ -101,8 +85,6 @@ struct TuneRequest {
   /// Host workers for trial fan-out (0 = auto via the
   /// SIMTOMP_HOST_WORKERS knob). Affects wall-clock only.
   uint32_t hostWorkers = 0;
-  /// Forwarded to every trial, so tuning can double as a check sweep.
-  simcheck::CheckConfig check{};
   /// Trip count of the workload being tuned (cache bucket).
   uint64_t tripCount = 0;
   /// Re-tune even when the cache already has an entry.
@@ -129,10 +111,12 @@ struct TuneOutcome {
   std::vector<std::pair<TuneCandidate, uint64_t>> evaluated;
 };
 
-/// Copy a tuned shape into the auto fields of a TargetConfig. Explicit
+/// Copy a launch shape into the auto fields of a TargetConfig. Explicit
 /// (non-auto) fields are left alone, so a user who pins simdlen keeps
-/// it even when the cached shape disagrees.
-void applyShape(const TunedShape& shape, omprt::TargetConfig& config);
+/// it even when the cached shape disagrees. Trial launches apply their
+/// candidate the same way, so a trial runs exactly the configuration a
+/// later cache application produces.
+void applyShape(const TuneCandidate& shape, omprt::TargetConfig& config);
 
 /// The autotuner. Thread-safe: the cache is internally locked and the
 /// per-tune search state is local, so concurrent tune() calls (e.g.

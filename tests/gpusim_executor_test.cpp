@@ -1,12 +1,14 @@
 // Unit tests for the host-parallel block execution engine: pool
 // correctness (every index exactly once, nesting, concurrent clients),
 // worker-count resolution, and the determinism contract at the Device
-// layer — identical stats, counters and trace for any hostWorkers.
+// layer — identical stats, counters, trace, check report and profile
+// for any hostWorkers, also when the launch fails.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gpusim/device.h"
@@ -201,6 +203,32 @@ TEST(BlockExecutorTest, FailingBlockReportsLowestBlockId) {
   ASSERT_FALSE(stats.isOk());
   EXPECT_NE(stats.status().message().find("block 3"), std::string::npos)
       << stats.status().message();
+}
+
+TEST(BlockExecutorTest, FailedLaunchPublishesTheSameReportAtAnyWorkerCount) {
+  // Every block deadlocks at a half-reached warp barrier. Every block
+  // still runs, so the failed launch's check report and partial profile
+  // cover all four blocks at 1 host worker exactly as at 4.
+  const auto run = [](uint32_t workers) {
+    Device dev(ArchSpec::testTiny());
+    LaunchConfig config(4, 32);
+    config.hostWorkers = workers;
+    config.check.mode = simcheck::CheckMode::kReport;
+    config.profile.mode = simprof::ProfileMode::kOn;
+    auto stats = dev.launch(config, [](ThreadCtx& t) {
+      if (t.laneId() < 16) t.syncWarp(fullMask(32));
+    });
+    EXPECT_FALSE(stats.isOk());
+    EXPECT_EQ(dev.lastCheckReport().count(simcheck::DiagKind::kBarrierDivergence),
+              4u)
+        << workers << " workers: " << dev.lastCheckReport().toString();
+    return std::pair{dev.lastCheckReport().toString(),
+                     dev.lastProfile().table()};
+  };
+  const auto serial = run(1);
+  const auto parallel = run(4);
+  EXPECT_EQ(serial.first, parallel.first);
+  EXPECT_EQ(serial.second, parallel.second);
 }
 
 TEST(BlockExecutorTest, ParallelLaunchAtomicsSumCorrectly) {

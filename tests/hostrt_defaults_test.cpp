@@ -40,7 +40,7 @@ simtune::TuneKey precKey() {
 
 simtune::TunedShape shapeWithSimdlen(uint32_t simdlen) {
   simtune::TunedShape shape;
-  shape.simdlen = simdlen;
+  shape.candidate.simdlen = simdlen;
   return shape;
 }
 

@@ -1,6 +1,6 @@
 // simfault unit and device-level tests: plan parsing and canonical
-// text, env resolution (SIMTOMP_FAULT / SIMTOMP_WATCHDOG), injector
-// arming semantics (count, afterLaunch, when=simd), and every fault
+// text, env resolution (SIMTOMP_FAULT / SIMTOMP_WATCHDOG), per-attempt
+// arming semantics (count, after, when=simd), and every fault
 // site observed through Device::launch — including the livelock that
 // only the watchdog can kill, and the determinism contract that the
 // same plan yields the same status text for any host worker count.
@@ -76,7 +76,7 @@ TEST(FaultPlanTest, ParsesOptionsAndCanonicalizes) {
   EXPECT_EQ(spec.block, 2u);
   EXPECT_EQ(spec.step, 50u);
   EXPECT_EQ(spec.count, 0u);
-  EXPECT_EQ(spec.afterLaunch, 3u);
+  EXPECT_EQ(spec.after, 3u);
   // Canonical text uses a stable key order, regardless of input order.
   EXPECT_EQ(spec.canonical(),
             "trap:block=2:step=50:when=simd:count=0:after=3");
@@ -195,27 +195,38 @@ TEST(WatchdogResolveTest, OverflowingEnvTakesTheDefault) {
 
 // ---------------- injector arming ----------------
 
-TEST(InjectorTest, CountBoundsAttemptsAndAdvances) {
-  Injector injector;
+// Arm `spec` for attempt `attempt` of a `blocks`-block launch.
+Result<LaunchArm> armAttempt(const char* spec, uint32_t attempt,
+                             uint32_t blocks = 4, bool simd = false) {
   FaultConfig config;
-  config.spec = "device_lost_pre:count=1";
-  auto first = injector.arm(config, 4);
+  config.spec = spec;
+  config.attempt = attempt;
+  config.simdActive = simd;
+  return armLaunch(config, blocks);
+}
+
+TEST(InjectorTest, CountBoundsAttemptsAndAdvances) {
+  // count=1 arms the first attempt only; the retry (attempt 1) arms
+  // nothing, which is what makes the fault transient.
+  auto first = armAttempt("device_lost_pre:count=1", 0);
   ASSERT_TRUE(first.isOk());
   EXPECT_TRUE(first.value().lostPre);
-  // Consumed: the second attempt arms nothing (this is what makes the
-  // fault transient — the retry heals).
-  auto second = injector.arm(config, 4);
+  auto second = armAttempt("device_lost_pre:count=1", 1);
   ASSERT_TRUE(second.isOk());
   EXPECT_FALSE(second.value().lostPre);
-  EXPECT_EQ(injector.launchCount(), 2u);
+  // Arming is a pure function of the attempt: a later launch's first
+  // attempt arms again, whatever earlier launches consumed.
+  auto again = armAttempt("device_lost_pre:count=1", 0);
+  ASSERT_TRUE(again.isOk());
+  EXPECT_TRUE(again.value().lostPre);
+  // count=2 covers attempts 0 and 1.
+  EXPECT_TRUE(armAttempt("device_lost_pre:count=2", 1).value().lostPre);
+  EXPECT_FALSE(armAttempt("device_lost_pre:count=2", 2).value().lostPre);
 }
 
 TEST(InjectorTest, CountZeroFiresEveryAttempt) {
-  Injector injector;
-  FaultConfig config;
-  config.spec = "trap:block=0:count=0";
-  for (int i = 0; i < 3; ++i) {
-    auto arm = injector.arm(config, 1);
+  for (uint32_t attempt : {0u, 1u, 2u, 1000u}) {
+    auto arm = armAttempt("trap:block=0:count=0", attempt, 1);
     ASSERT_TRUE(arm.isOk());
     const BlockFaultArm* block = arm.value().forBlock(0);
     ASSERT_NE(block, nullptr);
@@ -224,47 +235,35 @@ TEST(InjectorTest, CountZeroFiresEveryAttempt) {
 }
 
 TEST(InjectorTest, AfterLaunchSkipsEarlyAttempts) {
-  Injector injector;
-  FaultConfig config;
-  config.spec = "device_lost_post:after=2";
-  auto a = injector.arm(config, 1);
-  auto b = injector.arm(config, 1);
-  auto c = injector.arm(config, 1);
-  ASSERT_TRUE(a.isOk() && b.isOk() && c.isOk());
-  EXPECT_FALSE(a.value().lostPost);
-  EXPECT_FALSE(b.value().lostPost);
-  EXPECT_TRUE(c.value().lostPost);
+  // after=2 arms attempts [2, 2 + count): with the default count=1 only
+  // the second retry faults.
+  for (uint32_t attempt : {0u, 1u, 2u, 3u}) {
+    auto arm = armAttempt("device_lost_post:after=2", attempt, 1);
+    ASSERT_TRUE(arm.isOk());
+    EXPECT_EQ(arm.value().lostPost, attempt == 2) << "attempt " << attempt;
+  }
+  EXPECT_TRUE(
+      armAttempt("device_lost_post:after=2:count=0", 9, 1).value().lostPost);
 }
 
 TEST(InjectorTest, WhenSimdRequiresSimdActive) {
-  Injector injector;
-  FaultConfig config;
-  config.spec = "trap:block=0:when=simd";
-  config.simdActive = false;
-  auto off = injector.arm(config, 1);
+  auto off = armAttempt("trap:block=0:when=simd", 0, 1, /*simd=*/false);
   ASSERT_TRUE(off.isOk());
   EXPECT_EQ(off.value().forBlock(0), nullptr);
-  config.simdActive = true;
-  auto on = injector.arm(config, 1);
+  auto on = armAttempt("trap:block=0:when=simd", 0, 1, /*simd=*/true);
   ASSERT_TRUE(on.isOk());
   ASSERT_NE(on.value().forBlock(0), nullptr);
   EXPECT_TRUE(on.value().forBlock(0)->trap);
 }
 
 TEST(InjectorTest, OutOfRangeBlockArmsNothing) {
-  Injector injector;
-  FaultConfig config;
-  config.spec = "trap:block=9";
-  auto arm = injector.arm(config, 2);
+  auto arm = armAttempt("trap:block=9", 0, 2);
   ASSERT_TRUE(arm.isOk());
   EXPECT_FALSE(arm.value().anything());
 }
 
 TEST(InjectorTest, BadPlanIsInvalidArgument) {
-  Injector injector;
-  FaultConfig config;
-  config.spec = "explode";
-  EXPECT_EQ(injector.arm(config, 1).status().code(),
+  EXPECT_EQ(armAttempt("explode", 0, 1).status().code(),
             StatusCode::kInvalidArgument);
 }
 

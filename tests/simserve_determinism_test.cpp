@@ -73,6 +73,49 @@ TEST(ServeDeterminismTest, StatsIdenticalAcrossShardCountsAndReruns) {
   EXPECT_EQ(base, runMix(mix, 8, 13));  // both axes at once
 }
 
+TEST(ServeDeterminismTest, FrequentDeviceLossIsShardInvariant) {
+  // The CLI's frequent-loss mix (serve gen --seed 7 --tenants 5
+  // --requests 160 --pump-every 48 --fault-permille 150), replayed the
+  // way `simtomp serve replay` does: 4 tiny devices, default config.
+  MixProfile profile;
+  profile.seed = 7;
+  profile.tenants = 5;
+  profile.requests = 160;
+  profile.pumpEvery = 48;
+  profile.faultPermille = 150;
+  const Mix mix = generateMix(profile);
+  uint64_t faulted = 0;
+  for (const MixOp& op : mix.ops) {
+    if (op.kind == MixOp::Kind::kRequest && !op.fault.empty()) ++faulted;
+  }
+  ASSERT_EQ(faulted, 23u);
+
+  const auto replay = [&mix](uint32_t shards, uint64_t* migrated) {
+    hostrt::DeviceManager mgr(
+        std::vector<gpusim::ArchSpec>(4, ArchSpec::testTiny()));
+    ServiceConfig config;
+    config.shardCount = shards;
+    LaunchService service(mgr, config);
+    const Result<ReplayReport> report = replayMix(service, mix);
+    EXPECT_TRUE(report.isOk()) << report.status().toString();
+    *migrated = 0;
+    for (uint32_t t = 0; t < 5; ++t) {
+      *migrated += service.tenantStats("t" + std::to_string(t)).migrated;
+    }
+    std::ostringstream out;
+    service.dumpStats(out);
+    return out.str();
+  };
+  // Each faulted request loses its device on its own launch, whichever
+  // device its shard maps to, so all of them migrate at any shard count.
+  uint64_t migrated = 0;
+  const std::string base = replay(0, &migrated);
+  EXPECT_EQ(migrated, faulted);
+  uint64_t migrated_13 = 0;
+  EXPECT_EQ(base, replay(13, &migrated_13));
+  EXPECT_EQ(migrated_13, faulted);
+}
+
 TEST(ServeDeterminismTest, ConcurrentSubmittersDoNotRace) {
   // submit() is the service's only multi-producer entry; hammer it from
   // four threads while the service thread pumps/drains. Counts are

@@ -172,5 +172,31 @@ TEST(MixTest, ReplayMigratesInjectedDeviceLoss) {
   EXPECT_EQ(stats.failed, 0u);
 }
 
+TEST(MixTest, IdenticalDeviceLossSpecsOnOneDeviceBothMigrate) {
+  // One fingerprint means one shard, so both requests launch on the
+  // same device in the same wave. A fault plan is consumed by the
+  // launch that carries it, so the second identical spec fires too.
+  const char* text =
+      "tenant a priority=1 inflight=64 queued=64\n"
+      "req a axpy trip=64 simdlen=4 fault=device_lost_post:count=1\n"
+      "req a axpy trip=64 simdlen=4 fault=device_lost_post:count=1\n"
+      "pump\n"
+      "drain\n";
+  const Result<Mix> mix = parseMixText(text);
+  ASSERT_TRUE(mix.isOk()) << mix.status().toString();
+
+  hostrt::DeviceManager mgr({ArchSpec::testTiny(), ArchSpec::testTiny()});
+  LaunchService service(mgr);
+  const Result<ReplayReport> report = replayMix(service, mix.value());
+  ASSERT_TRUE(report.isOk()) << report.status().toString();
+  EXPECT_EQ(service.outcome(0).shard, service.outcome(1).shard);
+  EXPECT_TRUE(service.outcome(0).migrated);
+  EXPECT_TRUE(service.outcome(1).migrated);
+  const TenantStats stats = service.tenantStats("a");
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.migrated, 2u);
+  EXPECT_EQ(report.value().verified, 2u);
+}
+
 }  // namespace
 }  // namespace simtomp::simserve

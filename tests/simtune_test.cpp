@@ -19,6 +19,7 @@
 #include "gpusim/cost_model.h"
 #include "hostrt/device_manager.h"
 #include "omprt/target.h"
+#include "simprof/metrics.h"
 #include "simtune/cache.h"
 #include "simtune/tuner.h"
 
@@ -44,12 +45,8 @@ std::string slurp(const std::string& path) {
 
 TunedShape sampleShape() {
   TunedShape shape;
-  shape.teamsMode = omprt::ExecMode::kGeneric;
-  shape.parallelMode = omprt::ExecMode::kSPMD;
-  shape.numTeams = 64;
-  shape.threadsPerTeam = 256;
-  shape.simdlen = 8;
-  shape.scheduleChunk = 4;
+  shape.candidate = {omprt::ExecMode::kGeneric, omprt::ExecMode::kSPMD, 64,
+                     256, 8, 4};
   shape.cycles = 12345;
   shape.trials = 17;
   return shape;
@@ -381,8 +378,7 @@ TEST_F(CorpusTest, CheckedTrialsStillTune) {
 TEST(TunerTest, AllTrialsFailingSurfacesError) {
   Tuner tuner(std::make_shared<TuneCache>());
   TuneAxes axes = TuneAxes::defaults(ArchSpec::testTiny());
-  const TrialFn failing = [](gpusim::Device&, const TuneCandidate&,
-                             const simcheck::CheckConfig&)
+  const TrialFn failing = [](gpusim::Device&, const TuneCandidate&)
       -> Result<gpusim::KernelStats> {
     return Status::internal("trial exploded");
   };
@@ -396,8 +392,7 @@ TEST(TunerTest, AllTrialsFailingSurfacesError) {
 TEST(TunerTest, EmptyLaunchSpaceIsInvalidArgument) {
   Tuner tuner(std::make_shared<TuneCache>());
   TuneAxes axes;  // all axes empty
-  const TrialFn trial = [](gpusim::Device&, const TuneCandidate&,
-                           const simcheck::CheckConfig&)
+  const TrialFn trial = [](gpusim::Device&, const TuneCandidate&)
       -> Result<gpusim::KernelStats> { return gpusim::KernelStats{}; };
   EXPECT_FALSE(tuner
                    .tune("empty", ArchSpec::testTiny(), CostModel{}, axes,
@@ -469,6 +464,47 @@ TEST(DeviceManagerTuningTest, SyncLaunchTunesThenHitsCache) {
   EXPECT_NE(effective.threadsPerTeam, 0u);
   EXPECT_NE(effective.simdlen, 0u);
   EXPECT_EQ(effective.numTeams, 2u);  // explicit field untouched
+}
+
+TEST(DeviceManagerTuningTest, FaultedSyncLaunchTunesFaultFreeThenRecovers) {
+  // A trial measures a shape, so the search runs without the launch's
+  // fault plan: the transient device loss fires once, on the tuned
+  // launch's first attempt, and the retry rung heals it.
+  hostrt::DeviceManager mgr({ArchSpec::testTiny()});
+  auto cache = std::make_shared<TuneCache>();
+  auto tuner = std::make_shared<Tuner>(cache);
+  mgr.setDefaultTuner(tuner, TuneMode::kTune);
+  mgr.setDefaultResilience(simfault::ResiliencePolicy{},
+                           simfault::ResilienceMode::kOn);
+
+  omprt::TargetConfig config;
+  config.tuneKey = "e2e_faulted";
+  config.numTeams = 2;
+  config.threadsPerTeam = 0;  // auto: let the tuner decide
+  config.simdlen = 0;         // auto
+  config.tripCount = 64;
+  config.fault.spec = "device_lost_pre:count=1";
+
+  auto& metrics = simprof::MetricsRegistry::global();
+  const uint64_t injected_before =
+      metrics.value(simprof::metric::kFaultInjectionsTotal);
+  const auto result = mgr.launchOn(0, config, [](omprt::OmpContext& ctx) {
+    ctx.gpu().work(5);
+  });
+  ASSERT_TRUE(result.isOk()) << result.status().toString();
+  EXPECT_GT(tuner->trialLaunches(), 1u);
+  EXPECT_EQ(cache->size(), 1u);
+  EXPECT_EQ(metrics.value(simprof::metric::kFaultInjectionsTotal) -
+                injected_before,
+            1u);
+
+  const simfault::ResilienceReport& report = mgr.lastResilienceReport(0);
+  ASSERT_EQ(report.attempts.size(), 2u) << report.toString();
+  EXPECT_EQ(report.attempts[0].stage, simfault::RecoveryStage::kInitial);
+  EXPECT_EQ(report.attempts[0].code, StatusCode::kUnavailable);
+  EXPECT_EQ(report.attempts[1].stage, simfault::RecoveryStage::kRetry);
+  EXPECT_EQ(report.attempts[1].code, StatusCode::kOk);
+  EXPECT_TRUE(report.recovered);
 }
 
 TEST(DeviceManagerTuningTest, AsyncLaunchNeverRunsTrials) {

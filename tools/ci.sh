@@ -55,10 +55,10 @@
 #          request mix replays through `simtomp serve` twice at 1 host
 #          worker and once each at 8 workers and a prime shard count,
 #          and all per-tenant stat dumps must be byte-identical; a
-#          frequent-loss mix must give identical dumps across reruns
-#          and worker counts; the serve_throughput bench then gates
-#          >= 1000 concurrent in-flight launches across 4 devices and
-#          emits BENCH_serving.json.
+#          frequent-loss mix must give identical dumps across reruns,
+#          worker counts and shard counts; the serve_throughput bench
+#          then gates >= 1000 concurrent in-flight launches across 4
+#          devices and emits BENCH_serving.json.
 # Stage 10: differential-fuzz smoke; a fixed-seed `simtomp fuzz` campaign
 #          runs under SIMTOMP_HOST_WORKERS=1 and =8 and the findings
 #          logs must be byte-identical with zero divergences (the
@@ -289,16 +289,16 @@ same_runs serve-guard \
   "${simtomp}" serve replay "${serve_mix}" >/dev/null
 echo "per-tenant stat dumps byte-identical across reruns/workers/shards"
 # Frequent device loss (150 permille) drives the recovery path: breaker
-# trips, re-dispatch and its backoff. No shard axis here: under frequent
-# loss a request can migrate at one shard count and not at another, an
-# open divergence recorded in CHANGES.md.
+# trips, re-dispatch and its backoff. Every faulted request loses its
+# device on its own launch, so the dumps hold across shard counts too.
 loss_mix="${prefix}/serve-loss.mix"
 "${simtomp}" serve gen --seed 7 --tenants 5 --requests 160 \
   --pump-every 48 --fault-permille 150 --out "${loss_mix}"
-same_runs serve-loss "frequent-loss stats (rerun, 1 vs 8 host workers)" \
-  "--stats:txt" "--workers 1" "--workers 1" "--workers 8" -- \
+same_runs serve-loss \
+  "frequent-loss stats (rerun, 1 vs 8 host workers, shards)" "--stats:txt" \
+  "--workers 1" "--workers 1" "--workers 8" "--workers 8 --shards 13" -- \
   "${simtomp}" serve replay "${loss_mix}" >/dev/null
-echo "frequent-loss stat dumps byte-identical across reruns/workers"
+echo "frequent-loss stat dumps byte-identical across reruns/workers/shards"
 # The bench aborts if fewer than 1000 launches are concurrently in
 # flight across 4 devices or if per-tenant stats diverge between runs.
 (cd "${prefix}/bench" && ./serve_throughput >/dev/null)

@@ -317,7 +317,7 @@ Status resolveLaunchTuning(std::string_view kernel, gpusim::Device& device,
         tuner.tune(config.tuneKey, device.arch(), device.costModel(), app.axes,
                    app.trial, request);
     if (!tuned.isOk()) return tuned.status();
-    simtune::applyShape(tuned.value().shape, config);
+    simtune::applyShape(tuned.value().shape.candidate, config);
     std::printf("  tuning     : key %s searched (%u trials, winner %llu "
                 "cycles)\n",
                 config.tuneKey.c_str(), tuned.value().trialsRun,
@@ -706,6 +706,7 @@ int tuneTune(const Command& self, Args args) {
   std::string apps_csv, arch_name = "a100", strategy, cache_path;
   bool small = false;
   simtune::TuneRequest request;
+  simcheck::CheckMode check = simcheck::CheckMode::kAuto;
   const cli::Flag flags[] = {
       {"--apps", &apps_csv},
       {"--arch", &arch_name},
@@ -714,14 +715,20 @@ int tuneTune(const Command& self, Args args) {
       {"--workers", cli::KnobFlag<uint32_t>{&gpusim::kHostWorkersKnob,
                                             &request.hostWorkers}},
       {"--cache", &cache_path},
-      {"--check", cli::KnobFlag<simcheck::CheckMode>{&gpusim::kCheckKnob,
-                                                     &request.check.mode}},
+      {"--check",
+       cli::KnobFlag<simcheck::CheckMode>{&gpusim::kCheckKnob, &check}},
       {"--small", &small},
       {"--retune", &request.skipCache},
   };
   std::vector<std::string_view> pos;
   if (const Status st = parseArgs(args, flags, pos, 0, 0); !st.isOk()) {
     return usageError(self, st);
+  }
+  // Every trial launch resolves SIMTOMP_CHECK, so the flag sets it for
+  // the process, as `run` does for a directive's fault and watchdog.
+  if (check != simcheck::CheckMode::kAuto) {
+    setenv("SIMTOMP_CHECK",
+           gpusim::knobValueName(gpusim::kCheckKnob, check).c_str(), 1);
   }
   if (strategy == "exhaustive") {
     request.strategy = simtune::TuneStrategy::kExhaustive;
