@@ -27,6 +27,25 @@ inline void gemmElement(OmpContext& ctx, const GlobalSpan<double>& a,
   c.set(t, base + e, sum);
 }
 
+/// The host reference, streamed: calls f(index, value) once per output
+/// element, in memory order.
+template <typename F>
+void forEachBatchedGemmExpected(const BatchedGemmWorkload& w, F&& f) {
+  const uint32_t m = w.m;
+  for (uint64_t item = 0; item < w.batch; ++item) {
+    const uint64_t base = item * m * m;
+    for (uint64_t i = 0; i < m; ++i) {
+      for (uint64_t j = 0; j < m; ++j) {
+        double sum = 0.0;
+        for (uint32_t k = 0; k < m; ++k) {
+          sum += w.a[base + i * m + k] * w.b[base + k * m + j];
+        }
+        f(base + i * m + j, sum);
+      }
+    }
+  }
+}
+
 }  // namespace
 
 BatchedGemmWorkload generateBatchedGemm(uint32_t batch, uint32_t m,
@@ -44,20 +63,10 @@ BatchedGemmWorkload generateBatchedGemm(uint32_t batch, uint32_t m,
 }
 
 std::vector<double> batchedGemmReference(const BatchedGemmWorkload& w) {
-  const uint32_t m = w.m;
   std::vector<double> c(w.a.size(), 0.0);
-  for (uint64_t item = 0; item < w.batch; ++item) {
-    const uint64_t base = item * m * m;
-    for (uint64_t i = 0; i < m; ++i) {
-      for (uint64_t j = 0; j < m; ++j) {
-        double sum = 0.0;
-        for (uint32_t k = 0; k < m; ++k) {
-          sum += w.a[base + i * m + k] * w.b[base + k * m + j];
-        }
-        c[base + i * m + j] = sum;
-      }
-    }
-  }
+  forEachBatchedGemmExpected(w, [&c](uint64_t index, double value) {
+    c[index] = value;
+  });
   return c;
 }
 
@@ -104,10 +113,10 @@ Result<AppRunResult> runBatchedGemm(gpusim::Device& device,
   AppRunResult result;
   if (run.isOk()) {
     result.stats = run.value();
-    const std::vector<double> got = toHost(c);
-    const std::vector<double> reference = batchedGemmReference(w);
-    result.maxError = maxAbsDiff(got, reference);
-    result.verified = result.maxError < 1e-11;
+    const Verification check = verifyInPlace(
+        c, 1e-11, [&w](auto& f) { forEachBatchedGemmExpected(w, f); });
+    result.maxError = check.maxError;
+    result.verified = check.verified;
   }
   (void)device.freeArray(a.data());
   (void)device.freeArray(b.data());

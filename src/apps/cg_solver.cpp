@@ -267,14 +267,13 @@ Result<CgResult> runCg(gpusim::Device& device, const CgWorkload& w,
   result.converged = rr <= stop;
   result.relativeResidual = std::sqrt(rr / b_norm2);
 
-  // ---- Verify against the host: residual of the device solution ----
-  const std::vector<double> x_host = toHost(d.x);
-  const std::vector<double> Ax = spmvReference(w.A, x_host);
+  // ---- Verify on the host: residual of the device solution, in place ----
   double res2 = 0.0;
-  for (uint32_t i = 0; i < n; ++i) {
-    const double diff = Ax[i] - w.b[i];
-    res2 += diff * diff;
-  }
+  forEachSpmvExpected(w.A, std::span<const double>(d.x.data(), d.x.size()),
+                      [&w, &res2](uint64_t row, double ax) {
+                        const double diff = ax - w.b[row];
+                        res2 += diff * diff;
+                      });
   const double true_residual = std::sqrt(res2 / b_norm2);
   result.verified =
       result.converged && true_residual < 10.0 * options.relativeTolerance;

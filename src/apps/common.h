@@ -1,7 +1,10 @@
 // Shared helpers for the application kernels.
 #pragma once
 
+#include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -39,16 +42,46 @@ std::vector<T> toHost(const gpusim::GlobalSpan<T>& span) {
   return out;
 }
 
-/// Max |a-b| over two host vectors.
-inline double maxAbsDiff(std::span<const double> a,
-                         std::span<const double> b) {
+/// Outcome of checking a device output array against its reference.
+struct Verification {
+  double maxError = 0.0;
+  bool verified = false;
+};
+
+/// Check the device array `out` in place against a streamed reference:
+/// `forEachExpected(f)` must call `f(index, value)` once per element of
+/// `out`. maxError is the largest |out[index] - value|, and the check
+/// passes when it is below `tolerance`. A NaN difference, an index past
+/// the array, or a visit count other than out.size() is an infinite
+/// error, so a NaN or a short reference cannot pass. The array is read
+/// through GlobalSpan::data(), outside the simulated accessors, so the
+/// check emits no checker or profiler event and copies nothing.
+template <typename ForEachExpected>
+Verification verifyInPlace(const gpusim::GlobalSpan<double>& out,
+                           double tolerance,
+                           ForEachExpected&& forEachExpected) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double* got = out.data();
+  const size_t n = out.size();
+  size_t visits = 0;
   double m = 0.0;
-  const size_t n = a.size() < b.size() ? a.size() : b.size();
-  for (size_t i = 0; i < n; ++i) {
-    const double d = a[i] > b[i] ? a[i] - b[i] : b[i] - a[i];
-    if (d > m) m = d;
-  }
-  return m;
+  const auto compare = [&](uint64_t index, double expected) {
+    ++visits;
+    if (index >= n) {
+      m = kInf;
+      return;
+    }
+    const double a = got[index];
+    const double d = a > expected ? a - expected : expected - a;
+    if (std::isnan(d)) {
+      m = kInf;
+    } else if (d > m) {
+      m = d;
+    }
+  };
+  forEachExpected(compare);
+  if (visits != n) m = kInf;
+  return {m, m < tolerance};
 }
 
 /// Result of running one application kernel variant.

@@ -52,13 +52,9 @@ CsrMatrix generateCsr(const CsrGenConfig& config) {
 std::vector<double> spmvReference(const CsrMatrix& A,
                                   std::span<const double> x) {
   std::vector<double> y(A.numRows, 0.0);
-  for (uint32_t r = 0; r < A.numRows; ++r) {
-    double sum = 0.0;
-    for (uint32_t k = A.rowPtr[r]; k < A.rowPtr[r + 1]; ++k) {
-      sum += A.values[k] * x[A.colIdx[k]];
-    }
-    y[r] = sum;
-  }
+  forEachSpmvExpected(A, x, [&y](uint64_t row, double value) {
+    y[row] = value;
+  });
   return y;
 }
 

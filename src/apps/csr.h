@@ -43,6 +43,20 @@ struct CsrGenConfig {
 /// Deterministic skewed-row-length CSR generator.
 CsrMatrix generateCsr(const CsrGenConfig& config);
 
+/// Host reference y = A*x, streamed: calls f(row, y[row]) once per row,
+/// in row order.
+template <typename F>
+void forEachSpmvExpected(const CsrMatrix& A, std::span<const double> x,
+                         F&& f) {
+  for (uint32_t r = 0; r < A.numRows; ++r) {
+    double sum = 0.0;
+    for (uint32_t k = A.rowPtr[r]; k < A.rowPtr[r + 1]; ++k) {
+      sum += A.values[k] * x[A.colIdx[k]];
+    }
+    f(r, sum);
+  }
+}
+
 /// Host reference y = A*x.
 std::vector<double> spmvReference(const CsrMatrix& A,
                                   std::span<const double> x);

@@ -21,6 +21,20 @@ inline double elementValue(double s, double in, uint64_t k,
   return v;
 }
 
+/// The host reference, streamed: calls f(index, value) once per output
+/// element, in memory order.
+template <typename F>
+void forEachIdealExpected(const IdealWorkload& w, uint32_t flopsPerElement,
+                          F&& f) {
+  for (uint64_t i = 0; i < w.outerTrip; ++i) {
+    const double s = rowScalar(w.input[i * w.innerTrip], i);
+    for (uint64_t k = 0; k < w.innerTrip; ++k) {
+      f(i * w.innerTrip + k,
+        elementValue(s, w.input[i * w.innerTrip + k], k, flopsPerElement));
+    }
+  }
+}
+
 }  // namespace
 
 IdealWorkload generateIdeal(uint32_t outerTrip, uint32_t innerTrip,
@@ -37,13 +51,10 @@ IdealWorkload generateIdeal(uint32_t outerTrip, uint32_t innerTrip,
 std::vector<double> idealReference(const IdealWorkload& w,
                                    uint32_t flopsPerElement) {
   std::vector<double> out(w.input.size(), 0.0);
-  for (uint64_t i = 0; i < w.outerTrip; ++i) {
-    const double s = rowScalar(w.input[i * w.innerTrip], i);
-    for (uint64_t k = 0; k < w.innerTrip; ++k) {
-      out[i * w.innerTrip + k] =
-          elementValue(s, w.input[i * w.innerTrip + k], k, flopsPerElement);
-    }
-  }
+  forEachIdealExpected(w, flopsPerElement, [&out](uint64_t index,
+                                                  double value) {
+    out[index] = value;
+  });
   return out;
 }
 
@@ -96,11 +107,12 @@ Result<AppRunResult> runIdeal(gpusim::Device& device, const IdealWorkload& w,
   AppRunResult result;
   if (run.isOk()) {
     result.stats = run.value();
-    const std::vector<double> got = toHost(out);
-    const std::vector<double> reference =
-        idealReference(w, options.flopsPerElement);
-    result.maxError = maxAbsDiff(got, reference);
-    result.verified = result.maxError < 1e-12;
+    const Verification check =
+        verifyInPlace(out, 1e-12, [&w, flops](auto& f) {
+          forEachIdealExpected(w, flops, f);
+        });
+    result.maxError = check.maxError;
+    result.verified = check.verified;
   }
   (void)device.freeArray(in.data());
   (void)device.freeArray(out.data());

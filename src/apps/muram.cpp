@@ -51,10 +51,12 @@ Result<gpusim::KernelStats> launchPlaneKernel(gpusim::Device& device,
       });
 }
 
-template <typename Kernel>
+/// Upload the input, run `kernel(in, out)`, and check `out` in place
+/// against the reference streamed by `forEachExpected` (verifyInPlace).
+template <typename ForEachExpected, typename Kernel>
 Result<AppRunResult> runWithVerify(gpusim::Device& device,
                                    const MuramWorkload& w, size_t outSize,
-                                   const std::vector<double>& reference,
+                                   ForEachExpected forEachExpected,
                                    Kernel kernel) {
   auto dev_in = toDevice<double>(device, w.input);
   if (!dev_in.isOk()) return dev_in.status();
@@ -68,14 +70,42 @@ Result<AppRunResult> runWithVerify(gpusim::Device& device,
   AppRunResult result;
   if (run.isOk()) {
     result.stats = run.value();
-    const std::vector<double> got = toHost(out);
-    result.maxError = maxAbsDiff(got, reference);
-    result.verified = result.maxError < 1e-12;
+    const Verification check = verifyInPlace(out, 1e-12, forEachExpected);
+    result.maxError = check.maxError;
+    result.verified = check.verified;
   }
   (void)device.freeArray(in.data());
   (void)device.freeArray(out.data());
   if (!run.isOk()) return run.status();
   return result;
+}
+
+/// The transpose reference, streamed: calls f(index, value) once per
+/// output element.
+template <typename F>
+void forEachMuramTransposeExpected(const MuramWorkload& w, F&& f) {
+  for (uint64_t i = 0; i < w.nx; ++i) {
+    for (uint64_t j = 0; j < w.ny; ++j) {
+      for (uint64_t k = 0; k < w.nz; ++k) {
+        f((k * w.ny + j) * w.nx + i, w.input[(i * w.ny + j) * w.nz + k]);
+      }
+    }
+  }
+}
+
+/// The k-line interpolation reference, streamed: calls f(index, value)
+/// once per output element, in memory order.
+template <typename F>
+void forEachMuramInterpolExpected(const MuramWorkload& w, F&& f) {
+  for (uint64_t i = 0; i < w.nx; ++i) {
+    for (uint64_t j = 0; j < w.ny; ++j) {
+      for (uint64_t k = 0; k + 1 < w.nz; ++k) {
+        const double a = w.input[(i * w.ny + j) * w.nz + k];
+        const double b = w.input[(i * w.ny + j) * w.nz + k + 1];
+        f((i * w.ny + j) * (w.nz - 1) + k, 0.5 * (a + b));
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -94,37 +124,27 @@ MuramWorkload generateMuram(uint32_t nx, uint32_t ny, uint32_t nz,
 
 std::vector<double> muramTransposeReference(const MuramWorkload& w) {
   std::vector<double> out(w.input.size(), 0.0);
-  for (uint64_t i = 0; i < w.nx; ++i) {
-    for (uint64_t j = 0; j < w.ny; ++j) {
-      for (uint64_t k = 0; k < w.nz; ++k) {
-        out[(k * w.ny + j) * w.nx + i] = w.input[(i * w.ny + j) * w.nz + k];
-      }
-    }
-  }
+  forEachMuramTransposeExpected(w, [&out](uint64_t index, double value) {
+    out[index] = value;
+  });
   return out;
 }
 
 std::vector<double> muramInterpolReference(const MuramWorkload& w) {
   std::vector<double> out(
       static_cast<size_t>(w.nx) * w.ny * (w.nz - 1), 0.0);
-  for (uint64_t i = 0; i < w.nx; ++i) {
-    for (uint64_t j = 0; j < w.ny; ++j) {
-      for (uint64_t k = 0; k + 1 < w.nz; ++k) {
-        const double a = w.input[(i * w.ny + j) * w.nz + k];
-        const double b = w.input[(i * w.ny + j) * w.nz + k + 1];
-        out[(i * w.ny + j) * (w.nz - 1) + k] = 0.5 * (a + b);
-      }
-    }
-  }
+  forEachMuramInterpolExpected(w, [&out](uint64_t index, double value) {
+    out[index] = value;
+  });
   return out;
 }
 
 Result<AppRunResult> runMuramTranspose(gpusim::Device& device,
                                        const MuramWorkload& w,
                                        const MuramOptions& options) {
-  const std::vector<double> reference = muramTransposeReference(w);
   return runWithVerify(
-      device, w, w.input.size(), reference,
+      device, w, w.input.size(),
+      [&w](auto& f) { forEachMuramTransposeExpected(w, f); },
       [&](const GlobalSpan<double>& in, const GlobalSpan<double>& out) {
         return launchPlaneKernel(
             device, w, options, w.nz,
@@ -141,9 +161,9 @@ Result<AppRunResult> runMuramTranspose(gpusim::Device& device,
 Result<AppRunResult> runMuramInterpol(gpusim::Device& device,
                                       const MuramWorkload& w,
                                       const MuramOptions& options) {
-  const std::vector<double> reference = muramInterpolReference(w);
   return runWithVerify(
-      device, w, static_cast<size_t>(w.nx) * w.ny * (w.nz - 1), reference,
+      device, w, static_cast<size_t>(w.nx) * w.ny * (w.nz - 1),
+      [&w](auto& f) { forEachMuramInterpolExpected(w, f); },
       [&](const GlobalSpan<double>& in, const GlobalSpan<double>& out) {
         return launchPlaneKernel(
             device, w, options, w.nz - 1,

@@ -154,10 +154,10 @@ Result<AppRunResult> runSpmv(gpusim::Device& device, const CsrMatrix& A,
 
   AppRunResult result;
   result.stats = run.value();
-  const std::vector<double> y = toHost(d.y);
-  const std::vector<double> reference = spmvReference(A, x);
-  result.maxError = maxAbsDiff(y, reference);
-  result.verified = result.maxError < 1e-9;
+  const Verification check = verifyInPlace(
+      d.y, 1e-9, [&A, &x](auto& f) { forEachSpmvExpected(A, x, f); });
+  result.maxError = check.maxError;
+  result.verified = check.verified;
   freeCsr(device, d);
   return result;
 }

@@ -48,6 +48,31 @@ inline void su3Element(OmpContext& ctx, const GlobalSpan<double>& a,
   c.set(t, ci + 1, cim);
 }
 
+/// The host reference C = A*B, streamed: calls f(index, value) once
+/// per output double, in memory order.
+template <typename F>
+void forEachSu3Expected(const Su3Workload& w, F&& f) {
+  for (uint64_t site = 0; site < w.numSites; ++site) {
+    for (uint32_t dir = 0; dir < kSu3Dirs; ++dir) {
+      for (uint32_t i = 0; i < kSu3Dim; ++i) {
+        for (uint32_t j = 0; j < kSu3Dim; ++j) {
+          double cre = 0.0;
+          double cim = 0.0;
+          for (uint32_t k = 0; k < kSu3Dim; ++k) {
+            const uint64_t ai = su3Index(site, dir, i, k);
+            const uint64_t bi = su3Index(site, dir, k, j);
+            cre += w.a[ai] * w.b[bi] - w.a[ai + 1] * w.b[bi + 1];
+            cim += w.a[ai] * w.b[bi + 1] + w.a[ai + 1] * w.b[bi];
+          }
+          const uint64_t ci = su3Index(site, dir, i, j);
+          f(ci, cre);
+          f(ci + 1, cim);
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 
 Su3Workload generateSu3(uint32_t numSites, uint64_t seed) {
@@ -65,25 +90,9 @@ Su3Workload generateSu3(uint32_t numSites, uint64_t seed) {
 
 std::vector<double> su3Reference(const Su3Workload& w) {
   std::vector<double> c(w.a.size(), 0.0);
-  for (uint64_t site = 0; site < w.numSites; ++site) {
-    for (uint32_t dir = 0; dir < kSu3Dirs; ++dir) {
-      for (uint32_t i = 0; i < kSu3Dim; ++i) {
-        for (uint32_t j = 0; j < kSu3Dim; ++j) {
-          double cre = 0.0;
-          double cim = 0.0;
-          for (uint32_t k = 0; k < kSu3Dim; ++k) {
-            const uint64_t ai = su3Index(site, dir, i, k);
-            const uint64_t bi = su3Index(site, dir, k, j);
-            cre += w.a[ai] * w.b[bi] - w.a[ai + 1] * w.b[bi + 1];
-            cim += w.a[ai] * w.b[bi + 1] + w.a[ai + 1] * w.b[bi];
-          }
-          const uint64_t ci = su3Index(site, dir, i, j);
-          c[ci] = cre;
-          c[ci + 1] = cim;
-        }
-      }
-    }
-  }
+  forEachSu3Expected(w, [&c](uint64_t index, double value) {
+    c[index] = value;
+  });
   return c;
 }
 
@@ -130,10 +139,10 @@ Result<AppRunResult> runSu3(gpusim::Device& device, const Su3Workload& w,
   AppRunResult result;
   if (run.isOk()) {
     result.stats = run.value();
-    const std::vector<double> got = toHost(c);
-    const std::vector<double> reference = su3Reference(w);
-    result.maxError = maxAbsDiff(got, reference);
-    result.verified = result.maxError < 1e-12;
+    const Verification check = verifyInPlace(
+        c, 1e-12, [&w](auto& f) { forEachSu3Expected(w, f); });
+    result.maxError = check.maxError;
+    result.verified = check.verified;
   }
   (void)device.freeArray(a.data());
   (void)device.freeArray(b.data());

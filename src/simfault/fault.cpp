@@ -175,6 +175,9 @@ Result<LaunchArm> armLaunch(const FaultConfig& config, uint32_t numBlocks) {
     if (spec.when == FaultWhen::kSimd && !config.simdActive) continue;
     if (attempt < spec.after) continue;
     if (spec.count != 0 && attempt - spec.after >= spec.count) continue;
+    const bool blockFault = spec.kind != FaultKind::kDeviceLostPre &&
+                            spec.kind != FaultKind::kDeviceLostPost;
+    if (blockFault && spec.block >= numBlocks) continue;  // arms nothing
     simprof::MetricsRegistry::global().add(
         simprof::metric::kFaultInjectionsTotal);
     switch (spec.kind) {
@@ -188,7 +191,6 @@ Result<LaunchArm> armLaunch(const FaultConfig& config, uint32_t numBlocks) {
       case FaultKind::kLivelock:
       case FaultKind::kBarrierCorrupt:
       case FaultKind::kSharingExhausted: {
-        if (spec.block >= numBlocks) continue;  // armed but out of range
         auto it = std::lower_bound(
             arm.blockFaults.begin(), arm.blockFaults.end(), spec.block,
             [](const auto& entry, uint32_t b) { return entry.first < b; });

@@ -368,9 +368,9 @@ void runSeed(const ChaosConfig& cfg, uint64_t seed, ChaosReport& out) {
     }
     checkWave(service, run, out.violations);
 
-    // Device-lost storms ride in single-request waves so each strands
-    // exactly its carrier — which is what keeps every per-tenant stat
-    // (migrations, trips, backoff) shard-invariant.
+    // Device-lost storms ride in single-request waves, so each loss's
+    // breaker trip and migration get a drain (and an epoch) of their
+    // own; see the placement note in chaos.h.
     const uint64_t storms = faultRng.nextBelow(3);
     for (uint64_t k = 0; k < storms; ++k) {
       const uint32_t tenant = static_cast<uint32_t>(faultRng.nextBelow(3));

@@ -28,13 +28,19 @@
 // is therefore byte-identical across reruns, SIMTOMP_HOST_WORKERS and
 // shard counts, and CI byte-compares it (ci.sh stage 11).
 //
-// Fault placement is structured so the report stays shard-invariant:
-// device-lost faults (which strand *every* request sharing the faulted
-// device) ride only in single-request waves, so they strand exactly
-// the request that armed them; trap faults (which fail only their own
-// launch) ride inside congested waves. A fault plan is consumed by the
-// launch that carries it (docs/FAULTS.md), so every arm is a plain spec
-// and fires on its carrier's launch, whatever armed the device before.
+// Fault placement: a device-lost fault strands only its carrier —
+// LaunchService::drain() migrates exactly the requests whose own launch
+// returned UNAVAILABLE, and requests sharing the device complete in
+// place — and a trap fails only its own launch. Traps ride inside
+// congested waves. Device-lost faults ride in single-request storm
+// waves, so each loss gets a drain of its own: its breaker trip lands
+// alone in that drain's epoch, on whichever device served its shard,
+// and its migration hop re-dispatches with no other traffic in flight.
+// Co-locating several losses in one wave would let the shard count
+// decide how many trips one device's breaker window takes in one
+// epoch. A fault plan is consumed by the launch that carries it
+// (docs/FAULTS.md), so every arm is a plain spec and fires on its
+// carrier's launch, whatever armed the device before.
 #pragma once
 
 #include <cstdint>

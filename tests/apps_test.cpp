@@ -1,7 +1,12 @@
 // Tests for the application kernels: workload generators, host
-// references, and device-vs-reference verification across execution
-// modes and SIMD group sizes.
+// references, device-vs-reference verification across execution
+// modes and SIMD group sizes, the in-place verification helper, and
+// the host-side page-fault budget of a warm app run.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+
+#include <cmath>
+#include <limits>
 
 #include "apps/csr.h"
 #include "apps/ideal_kernel.h"
@@ -9,12 +14,138 @@
 #include "apps/muram.h"
 #include "apps/sparse_matvec.h"
 #include "apps/su3.h"
+#include "scoped_env.h"
 
 namespace simtomp::apps {
 namespace {
 
 using gpusim::ArchSpec;
 using gpusim::Device;
+using test::ScopedEnv;
+
+// ---------------- in-place verification ----------------
+
+class VerifyInPlaceTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto span = zeroDevice<double>(dev_, 3);
+    ASSERT_TRUE(span.isOk());
+    out_ = span.value();
+  }
+  void TearDown() override { (void)dev_.freeArray(out_.data()); }
+
+  /// Write `got` into the device array, then check it against
+  /// {1, 2, 3} streamed for every index in `visit`.
+  Verification check(const std::vector<double>& got,
+                     const std::vector<uint64_t>& visit) {
+    for (size_t i = 0; i < got.size(); ++i) out_.data()[i] = got[i];
+    return verifyInPlace(out_, 1e-12, [&visit](auto& f) {
+      for (const uint64_t index : visit) {
+        f(index, static_cast<double>(index + 1));
+      }
+    });
+  }
+
+  Device dev_{ArchSpec::testTiny()};
+  gpusim::GlobalSpan<double> out_;
+};
+
+TEST_F(VerifyInPlaceTest, ExactMatchPasses) {
+  const Verification v = check({1.0, 2.0, 3.0}, {0, 1, 2});
+  EXPECT_TRUE(v.verified);
+  EXPECT_EQ(v.maxError, 0.0);
+}
+
+TEST_F(VerifyInPlaceTest, NanElementFails) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Verification v = check({1.0, nan, 3.0}, {0, 1, 2});
+  EXPECT_FALSE(v.verified);
+  EXPECT_TRUE(std::isinf(v.maxError));
+}
+
+TEST_F(VerifyInPlaceTest, ElementOffByMoreThanToleranceFails) {
+  const Verification v = check({1.0, 2.0 + 1e-9, 3.0}, {0, 1, 2});
+  EXPECT_FALSE(v.verified);
+  EXPECT_NEAR(v.maxError, 1e-9, 1e-15);
+}
+
+TEST_F(VerifyInPlaceTest, SkippedIndexFails) {
+  // Index 1 holds garbage but is never visited: a short reference.
+  const Verification v = check({1.0, 99.0, 3.0}, {0, 2});
+  EXPECT_FALSE(v.verified);
+  EXPECT_TRUE(std::isinf(v.maxError));
+}
+
+TEST_F(VerifyInPlaceTest, IndexPastTheArrayFails) {
+  const Verification v = check({1.0, 2.0, 3.0}, {0, 1, 3});
+  EXPECT_FALSE(v.verified);
+  EXPECT_TRUE(std::isinf(v.maxError));
+}
+
+// ---------------- host cost of a warm app run ----------------
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define SIMTOMP_APPS_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define SIMTOMP_APPS_SANITIZED 1
+#endif
+#endif
+
+long minorFaults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
+
+/// Minor page faults taken by one call of `run`.
+template <typename Run>
+long faultsOf(Run run) {
+  const long before = minorFaults();
+  run();
+  return minorFaults() - before;
+}
+
+TEST(AppsHostCostTest, WarmRunsTouchNoFreshPages) {
+#ifdef SIMTOMP_APPS_SANITIZED
+  GTEST_SKIP() << "the sanitizer allocator's quarantine touches fresh pages";
+#endif
+  // Checking and profiling allocate shadow state per launch; pin both
+  // off so the budget measures the app harness and the launch alone.
+  ScopedEnv check("SIMTOMP_CHECK", "off");
+  ScopedEnv prof("SIMTOMP_PROF", "off");
+  Device dev(ArchSpec::nvidiaA100());
+  const Su3Workload su3 = generateSu3(5120, 1);
+  Su3Options su3Options;
+  su3Options.numTeams = 32;
+  su3Options.threadsPerTeam = 128;
+  su3Options.simdlen = 4;
+  const IdealWorkload ideal = generateIdeal(3456, 32, 1);
+  IdealOptions idealOptions;
+  idealOptions.numTeams = 108;
+  idealOptions.threadsPerTeam = 128;
+  idealOptions.simdlen = 32;
+  idealOptions.flopsPerElement = 2;
+
+  const auto runSu3Once = [&] {
+    auto result = runSu3(dev, su3, su3Options);
+    ASSERT_TRUE(result.isOk()) << result.status().toString();
+    EXPECT_TRUE(result.value().verified) << result.value().maxError;
+  };
+  const auto runIdealOnce = [&] {
+    auto result = runIdeal(dev, ideal, idealOptions);
+    ASSERT_TRUE(result.isOk()) << result.status().toString();
+    EXPECT_TRUE(result.value().verified) << result.value().maxError;
+  };
+  // Warm up: the first runs fault in the device arena, fiber stacks and
+  // the executor's workers.
+  runSu3Once();
+  runIdealOnce();
+  // A warm run reuses all of it: verification reads the device array in
+  // place instead of filling a reference vector and a host copy.
+  EXPECT_LE(faultsOf(runSu3Once), 16);
+  EXPECT_LE(faultsOf(runIdealOnce), 16);
+}
 
 // ---------------- CSR generator ----------------
 

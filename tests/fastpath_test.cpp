@@ -26,6 +26,7 @@
 #include "omprt/target.h"
 #include "simprof/metrics.h"
 #include "support/arena.h"
+#include "scoped_env.h"
 
 namespace simtomp {
 namespace {
@@ -37,6 +38,7 @@ using gpusim::KernelStats;
 using omprt::ExecMode;
 using omprt::FastPathMode;
 using omprt::OmpContext;
+using test::ScopedEnv;
 
 // ---------------------------------------------------------------------
 // Body classification: only declared bodies batch, and every hazard
@@ -412,28 +414,6 @@ TEST(FastPathIdentityTest, ReduceMatrixBitIdentical) {
 // ---------------------------------------------------------------------
 // Apps corpus identity (fig9 kernels), fast path via SIMTOMP_FAST
 // ---------------------------------------------------------------------
-
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_ = old != nullptr;
-    if (had_) saved_ = old;
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_) {
-      ::setenv(name_, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool had_ = false;
-  std::string saved_;
-};
 
 apps::CsrMatrix smallMatrix() {
   apps::CsrGenConfig gen;

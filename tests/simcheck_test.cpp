@@ -16,6 +16,7 @@
 #include "omprt/target.h"
 #include "simcheck/checker.h"
 #include "simcheck/report.h"
+#include "scoped_env.h"
 
 namespace simtomp::simcheck {
 namespace {
@@ -29,6 +30,7 @@ using gpusim::Device;
 using gpusim::LaunchConfig;
 using gpusim::SharedSpan;
 using gpusim::ThreadCtx;
+using test::ScopedEnv;
 
 // ---------------- report plumbing ----------------
 
@@ -63,32 +65,6 @@ TEST(CheckReportTest, MergeKeepsCountsAndTruncatesStorage) {
   EXPECT_EQ(a.total(), 3u);                 // exact count survives
   EXPECT_EQ(a.diagnostics.size(), 2u);      // storage capped
 }
-
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* prev = std::getenv(name);
-    had_ = prev != nullptr;
-    if (had_) saved_ = prev;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_) {
-      ::setenv(name_, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool had_ = false;
-  std::string saved_;
-};
 
 TEST(CheckResolveTest, EnvValuesParsed) {
   {

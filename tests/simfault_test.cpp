@@ -13,7 +13,9 @@
 #include "gpusim/device.h"
 #include "omprt/target.h"
 #include "simfault/fault.h"
+#include "simprof/metrics.h"
 #include "support/status.h"
+#include "scoped_env.h"
 
 namespace simtomp::simfault {
 namespace {
@@ -26,32 +28,7 @@ using gpusim::Resolved;
 using gpusim::Device;
 using gpusim::LaunchConfig;
 using gpusim::ThreadCtx;
-
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* prev = std::getenv(name);
-    had_ = prev != nullptr;
-    if (had_) saved_ = prev;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_) {
-      ::setenv(name_, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool had_ = false;
-  std::string saved_;
-};
+using test::ScopedEnv;
 
 // ---------------- plan parsing ----------------
 
@@ -260,6 +237,21 @@ TEST(InjectorTest, OutOfRangeBlockArmsNothing) {
   auto arm = armAttempt("trap:block=9", 0, 2);
   ASSERT_TRUE(arm.isOk());
   EXPECT_FALSE(arm.value().anything());
+}
+
+TEST(InjectorTest, OnlySpecsThatArmCountAsInjections) {
+  auto& metrics = simprof::MetricsRegistry::global();
+  const auto injections = [&metrics] {
+    return metrics.value(simprof::metric::kFaultInjectionsTotal);
+  };
+  const uint64_t before = injections();
+  ASSERT_TRUE(armAttempt("trap:block=999", 0, 4).isOk());
+  EXPECT_EQ(injections(), before);
+  // One spec in range, one out of range: only the first is counted.
+  ASSERT_TRUE(armAttempt("trap:block=3;livelock:block=4", 0, 4).isOk());
+  EXPECT_EQ(injections(), before + 1);
+  ASSERT_TRUE(armAttempt("device_lost_pre", 0, 4).isOk());
+  EXPECT_EQ(injections(), before + 2);
 }
 
 TEST(InjectorTest, BadPlanIsInvalidArgument) {

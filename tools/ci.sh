@@ -88,9 +88,11 @@
 #          emits BENCH_serve_observability.json.
 # Stage 13: ASan+UBSan build; the text-parsing, command-line,
 #          fault-injection, serving-trace, knob, fiber, simulator,
-#          runtime and fast-path suites (front_, support_, cli_,
+#          runtime, fast-path and app suites (front_, support_, cli_,
 #          simfault_, simserve_mix, simserve_trace, hostrt_defaults,
-#          knobs_, fiber_, gpusim_, omprt_, fastpath_) run with every
+#          knobs_, fiber_, gpusim_, omprt_, fastpath_, apps_; the apps
+#          verify their output by reading the device arrays in place)
+#          run with every
 #          report fatal, including exceptions unwinding on
 #          arena-allocated fiber stacks (every fiber stack comes from
 #          its scheduler's arena, fiber_test's included; the fast
@@ -473,7 +475,7 @@ print(f"{bench['trace_events']} trace events "
 EOF
 echo "observability zero-perturbation guard passed"
 
-echo "=== stage 13: ASan+UBSan build, parser/cli/fault/serve-trace/knob/fiber/gpusim/omprt/fast-path suites ==="
+echo "=== stage 13: ASan+UBSan build, parser/cli/fault/serve-trace/knob/fiber/gpusim/omprt/fast-path/apps suites ==="
 cmake -B "${prefix}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DSIMTOMP_SANITIZE=address -DSIMTOMP_BUILD_BENCH=OFF \
   -DSIMTOMP_BUILD_EXAMPLES=OFF
@@ -481,6 +483,6 @@ cmake --build "${prefix}-asan" -j "${jobs}"
 ASAN_OPTIONS="halt_on_error=1 detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
   ctest --test-dir "${prefix}-asan" --output-on-failure -j "${jobs}" \
-  -R '^(front|support|cli|simfault|simserve_mix|simserve_trace|hostrt_defaults|knobs|fiber|gpusim|omprt|fastpath)_'
+  -R '^(front|support|cli|simfault|simserve_mix|simserve_trace|hostrt_defaults|knobs|fiber|gpusim|omprt|fastpath|apps)_'
 
 echo "=== ci.sh: all stages passed ==="
