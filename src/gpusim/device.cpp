@@ -37,17 +37,6 @@ struct BlockOutcome {
   std::unique_ptr<simprof::BlockProfiler> profiler;
 };
 
-/// "simd_loop@8 (b3)"-style label for a deep-trace construct span.
-std::string spanLabel(const simprof::RawSpan& span, uint32_t block_id) {
-  std::string label(simprof::constructName(span.construct));
-  if (span.construct == simprof::Construct::kSimdLoop && span.detail != 0) {
-    label += '@';
-    label += std::to_string(span.detail);
-  }
-  label += " (b" + std::to_string(block_id) + ")";
-  return label;
-}
-
 }  // namespace
 
 Device::Device(ArchSpec arch, CostModel cost, size_t global_mem_bytes)
@@ -138,6 +127,7 @@ Result<KernelStats> Device::launch(const LaunchConfig& config,
     } catch (...) {
       out.exception = std::current_exception();
     }
+    if (checking) out.checker->finishFootprint();
   };
 
   BlockExecutor::global().parallelFor(config.numBlocks, knobs.hostWorkers,
@@ -216,8 +206,11 @@ Result<KernelStats> Device::launch(const LaunchConfig& config,
         // Deep tracing: the block's representative thread-0 construct
         // spans, nested inside the block span on its SM track.
         for (const simprof::RawSpan& span : out.profiler->tracedSpans()) {
-          trace_->recordSpan(sm_id, spanLabel(span, b), sm_start + span.start,
-                             span.end - span.start);
+          trace_->recordSpan(sm_id,
+                             simprof::constructLabel(span.construct,
+                                                     span.detail) +
+                                 " (b" + std::to_string(b) + ")",
+                             sm_start + span.start, span.end - span.start);
         }
         block_windows.emplace_back(sm_start, sm_start + out.blockTime);
       }

@@ -220,12 +220,13 @@ void butterflyBatched(OmpContext& ctx) {
 }
 
 /// Batched simdLoopOnLane + closing syncSimdGroup, bit-identical in
-/// stats to every lane running them on its own fiber. Each lane charges
-/// its prologue barrier's arrival and parks at the group's warp sync
-/// point; the last arrival runs every lane's share (under the kForbid
-/// hazard guard, with simcheck's convergent-batch read dedupe active),
-/// the butterfly and the closing barrier, leaves each lane's result in
-/// its exchange slot and wakes the group.
+/// stats to every lane running them on its own fiber, with the same
+/// simcheck findings. Each lane charges its prologue barrier's arrival
+/// and parks at the group's warp sync point; the last arrival runs
+/// every lane's share (under the kForbid hazard guard; each lane's
+/// accesses reach simcheck through its own ThreadCtx, as on its own
+/// fiber), the butterfly and the closing barrier, leaves each lane's
+/// result in its exchange slot and wakes the group.
 template <typename Body>
 double runSimdBatched(OmpContext& ctx, Body fn, uint64_t tripCount,
                       void** args) {
@@ -236,10 +237,8 @@ double runSimdBatched(OmpContext& ctx, Body fn, uint64_t tripCount,
   const bool charged = ctx.team().archHasWarpBarrier;
   t.chargeLocal();  // iv = simdGroupId()
   if (eng.groupArrive(t, mask, charged)) {
-    simcheck::BlockChecker* checker = t.checker();
     const DispatchPlan plan =
         Dispatcher::global().prepare(reinterpret_cast<const void*>(fn));
-    if (checker != nullptr) checker->beginConvergentBatch();
     eng.forEachLane(t, mask, [&](gpusim::ThreadCtx& lane) {
       OmpContext lane_ctx(lane, ctx.team());
       lane_ctx.enterParallel(ctx.parallelConfig(), ctx.numThreads());
@@ -248,7 +247,6 @@ double runSimdBatched(OmpContext& ctx, Body fn, uint64_t tripCount,
       lane.setHazardGuard(false);
       slots[lane.laneId()] = std::bit_cast<uint64_t>(sum);
     });
-    if (checker != nullptr) checker->endConvergentBatch();
     if constexpr (kReduces<Body>) butterflyBatched(ctx);
     eng.groupBarrier(t, mask, charged);  // the closing syncSimdGroup
     eng.groupRelease(t, mask);

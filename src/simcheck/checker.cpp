@@ -82,10 +82,9 @@ void BlockChecker::raceDiag(uint32_t tid, uint32_t other, MemSpace space,
   report_.add(std::move(d));
 }
 
-void BlockChecker::touchCell(std::unordered_map<uint64_t, Cell>& cells,
-                             uint64_t granule, uint32_t tid, AccessKind kind,
-                             MemSpace space, bool check_uninit) {
-  Cell& cell = cells[granule];
+void BlockChecker::touchCell(Cell& cell, uint64_t granule, uint32_t tid,
+                             AccessKind kind, MemSpace space,
+                             bool check_uninit) {
   switch (kind) {
     case AccessKind::kRead:
       if (check_uninit && cell.write.tid == kNoThread &&
@@ -154,30 +153,6 @@ void BlockChecker::touchCell(std::unordered_map<uint64_t, Cell>& cells,
   }
 }
 
-bool BlockChecker::batchDedupesAccess(std::unordered_set<uint64_t>& reads,
-                                      std::unordered_set<uint64_t>& writes,
-                                      uint64_t granule, AccessKind kind) {
-  if (!batch_active_) return false;
-  if (kind == AccessKind::kRead) {
-    if (writes.count(granule) != 0) return false;
-    // insert() returns false on a repeat: the batch already ran the
-    // representative happens-before check for this granule.
-    return !reads.insert(granule).second;
-  }
-  writes.insert(granule);
-  return false;
-}
-
-void BlockChecker::beginConvergentBatch() {
-  batch_active_ = true;
-  batch_reads_shared_.clear();
-  batch_writes_shared_.clear();
-  batch_reads_global_.clear();
-  batch_writes_global_.clear();
-}
-
-void BlockChecker::endConvergentBatch() { batch_active_ = false; }
-
 void BlockChecker::onAccess(uint32_t tid, const void* ptr, size_t bytes,
                             AccessKind kind, bool block_private) {
   if (bytes == 0) return;
@@ -188,11 +163,7 @@ void BlockChecker::onAccess(uint32_t tid, const void* ptr, size_t bytes,
     const uint64_t first = offset / kGranuleBytes;
     const uint64_t last = (offset + bytes - 1) / kGranuleBytes;
     for (uint64_t g = first; g <= last; ++g) {
-      if (batchDedupesAccess(batch_reads_shared_, batch_writes_shared_, g,
-                             kind)) {
-        continue;
-      }
-      touchCell(shared_cells_, g, tid, kind, MemSpace::kShared,
+      touchCell(shared_cells_[g], g, tid, kind, MemSpace::kShared,
                 /*check_uninit=*/true);
     }
     return;
@@ -206,13 +177,9 @@ void BlockChecker::onAccess(uint32_t tid, const void* ptr, size_t bytes,
                         : kind == AccessKind::kWrite ? GlobalFootprint::kWrite
                                                      : GlobalFootprint::kAtomic;
     for (uint64_t g = first; g <= last; ++g) {
-      if (!block_private) footprint_.granules[g] |= bit;
-      if (batchDedupesAccess(batch_reads_global_, batch_writes_global_, g,
-                             kind)) {
-        continue;
-      }
-      touchCell(global_cells_, g, tid, kind, MemSpace::kGlobal,
-                /*check_uninit=*/false);
+      Cell& cell = global_cells_[g];
+      if (!block_private) cell.footprint |= bit;
+      touchCell(cell, g, tid, kind, MemSpace::kGlobal, /*check_uninit=*/false);
     }
     return;
   }
@@ -222,7 +189,7 @@ void BlockChecker::onAccess(uint32_t tid, const void* ptr, size_t bytes,
 
 void BlockChecker::onSyntheticAccess(uint32_t tid, uint64_t key,
                                      bool is_write) {
-  touchCell(synthetic_cells_, key, tid,
+  touchCell(synthetic_cells_[key], key, tid,
             is_write ? AccessKind::kWrite : AccessKind::kRead,
             MemSpace::kSynthetic, /*check_uninit=*/false);
 }
@@ -380,6 +347,15 @@ void BlockChecker::onRunEnd(bool engine_ok) {
   }
 }
 
+void BlockChecker::finishFootprint() {
+  for (const auto& [granule, cell] : global_cells_) {
+    if (cell.footprint != 0) {
+      footprint_.granules.emplace_back(granule, cell.footprint);
+    }
+  }
+  std::sort(footprint_.granules.begin(), footprint_.granules.end());
+}
+
 const char* BlockChecker::slotName(uint32_t slot) const {
   return slot == kTeamSlot ? "team" : "group";
 }
@@ -455,11 +431,8 @@ void analyzeCrossBlockRaces(
     bool reported = false;
   };
   std::unordered_map<uint64_t, Prior> seen;
-  std::vector<std::pair<uint64_t, uint8_t>> items;
   for (const auto& [block_id, fp] : blocks) {
-    items.assign(fp->granules.begin(), fp->granules.end());
-    std::sort(items.begin(), items.end());
-    for (const auto& [granule, flags] : items) {
+    for (const auto& [granule, flags] : fp->granules) {
       auto [it, inserted] = seen.try_emplace(granule);
       Prior& prior = it->second;
       if (inserted) {

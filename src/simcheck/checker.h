@@ -15,7 +15,14 @@
 // epoch plus the reads/atomics since — and an access that is not
 // ordered after a conflicting epoch is a race. Plain reads never race
 // with plain reads, atomics never race with atomics; everything else
-// unordered does.
+// unordered does. The same granule's shadow cell also carries the
+// block's global footprint flags for the cross-block pass.
+//
+// Every lane's accesses reach the checker through the same hooks,
+// whether the lane ran on its own fiber or in the convergence fast
+// path's batch on the group's last fiber, so a launch reports the same
+// findings with the fast path on or off (a racy report may store them
+// in another order: the batch runs a group's lanes in lane order).
 //
 // Barrier-divergence detection mirrors the engine's sync points: the
 // checker tracks which threads are parked where, flags overlapping
@@ -32,7 +39,7 @@
 #include <map>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "simcheck/report.h"
@@ -43,14 +50,17 @@ namespace simtomp::simcheck {
 enum class AccessKind : uint8_t { kRead = 0, kWrite, kAtomic };
 
 /// Which 4-byte global-memory granules a block touched, and how.
-/// Collected per block and compared across blocks after the launch:
-/// blocks have no inter-block synchronization, so any granule where two
-/// blocks conflict (not read/read, not atomic/atomic) is a race.
+/// The flags live in the block's shadow cells; each block renders them
+/// once, sorted by granule, after its run, and the launch compares the
+/// blocks' footprints: blocks have no inter-block synchronization, so
+/// any granule where two blocks conflict (not read/read, not
+/// atomic/atomic) is a race.
 struct GlobalFootprint {
   static constexpr uint8_t kRead = 1;
   static constexpr uint8_t kWrite = 2;
   static constexpr uint8_t kAtomic = 4;
-  std::unordered_map<uint64_t, uint8_t> granules;  ///< granule -> flags
+  /// (granule, flags), ascending by granule.
+  std::vector<std::pair<uint64_t, uint8_t>> granules;
 };
 
 inline constexpr uint32_t kGranuleBytes = 4;
@@ -94,25 +104,15 @@ class BlockChecker {
   /// `is_block=true` and every thread participates.
   void onSyncArrive(uint32_t tid, const void* sync_key, uint32_t base_tid,
                     LaneMask mask, uint32_t warp_id, bool is_block);
-  /// Bracket a convergent batch (the runtime's fast path replaying all
-  /// lanes of a hazard-free SIMD body on one fiber). Inside the bracket
-  /// every participating lane holds an identical vector clock — they
-  /// were all released by the same barrier join and the body contains
-  /// no further synchronization — so the happens-before verdict of a
-  /// plain read is the same for every lane. Repeat reads of a granule
-  /// already read (and not written) during the batch therefore skip the
-  /// shadow lookup: one representative check per granule. Writes and
-  /// atomics always touch shadow state, and the global footprint is
-  /// always updated, so race-free programs get byte-identical reports
-  /// with the fast path on or off.
-  void beginConvergentBatch();
-  void endConvergentBatch();
-
   /// `tid` returned from the kernel.
   void onThreadFinish(uint32_t tid);
   /// The block's fiber scheduler finished; `engine_ok` is false on
   /// deadlock. Emits barrier-divergence and sharing-leak findings.
   void onRunEnd(bool engine_ok);
+  /// The block is done, whether or not its run reached onRunEnd (a
+  /// fiber that throws skips it): render the global footprint from the
+  /// shadow cells. Called once, on the block's own host worker.
+  void finishFootprint();
 
   // ---- Sharing-space protocol (slot = group index or kTeamSlot) ----
 
@@ -140,6 +140,9 @@ class BlockChecker {
     std::vector<Epoch> reads;
     std::vector<Epoch> atomics;
     bool uninit_reported = false;
+    /// GlobalFootprint flags of the block's global accesses, excluding
+    /// block_private ones; 0 elsewhere.
+    uint8_t footprint = 0;
   };
   struct PendingSync {
     std::vector<uint32_t> participants;
@@ -163,19 +166,12 @@ class BlockChecker {
   }
   [[nodiscard]] Epoch now(uint32_t tid) const { return {tid, vc_[tid][tid]}; }
   void recordEpoch(std::vector<Epoch>& list, uint32_t tid);
-  void touchCell(std::unordered_map<uint64_t, Cell>& cells, uint64_t granule,
-                 uint32_t tid, AccessKind kind, MemSpace space,
-                 bool check_uninit);
+  void touchCell(Cell& cell, uint64_t granule, uint32_t tid, AccessKind kind,
+                 MemSpace space, bool check_uninit);
   void raceDiag(uint32_t tid, uint32_t other, MemSpace space,
                 uint64_t granule, const char* what);
   void releaseSync(const void* sync_key, PendingSync& sync);
   [[nodiscard]] const char* slotName(uint32_t slot) const;
-  /// True when this access can skip touchCell under the convergent
-  /// batch: a repeat plain read of a granule the batch already read and
-  /// never wrote. Non-reads mark the granule written (and never skip).
-  [[nodiscard]] bool batchDedupesAccess(std::unordered_set<uint64_t>& reads,
-                                        std::unordered_set<uint64_t>& writes,
-                                        uint64_t granule, AccessKind kind);
 
   CheckConfig config_;
   uint32_t block_id_;
@@ -201,17 +197,12 @@ class BlockChecker {
   std::map<uint32_t, SharingSlot> sharing_;  ///< ordered: leak sweep order
   GlobalFootprint footprint_;
   CheckReport report_;
-
-  bool batch_active_ = false;
-  std::unordered_set<uint64_t> batch_reads_shared_;
-  std::unordered_set<uint64_t> batch_writes_shared_;
-  std::unordered_set<uint64_t> batch_reads_global_;
-  std::unordered_set<uint64_t> batch_writes_global_;
 };
 
-/// Cross-block pass: compare per-block global footprints (in block
-/// order, so reports are deterministic for any host worker count) and
-/// flag granules where two blocks conflict.
+/// Cross-block pass: walk the per-block global footprints in block
+/// order, each already sorted by granule, so reports are deterministic
+/// for any host worker count, and flag granules where two blocks
+/// conflict.
 void analyzeCrossBlockRaces(
     const std::vector<std::pair<uint32_t, const GlobalFootprint*>>& blocks,
     CheckReport& report);

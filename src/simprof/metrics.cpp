@@ -23,7 +23,7 @@ constexpr MetricDef kCatalog[] = {
     {metric::kCheckFindingsTotal, MetricType::kCounter,
      "simcheck diagnostics reported across all launches"},
     {metric::kFaultInjectionsTotal, MetricType::kCounter,
-     "Faults armed by the simfault injector (per launch plan hit)"},
+     "Fault specs that armed on a launch attempt, counted per attempt"},
     {metric::kWatchdogTimeoutsTotal, MetricType::kCounter,
      "Launches killed by the per-block watchdog step budget"},
     {metric::kTuneCacheHitsTotal, MetricType::kCounter,

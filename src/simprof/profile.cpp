@@ -34,16 +34,16 @@ std::string_view profileModeName(ProfileMode mode) {
   return "unknown";
 }
 
-// ---- ProfileNode ----
-
-std::string ProfileNode::label() const {
-  std::string out(constructName(construct));
-  if (construct == Construct::kSimdLoop && detail != 0) {
+std::string constructLabel(Construct c, uint64_t detail) {
+  std::string out(constructName(c));
+  if (c == Construct::kSimdLoop && detail != 0) {
     out += '@';
     out += std::to_string(detail);
   }
   return out;
 }
+
+// ---- ProfileNode ----
 
 ProfileNode* ProfileNode::findOrCreateChild(Construct c, uint64_t d,
                                             size_t numCounters) {

@@ -47,6 +47,10 @@ enum class Construct : uint8_t {
 inline constexpr size_t kNumConstructs = static_cast<size_t>(Construct::kCount);
 
 [[nodiscard]] std::string_view constructName(Construct c);
+/// "simd_loop@8" for kSimdLoop with detail 8, else the plain name: how
+/// profile tables, folded stacks, JSON and deep-trace spans name a
+/// construct.
+[[nodiscard]] std::string constructLabel(Construct c, uint64_t detail);
 
 /// How a launch should be profiled. Mirrors simcheck::CheckMode.
 enum class ProfileMode : uint8_t {
@@ -80,8 +84,9 @@ struct ProfileNode {
   std::vector<uint64_t> counters;
   std::vector<ProfileNode> children;
 
-  /// "simd_loop@8" for kSimdLoop with detail 8, else the plain name.
-  [[nodiscard]] std::string label() const;
+  [[nodiscard]] std::string label() const {
+    return constructLabel(construct, detail);
+  }
 
   ProfileNode* findOrCreateChild(Construct c, uint64_t detail,
                                  size_t numCounters);

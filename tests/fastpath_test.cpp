@@ -5,13 +5,17 @@
 // The load-bearing contract: for ANY combination of fast path on/off,
 // host worker count, checking on/off and profiling on/off, a launch
 // produces bit-identical KernelStats, check reports and profiles — the
-// fast path buys host wall-time only. Only bodies declared convergent
-// at the call site batch, from their first launch; a declared body that
-// executes any hazard class (divergent branch, barrier, cross-lane op,
-// atomic) must fail the launch loudly rather than corrupt modeled
-// results, and an undeclared body must never batch.
+// fast path buys host wall-time only. A racy program's findings match
+// too, in counts and content: simcheck has one checking path, so a
+// batched lane's accesses are checked exactly as on its own fiber.
+// Only bodies declared convergent at the call site batch, from their
+// first launch; a declared body that executes any hazard class
+// (divergent branch, barrier, cross-lane op, atomic) must fail the
+// launch loudly rather than corrupt modeled results, and an undeclared
+// body must never batch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -409,6 +413,63 @@ TEST(FastPathIdentityTest, ReduceMatrixBitIdentical) {
       }
     }
   }
+}
+
+/// One team of 64 threads, full SPMD, groups of 8 over 16 rows: row 0's
+/// group leader writes in[0] with no synchronization, and every row's
+/// convergent body reads it. Returns the launch's findings: the per-kind
+/// counts, then every diagnostic, sorted.
+std::vector<std::string> racyConvergentFindings(FastPathMode fast) {
+  Device dev(ArchSpec::testTiny());
+  auto in_up = apps::zeroDevice<double>(dev, 1);
+  EXPECT_TRUE(in_up.isOk());
+  const GlobalSpan<double> in = in_up.value();
+
+  dsl::LaunchSpec spec;
+  spec.numTeams = 1;
+  spec.threadsPerTeam = 64;
+  spec.teamsMode = ExecMode::kSPMD;
+  spec.parallelMode = ExecMode::kSPMD;
+  spec.simdlen = kInner;
+  spec.hostWorkers = 1;
+  spec.fastPath = fast;
+  spec.check.mode = simcheck::CheckMode::kReport;
+  spec.check.maxDiagnostics = 1024;  // keep every finding
+  auto stats = dsl::targetTeamsDistributeParallelFor(
+      dev, spec, /*tripCount=*/16, [&](OmpContext& ctx, uint64_t row) {
+        if (row == 0 && ctx.isSimdGroupLeader()) in.set(ctx.gpu(), 0, 1.0);
+        dsl::simd(ctx, kInner,
+                  dsl::convergent([in](OmpContext& inner, uint64_t) {
+                    gpusim::ThreadCtx& it = inner.gpu();
+                    (void)in.get(it, 0);
+                    it.fma();
+                  }));
+      });
+  EXPECT_TRUE(stats.isOk()) << stats.status().toString();
+
+  const simcheck::CheckReport& report = dev.lastCheckReport();
+  EXPECT_EQ(report.diagnostics.size(), report.total());
+  std::vector<std::string> findings;
+  for (const simcheck::Diagnostic& d : report.diagnostics) {
+    findings.push_back(d.toString());
+  }
+  std::sort(findings.begin(), findings.end());
+  findings.insert(findings.begin(), report.summary());
+  return findings;
+}
+
+// Race verdicts are a property of the program, not of how the host ran
+// a group: the batched lanes reach simcheck through the same per-lane
+// hooks, so every finding is the same with the fast path off or on.
+// Only the listing order may differ: lanes on their own fibers read in
+// the scheduler's wake order, interleaved across groups, while the
+// batch replays a group in lane order.
+TEST(FastPathIdentityTest, RacyConvergentBodyReportsIdenticalRaces) {
+  const std::vector<std::string> off =
+      racyConvergentFindings(FastPathMode::kOff);
+  ASSERT_FALSE(off.empty());
+  EXPECT_NE(off.front().find("data-race="), std::string::npos) << off.front();
+  EXPECT_EQ(racyConvergentFindings(FastPathMode::kOn), off);
 }
 
 // ---------------------------------------------------------------------

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -14,59 +13,36 @@
 #include "gpusim/device.h"
 #include "gpusim/executor.h"
 #include "gpusim/knobs.h"
+#include "scoped_env.h"
 
 namespace simtomp::gpusim {
 namespace {
 
-/// Scoped SIMTOMP_HOST_WORKERS override (restores on destruction).
-class ScopedHostWorkersEnv {
- public:
-  explicit ScopedHostWorkersEnv(const char* value) {
-    const char* old = std::getenv("SIMTOMP_HOST_WORKERS");
-    if (old != nullptr) saved_ = old;
-    had_value_ = old != nullptr;
-    if (value != nullptr) {
-      ::setenv("SIMTOMP_HOST_WORKERS", value, 1);
-    } else {
-      ::unsetenv("SIMTOMP_HOST_WORKERS");
-    }
-  }
-  ~ScopedHostWorkersEnv() {
-    if (had_value_) {
-      ::setenv("SIMTOMP_HOST_WORKERS", saved_.c_str(), 1);
-    } else {
-      ::unsetenv("SIMTOMP_HOST_WORKERS");
-    }
-  }
-
- private:
-  std::string saved_;
-  bool had_value_ = false;
-};
+using test::ScopedEnv;
 
 TEST(ResolveHostWorkersTest, ExplicitRequestWins) {
-  ScopedHostWorkersEnv env("16");
+  ScopedEnv env("SIMTOMP_HOST_WORKERS", "16");
   EXPECT_EQ(resolveKnob(kHostWorkersKnob, 3).value, 3u);
   EXPECT_EQ(resolveKnob(kHostWorkersKnob, 1).value, 1u);
 }
 
 TEST(ResolveHostWorkersTest, EnvVarUsedWhenAuto) {
-  ScopedHostWorkersEnv env("5");
+  ScopedEnv env("SIMTOMP_HOST_WORKERS", "5");
   EXPECT_EQ(resolveKnob(kHostWorkersKnob, 0).value, 5u);
 }
 
 TEST(ResolveHostWorkersTest, GarbageEnvFallsBackToHardware) {
   const uint32_t hw = std::max(1u, std::thread::hardware_concurrency());
   {
-    ScopedHostWorkersEnv env("banana");
+    ScopedEnv env("SIMTOMP_HOST_WORKERS", "banana");
     EXPECT_EQ(resolveKnob(kHostWorkersKnob, 0).value, hw);
   }
   {
-    ScopedHostWorkersEnv env("0");
+    ScopedEnv env("SIMTOMP_HOST_WORKERS", "0");
     EXPECT_EQ(resolveKnob(kHostWorkersKnob, 0).value, hw);
   }
   {
-    ScopedHostWorkersEnv env(nullptr);
+    ScopedEnv env("SIMTOMP_HOST_WORKERS", nullptr);
     EXPECT_EQ(resolveKnob(kHostWorkersKnob, 0).value, hw);
   }
 }

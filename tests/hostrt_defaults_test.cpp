@@ -12,22 +12,19 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
-#include <vector>
 
 #include "hostrt/device_manager.h"
 #include "simtune/cache.h"
 #include "simtune/tuner.h"
+#include "scoped_env.h"
 
 namespace simtomp::hostrt {
 namespace {
 
 using gpusim::ArchSpec;
-
-constexpr const char* kEnvVars[] = {"SIMTOMP_TUNE", "SIMTOMP_TUNE_CACHE"};
 
 // The seeded tuning-cache entries: the env-level cache file answers
 // simdlen 16, the manager-level tuner answers 8, the explicit config
@@ -51,27 +48,11 @@ std::string envCachePath() {
 /// Parameterized by channel name; the tuner is the only channel left.
 class DefaultsPrecedenceTest : public ::testing::TestWithParam<const char*> {
  protected:
-  void SetUp() override {
-    for (const char* var : kEnvVars) {
-      const char* old = std::getenv(var);
-      saved_.emplace_back(var, old != nullptr ? std::optional<std::string>(old)
-                                              : std::nullopt);
-      ::unsetenv(var);
-    }
-  }
-  void TearDown() override {
-    for (const auto& [var, old] : saved_) {
-      if (old.has_value()) {
-        ::setenv(var, old->c_str(), 1);
-      } else {
-        ::unsetenv(var);
-      }
-    }
-    std::remove(envCachePath().c_str());
-  }
+  void TearDown() override { std::remove(envCachePath().c_str()); }
 
  private:
-  std::vector<std::pair<const char*, std::optional<std::string>>> saved_;
+  test::ScopedEnv tune_{"SIMTOMP_TUNE", nullptr};
+  test::ScopedEnv tune_cache_{"SIMTOMP_TUNE_CACHE", nullptr};
 };
 
 TEST_P(DefaultsPrecedenceTest, ExplicitBeatsManagerBeatsEnv) {

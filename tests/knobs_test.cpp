@@ -10,8 +10,8 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <deque>
 #include <functional>
-#include <optional>
 #include <ostream>
 #include <string>
 #include <thread>
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "gpusim/knobs.h"
+#include "scoped_env.h"
 
 namespace simtomp::gpusim {
 namespace {
@@ -114,26 +115,11 @@ std::vector<Row> knobRows() {
 class KnobEnvTest {
  protected:
   KnobEnvTest() {
-    for (const Row& row : knobRows()) {
-      const char* old = std::getenv(row.env);
-      saved_.emplace_back(row.env, old != nullptr
-                                       ? std::optional<std::string>(old)
-                                       : std::nullopt);
-      ::unsetenv(row.env);
-    }
-  }
-  ~KnobEnvTest() {
-    for (const auto& [var, old] : saved_) {
-      if (old.has_value()) {
-        ::setenv(var, old->c_str(), 1);
-      } else {
-        ::unsetenv(var);
-      }
-    }
+    for (const Row& row : knobRows()) saved_.emplace_back(row.env, nullptr);
   }
 
  private:
-  std::vector<std::pair<const char*, std::optional<std::string>>> saved_;
+  std::deque<test::ScopedEnv> saved_;
 };
 
 class KnobTableTest : public KnobEnvTest,

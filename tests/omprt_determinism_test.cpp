@@ -8,13 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <vector>
 
 #include "apps/csr.h"
 #include "apps/sparse_matvec.h"
 #include "omprt/runtime.h"
 #include "omprt/target.h"
+#include "scoped_env.h"
 
 namespace simtomp::omprt {
 namespace {
@@ -126,15 +126,11 @@ TEST(DeterminismTest, EnvVarWorkerCountPreservesStats) {
   DynProbe serial_probe(301);
   const KernelStats serial = runDynamicSchedule(1, serial_probe);
 
-  const char* old = std::getenv("SIMTOMP_HOST_WORKERS");
-  const std::string saved = old != nullptr ? old : "";
-  ::setenv("SIMTOMP_HOST_WORKERS", "8", 1);
   DynProbe env_probe(301);
-  const KernelStats via_env = runDynamicSchedule(0, env_probe);
-  if (old != nullptr) {
-    ::setenv("SIMTOMP_HOST_WORKERS", saved.c_str(), 1);
-  } else {
-    ::unsetenv("SIMTOMP_HOST_WORKERS");
+  KernelStats via_env;
+  {
+    test::ScopedEnv env("SIMTOMP_HOST_WORKERS", "8");
+    via_env = runDynamicSchedule(0, env_probe);
   }
   expectIdenticalStats(via_env, serial, 8);
 }

@@ -16,10 +16,11 @@
 #          launch actually spreads blocks over 8 host workers — a data
 #          race in the simulator surfaces here as a test failure even
 #          on a single-core CI machine.
-# Stage 3: simcheck gate; the simulator suites re-run with
-#          SIMTOMP_CHECK=1 (and again over 8 host workers), so a false
-#          positive in the sanitizer — or a real race introduced in the
-#          runtime — fails CI.
+# Stage 3: simcheck gate; the simulator suites, the fast-path
+#          suite among them, re-run with SIMTOMP_CHECK=1 (and again
+#          over 8 host workers), so a false positive in the sanitizer —
+#          or a real race introduced in the runtime, on either side of
+#          the convergence fast path — fails CI.
 # Stage 4: zero-perturbation guard; one bench binary runs with checking
 #          off and on, and the modeled sim_cycles counters must be
 #          bit-identical.
@@ -200,10 +201,10 @@ SIMTOMP_HOST_WORKERS=8 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
 echo "=== stage 3: simcheck gate (SIMTOMP_CHECK=1 over simulator suites) ==="
 SIMTOMP_CHECK=1 \
   ctest --test-dir "${prefix}" --output-on-failure -j "${jobs}" \
-  -R '^(gpusim|omprt|apps|simcheck|dsl|integration)_'
+  -R '^(gpusim|omprt|apps|simcheck|fastpath|dsl|integration)_'
 SIMTOMP_CHECK=1 SIMTOMP_HOST_WORKERS=8 \
   ctest --test-dir "${prefix}" --output-on-failure -j "${jobs}" \
-  -R '^(gpusim|omprt|apps|simcheck)_'
+  -R '^(gpusim|omprt|apps|simcheck|fastpath)_'
 
 echo "=== stage 4: simcheck zero-perturbation bench guard ==="
 off_json="${prefix}/simcheck-guard-off.json"
