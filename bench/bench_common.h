@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "gpusim/stats.h"
+#include "support/json.h"
 #include "support/status.h"
 
 namespace simtomp::bench {
@@ -47,18 +48,6 @@ struct Series {
 inline std::vector<Series>& seriesLog() {
   static std::vector<Series> log;
   return log;
-}
-
-inline void jsonEscapeTo(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
 }
 
 }  // namespace detail
@@ -95,16 +84,16 @@ inline void printTable(const char* title, const char* baseline_label,
 /// each benchmark binary's main().
 inline Status writeBenchJson(const char* name) {
   std::string out = "{\n  \"bench\": \"";
-  detail::jsonEscapeTo(out, name);
+  out += jsonEscaped(name);
   out += "\",\n  \"series\": [\n";
   const auto& log = detail::seriesLog();
   char buf[256];
   for (size_t s = 0; s < log.size(); ++s) {
     const detail::Series& series = log[s];
     out += "    {\"title\": \"";
-    detail::jsonEscapeTo(out, series.title);
+    out += jsonEscaped(series.title);
     out += "\",\n     \"baseline\": {\"label\": \"";
-    detail::jsonEscapeTo(out, series.baselineLabel);
+    out += jsonEscaped(series.baselineLabel);
     std::snprintf(buf, sizeof(buf), "\", \"sim_cycles\": %llu},\n",
                   static_cast<unsigned long long>(series.baselineCycles));
     out += buf;
@@ -115,7 +104,7 @@ inline Status writeBenchJson(const char* name) {
       const double cycles_per_host_s =
           host_s > 0.0 ? static_cast<double>(row.cycles) / host_s : 0.0;
       out += "       {\"label\": \"";
-      detail::jsonEscapeTo(out, row.label);
+      out += jsonEscaped(row.label);
       std::snprintf(buf, sizeof(buf),
                     "\", \"sim_cycles\": %llu, \"speedup\": %.6f, "
                     "\"host_ms\": %.3f, \"host_s\": %.6f, "

@@ -1,9 +1,10 @@
 #include "gpusim/trace.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <set>
+
+#include "support/json.h"
 
 namespace simtomp::gpusim {
 
@@ -15,40 +16,13 @@ namespace {
 constexpr const char* kKernelPid = "0";
 constexpr const char* kSmPid = "1";
 
-/// JSON string escaping for event names: kernel labels are
-/// user-supplied and would otherwise break the Chrome trace output on
-/// a quote, backslash or control character.
-void writeJsonEscaped(std::ostream& out, const std::string& text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\b': out << "\\b"; break;
-      case '\f': out << "\\f"; break;
-      case '\n': out << "\\n"; break;
-      case '\r': out << "\\r"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-}
-
 void writeMetadata(std::ostream& out, const char* pid, uint64_t tid,
                    const char* kind, const std::string& name, bool& first) {
   if (!first) out << ",\n";
   first = false;
   out << "  {\"name\": \"" << kind << "\", \"ph\": \"M\", \"pid\": " << pid
-      << ", \"tid\": " << tid << ", \"args\": {\"name\": \"";
-  writeJsonEscaped(out, name);
-  out << "\"}}";
+      << ", \"tid\": " << tid << ", \"args\": {\"name\": \""
+      << jsonEscaped(name) << "\"}}";
 }
 
 }  // namespace
@@ -117,8 +91,7 @@ void TraceRecorder::writeChromeJson(std::ostream& out) const {
     first = false;
     const uint64_t tid = e.track == kKernelTrack ? 0 : e.track + 1;
     const char* pid = e.track == kKernelTrack ? kKernelPid : kSmPid;
-    out << "  {\"name\": \"";
-    writeJsonEscaped(out, e.name);
+    out << "  {\"name\": \"" << jsonEscaped(e.name);
     switch (e.phase) {
       case Phase::kComplete:
         out << "\", \"ph\": \"X\", \"pid\": " << pid << ", \"tid\": " << tid

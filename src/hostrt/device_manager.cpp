@@ -40,10 +40,6 @@ DeviceManager::DeviceManager(std::vector<gpusim::ArchSpec> specs,
     queues_.push_back(std::make_unique<TargetTaskQueue>(*dev));
   }
   health_.assign(devices_.size(), simfault::DeviceHealth::kHealthy);
-  quarantined_ = std::make_unique<std::atomic<bool>[]>(devices_.size());
-  for (size_t n = 0; n < devices_.size(); ++n) {
-    quarantined_[n].store(false, std::memory_order_relaxed);
-  }
   last_resilience_.resize(devices_.size());
 }
 
@@ -108,10 +104,6 @@ Result<gpusim::KernelStats> DeviceManager::launchOn(
     const omprt::TargetRegionFn& region) {
   if (n >= devices_.size()) {
     return Status::invalidArgument("device number out of range");
-  }
-  if (isQuarantined(n)) {
-    return Status::unavailable("device " + std::to_string(n) +
-                               " is quarantined (circuit breaker open)");
   }
   omprt::TargetConfig effective = config;
   const Status tuned = resolveTuning(n, effective, devices_[n].get(), &region);
@@ -245,15 +237,6 @@ Result<gpusim::KernelStats> DeviceManager::launchResilient(
 std::future<Result<gpusim::KernelStats>> DeviceManager::launchOnAsync(
     size_t n, omprt::TargetConfig config, omprt::TargetRegionFn region) {
   SIMTOMP_CHECK(n < devices_.size(), "device number out of range");
-  if (isQuarantined(n)) {
-    // Fail fast without occupying the queue: a quarantined device must
-    // not accumulate deferred work it would only fail later.
-    std::promise<Result<gpusim::KernelStats>> refused;
-    refused.set_value(Status::unavailable(
-        "device " + std::to_string(n) +
-        " is quarantined (circuit breaker open)"));
-    return refused.get_future();
-  }
   // Deferred launches resolve from the tuning cache only (see
   // resolveTuning); a miss falls back to launchTarget's heuristics.
   (void)resolveTuning(n, config, /*device=*/nullptr, /*region=*/nullptr);

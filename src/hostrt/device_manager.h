@@ -7,7 +7,6 @@
 // queue.
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <shared_mutex>
 #include <vector>
@@ -89,27 +88,11 @@ class DeviceManager {
 
   /// Health of device n per the recovery state machine: healthy until a
   /// launch attempt fails (faulted), reset by resetDevice or the chain,
-  /// healthy again after the next successful launch. A quarantined
-  /// device reports kQuarantined regardless of the underlying machine
-  /// state (the quarantine flag overlays it; see setQuarantined).
+  /// healthy again after the next successful launch. Whether a device
+  /// takes traffic is the launch service's circuit breaker to decide
+  /// (simserve::LaunchService::deviceServing), not a health state.
   [[nodiscard]] simfault::DeviceHealth deviceHealth(size_t n) const {
-    if (isQuarantined(n)) return simfault::DeviceHealth::kQuarantined;
     return health_.at(n);
-  }
-
-  /// Quarantine (or release) device n — the circuit-breaker hook. A
-  /// quarantined device fast-fails every launchOn/launchOnAsync with
-  /// UNAVAILABLE instead of running work; schedulers above (simserve)
-  /// also drop it from their shard maps. The flag is an atomic overlay
-  /// on the health machine, so flipping it is safe while launches run
-  /// on other threads and never perturbs the underlying health state.
-  void setQuarantined(size_t n, bool quarantined) {
-    SIMTOMP_CHECK(n < devices_.size(), "device number out of range");
-    quarantined_[n].store(quarantined, std::memory_order_release);
-  }
-  [[nodiscard]] bool isQuarantined(size_t n) const {
-    SIMTOMP_CHECK(n < devices_.size(), "device number out of range");
-    return quarantined_[n].load(std::memory_order_acquire);
   }
 
   /// What the last resilient launch on device n did, published like
@@ -175,9 +158,6 @@ class DeviceManager {
   simfault::ResiliencePolicy default_resilience_{};
   simfault::ResilienceMode resilience_mode_ = simfault::ResilienceMode::kAuto;
   std::vector<simfault::DeviceHealth> health_;
-  /// Circuit-breaker quarantine overlay (atomic: flipped by a service
-  /// thread while launch threads read it).
-  std::unique_ptr<std::atomic<bool>[]> quarantined_;
   std::vector<simfault::ResilienceReport> last_resilience_;
 };
 

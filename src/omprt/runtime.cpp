@@ -433,20 +433,8 @@ void simd(OmpContext& ctx, LoopBodyFn fn, uint64_t tripCount, void** args,
 
 void workshareFor(OmpContext& ctx, uint64_t tripCount, LoopBodyFn fn,
                   void** args) {
-  gpusim::ThreadCtx& t = ctx.gpu();
-  SIMTOMP_CHECK(ctx.inParallel(), "for-worksharing requires parallel");
-  const ConstructSpan ws_span(t, simprof::Construct::kWorkshare);
-  if (ctx.isSimdGroupLeader()) t.charge(Counter::kWorkshareLoop, 0);
-  const uint64_t id = ctx.threadNum();
-  const uint64_t n = ctx.numThreads();
-  const DispatchPlan plan =
-      Dispatcher::global().prepare(reinterpret_cast<const void*>(fn));
-  if (plan.known) plan.charge(t);
-  for (uint64_t iv = id; iv < tripCount; iv += n) {
-    if (!plan.known) plan.charge(t);
-    fn(ctx, iv, args);
-    t.work(2);  // induction update + bound check
-  }
+  workshareForScheduled(ctx, tripCount, fn, args,
+                        {ForSchedule::kStaticCyclic, 0});
 }
 
 void workshareForScheduled(OmpContext& ctx, uint64_t tripCount,

@@ -50,8 +50,8 @@ class CircuitBreaker {
   explicit CircuitBreaker(BreakerPolicy policy = {}) : policy_(policy) {}
 
   /// Record one launch failure at `epoch`. Returns true when this trip
-  /// opened (or re-opened) the breaker, i.e. the device must be
-  /// quarantined now.
+  /// opened (or re-opened) the breaker, i.e. the device leaves
+  /// service now.
   bool noteTrip(uint64_t epoch);
 
   /// Advance the logical clock: an open breaker whose cool-down has

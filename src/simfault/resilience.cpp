@@ -9,7 +9,6 @@ std::string_view deviceHealthName(DeviceHealth health) {
     case DeviceHealth::kHealthy: return "healthy";
     case DeviceHealth::kFaulted: return "faulted";
     case DeviceHealth::kReset: return "reset";
-    case DeviceHealth::kQuarantined: return "quarantined";
   }
   return "unknown";
 }

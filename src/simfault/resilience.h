@@ -31,7 +31,6 @@ enum class DeviceHealth : uint8_t {
   kHealthy = 0,  ///< no fault observed since the last reset
   kFaulted,      ///< last launch failed; reset required before reuse
   kReset,        ///< reset completed; next successful launch -> healthy
-  kQuarantined,  ///< circuit breaker opened; no traffic until cool-down
 };
 
 /// Which rung of the degradation chain produced a launch attempt.

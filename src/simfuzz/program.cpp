@@ -5,6 +5,8 @@
 #include <sstream>
 #include <vector>
 
+#include "support/parse.h"
+
 namespace simtomp::simfuzz {
 
 namespace {
@@ -19,16 +21,6 @@ std::string_view schedName(ForSchedule kind) {
     case ForSchedule::kDynamic: return "dynamic";
   }
   return "cyclic";
-}
-
-template <typename T>
-bool parseUint(std::string_view text, T& out) {
-  uint64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc{} || ptr != text.data() + text.size()) return false;
-  out = static_cast<T>(value);
-  return out == value || sizeof(T) == sizeof(uint64_t);
 }
 
 bool parseInt(std::string_view text, int64_t& out) {
@@ -212,7 +204,7 @@ Result<FuzzProgram> FuzzProgram::parse(std::string_view text) {
     const std::string_view value = tok.substr(eq + 1);
     bool ok = true;
     if (key == "seed") {
-      ok = parseUint(value, p.seed);
+      ok = parseUnsignedInto(value, p.seed).isOk();
     } else if (key == "construct") {
       if (value == "dpf") p.construct = Construct::kDistributeParallelFor;
       else if (value == "sched") p.construct = Construct::kScheduledFor;
@@ -226,9 +218,9 @@ Result<FuzzProgram> FuzzProgram::parse(std::string_view text) {
       else if (value == "conv") p.body = BodyKind::kConvergentMap;
       else ok = false;
     } else if (key == "teams") {
-      ok = parseUint(value, p.numTeams);
+      ok = parseUnsignedInto(value, p.numTeams).isOk();
     } else if (key == "threads") {
-      ok = parseUint(value, p.threadsPerTeam);
+      ok = parseUnsignedInto(value, p.threadsPerTeam).isOk();
     } else if (key == "tmode" || key == "pmode") {
       ExecMode mode = ExecMode::kSPMD;
       if (value == "spmd") mode = ExecMode::kSPMD;
@@ -236,22 +228,22 @@ Result<FuzzProgram> FuzzProgram::parse(std::string_view text) {
       else ok = false;
       (key == "tmode" ? p.teamsMode : p.parallelMode) = mode;
     } else if (key == "simdlen") {
-      ok = parseUint(value, p.simdlen);
+      ok = parseUnsignedInto(value, p.simdlen).isOk();
     } else if (key == "sched") {
       if (value == "cyclic") p.schedKind = ForSchedule::kStaticCyclic;
       else if (value == "chunked") p.schedKind = ForSchedule::kStaticChunked;
       else if (value == "dynamic") p.schedKind = ForSchedule::kDynamic;
       else ok = false;
     } else if (key == "chunk") {
-      ok = parseUint(value, p.schedChunk);
+      ok = parseUnsignedInto(value, p.schedChunk).isOk();
     } else if (key == "outer") {
-      ok = parseUint(value, p.outerTrip);
+      ok = parseUnsignedInto(value, p.outerTrip).isOk();
     } else if (key == "inner") {
-      ok = parseUint(value, p.innerTrip);
+      ok = parseUnsignedInto(value, p.innerTrip).isOk();
     } else if (key == "pressure") {
-      ok = parseUint(value, p.pressure);
+      ok = parseUnsignedInto(value, p.pressure).isOk();
     } else if (key == "sharing") {
-      ok = parseUint(value, p.sharingSpaceBytes);
+      ok = parseUnsignedInto(value, p.sharingSpaceBytes).isOk();
     } else if (key == "a") {
       ok = parseInt(value, p.a);
     } else if (key == "b") {

@@ -7,6 +7,7 @@
 
 #include "dsl/dsl.h"
 #include "omprt/runtime.h"
+#include "support/parse.h"
 #include "support/rng.h"
 
 namespace simtomp::simserve {
@@ -30,15 +31,14 @@ Status lineError(size_t lineno, const std::string& what) {
                                  what);
 }
 
-bool parseU64(const std::string& text, uint64_t& value) {
-  if (text.empty()) return false;
-  uint64_t v = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<uint64_t>(c - '0');
-  }
-  value = v;
-  return true;
+/// Parse an attribute's number into `field`, capped at its width.
+template <typename T>
+Status parseAttr(size_t lineno, const char* what, const std::string& token,
+                 const std::string& value, T& field) {
+  const Status parsed = parseUnsignedInto(value, field);
+  if (parsed.isOk()) return parsed;
+  return lineError(lineno, std::string("bad ") + what + " attribute '" +
+                               token + "': " + parsed.message());
 }
 
 /// Split "key=value"; returns false when there is no '='.
@@ -170,26 +170,28 @@ Result<Mix> parseMix(std::istream& in) {
       std::string token, key, value;
       std::vector<std::string> seen;
       while (tokens >> token) {
-        uint64_t v = 0;
-        if (!splitKv(token, key, value) || !parseU64(value, v)) {
+        if (!splitKv(token, key, value)) {
           return lineError(lineno, "bad tenant attribute '" + token + "'");
         }
         if (!noteKey(seen, key)) {
           return lineError(lineno, "duplicate tenant key '" + key + "'");
         }
+        TenantSpec& t = op.tenant;
+        Status parsed;
         if (key == "priority") {
-          op.tenant.priority = static_cast<uint32_t>(v);
+          parsed = parseAttr(lineno, "tenant", token, value, t.priority);
         } else if (key == "inflight") {
-          op.tenant.maxInFlight = static_cast<uint32_t>(v);
+          parsed = parseAttr(lineno, "tenant", token, value, t.maxInFlight);
         } else if (key == "queued") {
-          op.tenant.maxQueued = static_cast<uint32_t>(v);
+          parsed = parseAttr(lineno, "tenant", token, value, t.maxQueued);
         } else if (key == "deadline") {
-          op.tenant.deadlineCycles = v;
+          parsed = parseAttr(lineno, "tenant", token, value, t.deadlineCycles);
         } else if (key == "retries") {
-          op.tenant.maxRetries = static_cast<uint32_t>(v);
+          parsed = parseAttr(lineno, "tenant", token, value, t.maxRetries);
         } else {
           return lineError(lineno, "unknown tenant key '" + key + "'");
         }
+        if (!parsed.isOk()) return parsed;
       }
     } else if (word == "req") {
       op.kind = MixOp::Kind::kRequest;
@@ -212,19 +214,17 @@ Result<Mix> parseMix(std::istream& in) {
           op.fault = value;
           continue;
         }
-        uint64_t v = 0;
-        if (!parseU64(value, v)) {
-          return lineError(lineno, "bad req attribute '" + token + "'");
-        }
+        Status parsed;
         if (key == "trip") {
-          op.trip = v;
+          parsed = parseAttr(lineno, "req", token, value, op.trip);
         } else if (key == "simdlen") {
-          op.simdlen = static_cast<uint32_t>(v);
+          parsed = parseAttr(lineno, "req", token, value, op.simdlen);
         } else if (key == "deadline") {
-          op.deadline = v;
+          parsed = parseAttr(lineno, "req", token, value, op.deadline);
         } else {
           return lineError(lineno, "unknown req key '" + key + "'");
         }
+        if (!parsed.isOk()) return parsed;
       }
       if (op.trip == 0) return lineError(lineno, "req needs trip=N > 0");
       if (op.simdlen == 0) return lineError(lineno, "simdlen must be >= 1");

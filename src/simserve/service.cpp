@@ -474,8 +474,8 @@ Status LaunchService::migrateLocked(const std::vector<Stranded>& stranded) {
   // Charge one breaker trip per stranded request, attributed to the
   // request's tenant — a shard-invariant count (how many requests hit
   // faults never depends on which physical device served the shard).
-  // A breaker that crosses its threshold quarantines its device: out
-  // of the shard map and fast-failed by the manager until cool-down.
+  // A breaker that crosses its threshold opens: its device leaves the
+  // shard map until cool-down.
   std::vector<bool> lost(breakers_.size(), false);
   for (const Stranded& s : stranded) {
     Request& request = requests_[s.id];
@@ -488,7 +488,6 @@ Status LaunchService::migrateLocked(const std::vector<Stranded>& stranded) {
     const size_t d = request.device;
     lost[d] = true;
     if (breakers_[d].noteTrip(epoch_)) {
-      mgr_->setQuarantined(d, true);
       if (tracer_) {
         tracer_->noteBreakerOpened(static_cast<uint32_t>(d), epoch_);
         tracer_->onFailureTrigger("breaker_open");
@@ -497,9 +496,9 @@ Status LaunchService::migrateLocked(const std::vector<Stranded>& stranded) {
   }
   // Reset every device lost in this wave — its in-flight work was all
   // retired above, so this is the drain -> quiesce -> reset step of the
-  // health machine — and every quarantined device (a later half-open
-  // probe must start from a clean device). Devices whose breaker stayed
-  // closed keep serving: the loss was transient.
+  // health machine — and every device whose breaker is open (a later
+  // half-open probe must start from a clean device). Devices whose
+  // breaker stayed closed keep serving: the loss was transient.
   for (size_t d = 0; d < breakers_.size(); ++d) {
     if (lost[d] || !servingLocked(d)) mgr_->resetDevice(d);
   }
@@ -514,7 +513,6 @@ Status LaunchService::migrateLocked(const std::vector<Stranded>& stranded) {
       }
     }
     breakers_[pick].forceHalfOpen();
-    mgr_->setQuarantined(pick, false);
     if (tracer_) {
       tracer_->notePanicRevival(static_cast<uint32_t>(pick), epoch_);
     }
@@ -605,7 +603,6 @@ void LaunchService::advanceBreakersLocked() {
     if (breakers_[d].state() != simfault::BreakerState::kOpen) continue;
     breakers_[d].onEpoch(epoch_);
     if (breakers_[d].state() == simfault::BreakerState::kHalfOpen) {
-      mgr_->setQuarantined(d, false);
       changed = true;
       if (tracer_) {
         tracer_->noteBreakerHalfOpen(static_cast<uint32_t>(d), epoch_);
@@ -652,10 +649,9 @@ Status LaunchService::runToCompletion() {
 void LaunchService::reviveDevice(size_t n) {
   std::lock_guard<std::mutex> lock(mu_);
   SIMTOMP_CHECK(n < breakers_.size(), "device number out of range");
-  // Manual revival outranks the breaker: close it (forgetting any
-  // outstanding probe) and clear the quarantine.
+  // Manual revival outranks the breaker: close it, forgetting any
+  // outstanding probe.
   breakers_[n].forceClose();
-  mgr_->setQuarantined(n, false);
   if (tracer_) {
     tracer_->noteDeviceRevived(static_cast<uint32_t>(n), epoch_);
   }

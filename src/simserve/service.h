@@ -114,8 +114,8 @@ struct ServiceConfig {
   /// counted drain() completions). tripThreshold 0 disables breakers,
   /// restoring unconditional post-reset re-admission.
   simfault::BreakerPolicy breaker{};
-  /// Never let the serving set empty: when every device is
-  /// quarantined, the breaker closest to its reopen epoch is forced
+  /// Never let the serving set empty: when every device's breaker is
+  /// open, the breaker closest to its reopen epoch is forced
   /// half-open so traffic keeps flowing (panic revival). Disable to
   /// make total device loss fail pending work instead.
   bool panicRevival = true;
@@ -240,9 +240,9 @@ class LaunchService {
   /// dispatched request retired.
   Status runToCompletion();
 
-  /// Manually re-admit a quiesced or quarantined device: force-close
-  /// its breaker, clear the manager quarantine, and restore the
-  /// canonical shard mapping over the serving devices.
+  /// Manually re-admit a quiesced device or one whose breaker is open:
+  /// force-close its breaker and restore the canonical shard mapping
+  /// over the serving devices.
   void reviveDevice(size_t n);
 
   /// Logical clock: completed drain() calls. Breaker windows and

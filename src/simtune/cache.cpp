@@ -6,6 +6,9 @@
 #include <fstream>
 #include <sstream>
 
+#include "support/json.h"
+#include "support/parse.h"
+
 namespace simtomp::simtune {
 namespace {
 
@@ -33,27 +36,6 @@ bool parseModeToken(std::string_view token, omprt::ExecMode& mode) {
     return true;
   }
   return false;
-}
-
-/// JSON string escaping for the composite keys (kernel names may carry
-/// user text; fingerprints are plain ASCII already).
-void appendEscaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 /// Minimal scanner for the cache's own JSON dialect. Not a general JSON
@@ -102,7 +84,10 @@ class Scanner {
         switch (esc) {
           case '"': out += '"'; break;
           case '\\': out += '\\'; break;
+          case 'b': out += '\b'; break;
+          case 'f': out += '\f'; break;
           case 'n': out += '\n'; break;
+          case 'r': out += '\r'; break;
           case 't': out += '\t'; break;
           case 'u': {
             if (pos_ + 4 > text_.size()) return false;
@@ -120,17 +105,17 @@ class Scanner {
     return false;  // unterminated
   }
 
-  bool readUint(uint64_t& out) {
+  /// A decimal number that fits `out`; false for none or one wider
+  /// than `out`.
+  template <typename T>
+  bool readUint(T& out) {
     skipWs();
     const size_t start = pos_;
     while (pos_ < text_.size() &&
            std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
       ++pos_;
     }
-    if (pos_ == start) return false;
-    out = std::strtoull(std::string(text_.substr(start, pos_ - start)).c_str(),
-                        nullptr, 10);
-    return true;
+    return parseUnsignedInto(text_.substr(start, pos_ - start), out).isOk();
   }
 
  private:
@@ -155,23 +140,23 @@ bool parseEntryObject(Scanner& s, std::string& key, TunedShape& entry) {
       if (!parseModeToken(token, mode)) return false;
       (field == "teamsMode" ? shape.teamsMode : shape.parallelMode) = mode;
     } else {
-      uint64_t value = 0;
-      if (!s.readUint(value)) return false;
+      bool ok = false;
       if (field == "numTeams") {
-        shape.numTeams = static_cast<uint32_t>(value);
+        ok = s.readUint(shape.numTeams);
       } else if (field == "threadsPerTeam") {
-        shape.threadsPerTeam = static_cast<uint32_t>(value);
+        ok = s.readUint(shape.threadsPerTeam);
       } else if (field == "simdlen") {
-        shape.simdlen = static_cast<uint32_t>(value);
+        ok = s.readUint(shape.simdlen);
       } else if (field == "scheduleChunk") {
-        shape.scheduleChunk = value;
+        ok = s.readUint(shape.scheduleChunk);
       } else if (field == "cycles") {
-        entry.cycles = value;
+        ok = s.readUint(entry.cycles);
       } else if (field == "trials") {
-        entry.trials = static_cast<uint32_t>(value);
-      } else {
-        return false;  // unknown field: refuse rather than misread
+        ok = s.readUint(entry.trials);
       }
+      // An unknown field or an out-of-range number: refuse rather than
+      // misread.
+      if (!ok) return false;
     }
     if (!s.consume(',')) break;
   }
@@ -351,7 +336,7 @@ Status TuneCache::saveTo(const std::string& path) const {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    {\"key\": \"";
-    appendEscaped(out, key);
+    out += jsonEscaped(key);
     out += "\", \"teamsMode\": \"";
     out += modeToken(shape.teamsMode);
     out += "\", \"parallelMode\": \"";

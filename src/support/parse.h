@@ -1,12 +1,15 @@
-// Range-checked parsing of the unsigned integers in knob, clause and
-// fault-plan text. One parser for every text surface, so none of them
-// can wrap around: "4294967328" must be rejected where a uint32_t is
-// expected, not silently become 32.
+// Range-checked parsing of the unsigned integers in knob, clause,
+// fault-plan, mix, fuzz-program and tuning-cache text. One parser for
+// every text surface, so none of them can wrap around: "4294967328"
+// must be rejected where a uint32_t is expected, not silently become
+// 32.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "support/status.h"
 
@@ -42,6 +45,18 @@ namespace simtomp {
     value = value * 10 + digit;
   }
   return value;
+}
+
+/// parseUnsigned capped at the width of `out`, the field the number is
+/// stored in; `out` is left unchanged on error.
+template <typename T>
+[[nodiscard]] Status parseUnsignedInto(std::string_view text, T& out) {
+  static_assert(std::is_unsigned_v<T>);
+  const Result<uint64_t> value =
+      parseUnsigned(text, std::numeric_limits<T>::max());
+  if (!value.isOk()) return value.status();
+  out = static_cast<T>(value.value());
+  return Status::ok();
 }
 
 }  // namespace simtomp

@@ -6,6 +6,11 @@
 // a resolved value returns it unchanged. The cases are written out per
 // row, independently of the table, and a table word no case covers
 // fails the row.
+//
+// LaunchOptionsTest.NoKnobMovesModeledStats states the other half of
+// the knob contract, "none of them changes modeled cycles", once for
+// every knob: each host-knob setting is a row, each tunable app a
+// column, and every cell's KernelStats must equal the all-off anchor's.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,8 +23,12 @@
 #include <utility>
 #include <vector>
 
+#include "apps/tunable.h"
+#include "gpusim/device.h"
 #include "gpusim/knobs.h"
+#include "gpusim/trace.h"
 #include "scoped_env.h"
+#include "simtune/tuner.h"
 
 namespace simtomp::gpusim {
 namespace {
@@ -219,6 +228,88 @@ TEST_F(LaunchOptionsTest, ResolvesEveryKnobOnceForAllLayers) {
   EXPECT_EQ(twice.watchdogSteps, once.watchdogSteps);
   EXPECT_EQ(twice.profile.mode, once.profile.mode);
   EXPECT_EQ(twice.fastPath, once.fastPath);
+}
+
+/// One host-knob setting of the modeled-stats contract: env values
+/// set on top of the anchor, and whether the trial device records a
+/// deep trace.
+struct KnobFlip {
+  const char* name;
+  std::vector<std::pair<const char*, const char*>> env;
+  bool traced = false;
+};
+
+/// The anchor pins every launch knob off, so a knob set for the whole
+/// test process (SIMTOMP_CHECK=1 in ci.sh stage 3) cannot leak in.
+const std::vector<std::pair<const char*, const char*>> kAnchorEnv = {
+    {"SIMTOMP_HOST_WORKERS", "1"}, {"SIMTOMP_CHECK", "0"},
+    {"SIMTOMP_FAULT", "off"},      {"SIMTOMP_WATCHDOG", "off"},
+    {"SIMTOMP_PROF", "0"},         {"SIMTOMP_FAST", "0"},
+};
+
+/// Each row flips one knob. The last arms a trap on block 0 at step
+/// 2^40, which never fires but sends that block down the lane-per-fiber
+/// path while the others take the fast path.
+const std::vector<KnobFlip> kKnobFlips = {
+    {"host workers 8", {{"SIMTOMP_HOST_WORKERS", "8"}}},
+    {"check report", {{"SIMTOMP_CHECK", "report"}}},
+    {"profile on", {{"SIMTOMP_PROF", "1"}}},
+    {"profile on + trace recorder", {{"SIMTOMP_PROF", "1"}}, true},
+    {"watchdog default budget", {{"SIMTOMP_WATCHDOG", nullptr}}},
+    {"fast path on", {{"SIMTOMP_FAST", "1"}}},
+    {"fast path on + armed fault",
+     {{"SIMTOMP_FAST", "1"}, {"SIMTOMP_FAULT", "trap:step=1099511627776"}}},
+};
+
+/// The app's first SPMD-parallel SIMD candidate, so the fast-path rows
+/// change the path taken; apps whose parallel region is only generic
+/// give their first SIMD candidate.
+simtune::TuneCandidate simdCandidate(const apps::TunableApp& app,
+                                     const ArchSpec& arch) {
+  const std::vector<simtune::TuneCandidate> all = app.axes.enumerate(arch);
+  const auto simd = [](const simtune::TuneCandidate& c) {
+    return c.simdlen > 1;
+  };
+  for (const simtune::TuneCandidate& c : all) {
+    if (simd(c) && c.parallelMode == omprt::ExecMode::kSPMD) return c;
+  }
+  const auto first = std::find_if(all.begin(), all.end(), simd);
+  EXPECT_NE(first, all.end()) << app.name << " has no SIMD candidate";
+  return first != all.end() ? *first : app.handPicked;
+}
+
+/// Run one trial (which verifies the app's output) under the current
+/// env and return its KernelStats as JSON, or the error.
+std::string trialStats(const apps::TunableApp& app, const ArchSpec& arch,
+                       const simtune::TuneCandidate& candidate, bool traced) {
+  Device device(arch);
+  TraceRecorder recorder;
+  if (traced) device.setTraceRecorder(&recorder);
+  const Result<KernelStats> stats = app.trial(device, candidate);
+  if (!stats.isOk()) return stats.status().toString();
+  if (traced) {
+    EXPECT_GT(recorder.events().size(), 0u) << app.name;
+  }
+  return stats.value().toJson();
+}
+
+TEST_F(LaunchOptionsTest, NoKnobMovesModeledStats) {
+  const ArchSpec arch = ArchSpec::nvidiaA100();
+  std::deque<test::ScopedEnv> anchor;
+  for (const auto& [var, value] : kAnchorEnv) anchor.emplace_back(var, value);
+  for (const apps::TunableApp& app : apps::tunableCorpus(arch, true)) {
+    for (const simtune::TuneCandidate& candidate :
+         {app.handPicked, simdCandidate(app, arch)}) {
+      const std::string want = trialStats(app, arch, candidate, false);
+      ASSERT_EQ(want.rfind("{", 0), 0u) << app.name << ": " << want;
+      for (const KnobFlip& flip : kKnobFlips) {
+        std::deque<test::ScopedEnv> env;
+        for (const auto& [var, value] : flip.env) env.emplace_back(var, value);
+        EXPECT_EQ(trialStats(app, arch, candidate, flip.traced), want)
+            << app.name << " " << candidate.toString() << ", " << flip.name;
+      }
+    }
+  }
 }
 
 TEST(KnobDocsTest, AcceptedValuesRenderFromTheTable) {

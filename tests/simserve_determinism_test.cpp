@@ -100,7 +100,9 @@ TEST(ServeDeterminismTest, FrequentDeviceLossIsShardInvariant) {
     EXPECT_TRUE(report.isOk()) << report.status().toString();
     *migrated = 0;
     for (uint32_t t = 0; t < 5; ++t) {
-      *migrated += service.tenantStats("t" + std::to_string(t)).migrated;
+      std::string name = "t";
+      name += std::to_string(t);
+      *migrated += service.tenantStats(name).migrated;
     }
     std::ostringstream out;
     service.dumpStats(out);

@@ -61,6 +61,36 @@ TEST(MixTest, ParserRejectsBadInput) {
   EXPECT_TRUE(parseMixText("# only a comment\n\n").isOk());
 }
 
+TEST(MixTest, RejectsOutOfRangeNumbers) {
+  // Each number must fit its field: 2^32 + 1 is refused where a
+  // uint32_t is stored, not read as 1, and nothing wider than 64 bits
+  // is taken anywhere.
+  const char* bad[] = {
+      "tenant t0 priority=4294967297",
+      "tenant t0 inflight=4294967296",
+      "tenant t0 queued=4294967296",
+      "tenant t0 retries=4294967296",
+      "tenant t0 deadline=18446744073709551616",
+      "req t0 axpy trip=64 simdlen=4294967298",
+      "req t0 axpy trip=18446744073709551616",
+      "req t0 axpy trip=64 deadline=99999999999999999999999",
+  };
+  for (const char* text : bad) {
+    const Result<Mix> parsed = parseMixText(text);
+    EXPECT_FALSE(parsed.isOk()) << text;
+    if (!parsed.isOk()) {
+      EXPECT_NE(parsed.status().message().find("exceeds"), std::string::npos)
+          << parsed.status().message();
+    }
+  }
+  const Result<Mix> widest = parseMixText(
+      "tenant t0 priority=4294967295 deadline=18446744073709551615\n"
+      "req t0 axpy trip=64 simdlen=4294967295");
+  ASSERT_TRUE(widest.isOk()) << widest.status().toString();
+  EXPECT_EQ(widest.value().ops[0].tenant.priority, 4294967295u);
+  EXPECT_EQ(widest.value().ops[1].simdlen, 4294967295u);
+}
+
 TEST(MixTest, ParserRejectsDuplicateKeys) {
   const Result<Mix> dup_tenant =
       parseMixText("tenant t0 priority=1 priority=2");

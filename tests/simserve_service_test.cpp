@@ -236,7 +236,7 @@ TEST(LaunchServiceTest, SameFingerprintRequestsShareAShard) {
 TEST(LaunchServiceTest, DeviceLossMigratesWithoutLosingRequests) {
   hostrt::DeviceManager mgr({ArchSpec::testTiny(), ArchSpec::testTiny()});
   // One trip opens the breaker and the cool-down never elapses in this
-  // test, so the faulted device stays quarantined until reviveDevice —
+  // test, so the faulted device stays out of service until reviveDevice —
   // the strictest breaker setting (default policy tolerates one
   // transient loss and re-admits the device after its reset).
   ServiceConfig config;
@@ -274,10 +274,9 @@ TEST(LaunchServiceTest, DeviceLossMigratesWithoutLosingRequests) {
     }
   }
   ASSERT_EQ(serving, 1u);
-  // The breaker opened on the trip: the device reads quarantined (the
-  // overlay) with a completed reset underneath.
-  EXPECT_EQ(mgr.deviceHealth(quiesced_device),
-            simfault::DeviceHealth::kQuarantined);
+  // The breaker opened on the trip and takes the device out of
+  // service; the manager's health machine shows the completed reset.
+  EXPECT_EQ(mgr.deviceHealth(quiesced_device), simfault::DeviceHealth::kReset);
   EXPECT_EQ(service.breakerState(quiesced_device),
             simfault::BreakerState::kOpen);
   for (size_t s = 0; s < service.shardCount(); ++s) {
@@ -285,7 +284,7 @@ TEST(LaunchServiceTest, DeviceLossMigratesWithoutLosingRequests) {
   }
 
   // Revival force-closes the breaker and restores the canonical
-  // mapping (health falls back to the underlying kReset).
+  // mapping; the health machine still reads kReset.
   service.reviveDevice(quiesced_device);
   EXPECT_TRUE(service.deviceServing(quiesced_device));
   EXPECT_EQ(service.breakerState(quiesced_device),

@@ -72,10 +72,12 @@ omprt::TargetConfig plainConfig(const std::string& fault = "") {
 }
 
 /// Replay `mix` (flight rings per `trace`) and return what `dump`
-/// writes from the finished service.
+/// writes from the finished service; `report` receives the replay
+/// report's text.
 std::string replayDump(
     const Mix& mix, bool trace, uint32_t workers, uint32_t shards,
-    const std::function<void(const LaunchService&, std::ostream&)>& dump) {
+    const std::function<void(const LaunchService&, std::ostream&)>& dump,
+    std::string* report_text = nullptr) {
   std::vector<ArchSpec> specs(4, ArchSpec::testTiny());
   hostrt::DeviceManager mgr(std::move(specs));
   ServiceConfig config;
@@ -85,6 +87,9 @@ std::string replayDump(
   LaunchService service(mgr, config);
   const Result<ReplayReport> report = replayMix(service, mix, workers);
   EXPECT_TRUE(report.isOk()) << report.status().toString();
+  if (report_text != nullptr && report.isOk()) {
+    *report_text = report.value().toString();
+  }
   EXPECT_EQ(service.tracer() != nullptr, trace);
   std::ostringstream out;
   dump(service, out);
@@ -140,9 +145,14 @@ TEST(ServeTraceTest, TracingDoesNotPerturbTheStatsDump) {
   const auto stats = [](const LaunchService& service, std::ostream& out) {
     service.dumpStats(out);
   };
-  const std::string off = replayDump(mix, /*trace=*/false, 1, 4, stats);
-  const std::string on = replayDump(mix, /*trace=*/true, 1, 4, stats);
+  std::string report_off, report_on;
+  const std::string off =
+      replayDump(mix, /*trace=*/false, 1, 4, stats, &report_off);
+  const std::string on =
+      replayDump(mix, /*trace=*/true, 1, 4, stats, &report_on);
   EXPECT_EQ(off, on) << "tracing must be purely observational";
+  EXPECT_NE(report_off.find("completed="), std::string::npos) << report_off;
+  EXPECT_EQ(report_off, report_on) << "tracing must not move the replay";
 }
 
 TEST(ServeTraceTest, DumpsAreByteIdenticalAcrossRerunsWorkersShards) {

@@ -119,6 +119,32 @@ TEST(TuneCacheTest, RoundTripsThroughFile) {
   std::remove(path.c_str());
 }
 
+TEST(TuneCacheTest, KeysWithControlBytesRoundTrip) {
+  // The saved key is escaped by the one JSON escaper; the loader must
+  // read back every escape it writes.
+  std::string kernel = "k\"\\";
+  for (int c = 0; c < 0x20; ++c) kernel += static_cast<char>(c);
+  const TuneKey key =
+      makeTuneKey(kernel, ArchSpec::testTiny(), CostModel{}, 64);
+  const std::string path = tempPath("simtune_control_bytes.json");
+  {
+    TuneCache cache(path);
+    cache.insert(key, sampleShape());
+    ASSERT_TRUE(cache.save().isOk());
+  }
+  const std::string text = slurp(path);
+  for (const char c : text) {
+    EXPECT_TRUE(c == '\n' || static_cast<unsigned char>(c) >= 0x20)
+        << "raw control byte " << static_cast<int>(c) << " in the file";
+  }
+  TuneCache reloaded(path);
+  ASSERT_TRUE(reloaded.load().isOk());
+  const auto hit = reloaded.lookup(key);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(*hit, sampleShape());
+  std::remove(path.c_str());
+}
+
 TEST(TuneCacheTest, SavesAreByteIdenticalRegardlessOfInsertOrder) {
   const ArchSpec arch = ArchSpec::testTiny();
   const TuneKey a = makeTuneKey("alpha", arch, CostModel{}, 100);
@@ -158,6 +184,41 @@ TEST(TuneCacheTest, MissingFileIsEmptyMalformedIsError) {
   EXPECT_FALSE(malformed.load().isOk());
   EXPECT_EQ(malformed.size(), 1u);  // failed load leaves entries alone
   std::remove(path.c_str());
+}
+
+TEST(TuneCacheTest, LoadRejectsOutOfRangeNumbers) {
+  // Each number must fit the field it is stored in: a uint32_t field
+  // refuses 2^32 + 108 rather than wrapping to 108, and no field takes
+  // a number wider than 64 bits.
+  const auto load = [](const std::string& numbers) {
+    const std::string path = tempPath("simtune_range.json");
+    {
+      std::ofstream out(path);
+      out << "{\"simtune_cache\": 1, \"entries\": [{\"key\": \"k\", "
+             "\"teamsMode\": \"spmd\", \"parallelMode\": \"spmd\", "
+          << numbers << "}]}";
+    }
+    TuneCache cache(path);
+    const Status status = cache.load();
+    std::remove(path.c_str());
+    return status;
+  };
+  const std::string rest =
+      ", \"scheduleChunk\": 18446744073709551615, \"cycles\": 1, "
+      "\"trials\": 4294967295";
+  EXPECT_TRUE(load("\"numTeams\": 4294967295, \"threadsPerTeam\": 128, "
+                   "\"simdlen\": 8" + rest)
+                  .isOk());
+  EXPECT_FALSE(load("\"numTeams\": 4294967404, \"threadsPerTeam\": 128, "
+                    "\"simdlen\": 8" + rest)
+                   .isOk());
+  EXPECT_FALSE(load("\"numTeams\": 32, \"threadsPerTeam\": 128, "
+                    "\"simdlen\": 99999999999999999999999" + rest)
+                   .isOk());
+  EXPECT_FALSE(load("\"numTeams\": 32, \"threadsPerTeam\": 128, "
+                    "\"simdlen\": 8, \"scheduleChunk\": "
+                    "18446744073709551616")
+                   .isOk());
 }
 
 TEST(TuneCacheTest, EvictByKernelPrefix) {

@@ -3,8 +3,14 @@
 #
 # Stage 1: knob lint, regular build with warnings as errors
 #          (SIMTOMP_WERROR=ON), full test suite, then a Release
-#          (-O3) -Werror build of the simtomp binary, since GCC
-#          reports some warnings only at -O3. The lint fails
+#          (-O3) -Werror build of every target (tests, benches and
+#          examples too), since GCC reports some warnings only at
+#          -O3. The full suite includes the host-knob contract:
+#          knobs_test's LaunchOptionsTest.NoKnobMovesModeledStats runs
+#          every tunable app with each launch knob flipped (host
+#          workers, checking, profiling, deep trace, watchdog, fast
+#          path, an armed fault) and requires KernelStats identical
+#          to the all-off run. The lint fails
 #          the build when std::getenv appears under src/ outside the
 #          knob module (src/gpusim/knobs.*) and the deployment-path
 #          readers (SIMTOMP_LOG, SIMTOMP_LOG_FILE, SIMTOMP_METRICS,
@@ -21,9 +27,9 @@
 #          over 8 host workers), so a false positive in the sanitizer —
 #          or a real race introduced in the runtime, on either side of
 #          the convergence fast path — fails CI.
-# Stage 4: zero-perturbation guard; one bench binary runs with checking
-#          off and on, and the modeled sim_cycles counters must be
-#          bit-identical.
+# Stage 4: retired. Its check (modeled cycles identical with checking
+#          off and on) is one row of stage 1's host-knob contract test;
+#          the later stages keep their numbers.
 # Stage 5: tune smoke + cache-determinism guard; a small-budget
 #          hill-climb tune over two corpus apps runs three times into
 #          fresh cache files — twice at 1 host worker and once at 8 —
@@ -33,15 +39,15 @@
 # Stage 6: fault-matrix smoke + resilience-determinism guard; every
 #          (fault kind x recovery policy) cell runs three times — twice
 #          at 1 host worker, once at 8 — and the printed
-#          ResilienceReports must be byte-identical; the simfault
-#          suites also re-run under TSan at 8 workers, and the
-#          resilience_overhead bench asserts the watchdog never
-#          perturbs modeled cycles.
+#          ResilienceReports must be byte-identical (the simfault
+#          suites also re-run under TSan at 8 workers in stage 2; the
+#          watchdog's zero perturbation is a stage-1 knob-contract
+#          row).
 # Stage 7: observability guard; a profiled kernel runs at 1 and 8 host
 #          workers and the construct table, folded stacks and metrics
 #          dumps must be byte-identical; the deep trace must be valid
-#          JSON; the observability_overhead bench asserts profiling
-#          never perturbs KernelStats.
+#          JSON (profiling's zero perturbation is a stage-1
+#          knob-contract row).
 # Stage 8: convergence fast-path guard; bench/host_throughput runs the
 #          convergent map+reduce kernels with the fast path off and on,
 #          the dumped KernelStats must be byte-identical, and the
@@ -83,10 +89,10 @@
 #          host workers and a prime shard count; the Perfetto export
 #          must be valid JSON; the chaos report must be byte-identical
 #          with --trace on; a planted invariant violation must
-#          auto-dump the flight recorder; the
-#          serve_observability_overhead bench then asserts tracing
-#          never perturbs the modeled stats dump or replay report and
-#          emits BENCH_serve_observability.json.
+#          auto-dump the flight recorder. That tracing never perturbs
+#          the stats dump or the replay report is simserve_trace_test's
+#          ServeTraceTest.TracingDoesNotPerturbTheStatsDump, run in
+#          stage 1.
 # Stage 13: ASan+UBSan build; the text-parsing, command-line,
 #          fault-injection, serving-trace, knob, fiber, simulator,
 #          runtime, fast-path and app suites (front_, support_, cli_,
@@ -170,7 +176,7 @@ same_runs() {
   done
 }
 
-echo "=== stage 1: knob lint, -Werror build + full ctest, Release -Werror simtomp ==="
+echo "=== stage 1: knob lint, -Werror build + full ctest, Release -Werror build ==="
 if grep -rn 'std::getenv' src \
     | grep -v '^src/gpusim/knobs\.' \
     | grep -vE 'getenv\("SIMTOMP_(LOG|LOG_FILE|METRICS|TUNE_CACHE)"\)'; then
@@ -183,11 +189,10 @@ cmake -B "${prefix}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build "${prefix}" -j "${jobs}"
 ctest --test-dir "${prefix}" --output-on-failure -j "${jobs}"
 # GCC reports some warnings only at -O3, the level bench/e2e builds at:
-# the simtomp binary (every library under src/) must build clean there
-# too.
+# every target must build clean there too.
 cmake -B "${prefix}-release" -S . -DCMAKE_BUILD_TYPE=Release \
   -DSIMTOMP_WERROR=ON
-cmake --build "${prefix}-release" -j "${jobs}" --target simtomp
+cmake --build "${prefix}-release" -j "${jobs}"
 
 echo "=== stage 2: TSan build, gpusim/omprt/simfault/fastpath/hostrt/simserve/simfuzz/simprof/fiber suites at 8 host workers ==="
 cmake -B "${prefix}-tsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -206,21 +211,6 @@ SIMTOMP_CHECK=1 SIMTOMP_HOST_WORKERS=8 \
   ctest --test-dir "${prefix}" --output-on-failure -j "${jobs}" \
   -R '^(gpusim|omprt|apps|simcheck|fastpath)_'
 
-echo "=== stage 4: simcheck zero-perturbation bench guard ==="
-off_json="${prefix}/simcheck-guard-off.json"
-on_json="${prefix}/simcheck-guard-on.json"
-SIMTOMP_CHECK=0 "${prefix}/bench/abl_dispatch" \
-  --benchmark_out="${off_json}" --benchmark_out_format=json >/dev/null
-SIMTOMP_CHECK=1 "${prefix}/bench/abl_dispatch" \
-  --benchmark_out="${on_json}" --benchmark_out_format=json >/dev/null
-if ! diff \
-    <(grep -o '"sim_cycles": [0-9.e+-]*' "${off_json}") \
-    <(grep -o '"sim_cycles": [0-9.e+-]*' "${on_json}"); then
-  echo "ci.sh: simcheck perturbed modeled cycles (see diff above)" >&2
-  exit 1
-fi
-echo "sim_cycles bit-identical with checking off vs on"
-
 echo "=== stage 5: tune smoke + cache-determinism guard ==="
 same_runs tune-guard "tune caches (rerun, 1 vs 8 host workers)" \
   "--cache:json" "--workers 1" "--workers 1" "--workers 8" -- \
@@ -232,11 +222,8 @@ same_runs fault-matrix "fault matrices (rerun, 1 vs 8 host workers)" \
   ">:txt" "--workers 1" "--workers 1" "--workers 8" -- \
   "${simtomp}" fault matrix
 echo "resilience reports byte-identical across reruns and worker counts"
-# The overhead bench aborts if the watchdog perturbs modeled cycles.
-(cd "${prefix}/bench" && ./resilience_overhead >/dev/null)
-echo "watchdog zero-perturbation guard passed"
 
-echo "=== stage 7: observability determinism + overhead guard ==="
+echo "=== stage 7: observability determinism guard ==="
 prof_cmd=("${simtomp}" run ideal
           "target teams distribute parallel for simd num_teams(64) \
 thread_limit(128) simdlen(8)")
@@ -251,9 +238,6 @@ SIMTOMP_HOST_WORKERS=8 "${prof_cmd[@]}" --prof --trace "${trace_json}" \
   >/dev/null
 python3 -m json.tool "${trace_json}" >/dev/null
 echo "deep trace is valid JSON"
-# The overhead bench aborts if profiling perturbs KernelStats.
-(cd "${prefix}/bench" && ./observability_overhead >/dev/null)
-echo "profiling zero-perturbation guard passed"
 
 echo "=== stage 8: convergence fast-path guard ==="
 # host_throughput aborts by itself if the fast path perturbs modeled
@@ -462,19 +446,6 @@ grep -q 'trigger=invariant_violation' "${chaos_flight}" || {
   exit 1
 }
 echo "planted violation caught and flight recorder auto-dumped"
-# The bench exits non-zero if tracing perturbs the modeled stats dump
-# or the replay report.
-(cd "${prefix}/bench" && ./serve_observability_overhead >/dev/null)
-python3 - "${prefix}/bench/BENCH_serve_observability.json" <<'EOF'
-import json, sys
-bench = json.load(open(sys.argv[1]))
-assert bench["stats_identical"] and bench["report_identical"], \
-    "ci.sh: tracing perturbed modeled surfaces"
-print(f"{bench['trace_events']} trace events "
-      f"({bench['trace_dropped']} dropped), "
-      f"host overhead x{bench['host_overhead']:.3f} (informational)")
-EOF
-echo "observability zero-perturbation guard passed"
 
 echo "=== stage 13: ASan+UBSan build, parser/cli/fault/serve-trace/knob/fiber/gpusim/omprt/fast-path/apps suites ==="
 cmake -B "${prefix}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
