@@ -86,6 +86,7 @@ Result<AppRunResult> runBatchedGemm(gpusim::Device& device,
   const uint64_t elements = static_cast<uint64_t>(m) * m;
 
   dsl::LaunchSpec spec;
+  static_cast<gpusim::LaunchOptions&>(spec) = options;
   spec.numTeams = options.numTeams;
   spec.threadsPerTeam = options.threadsPerTeam;
   spec.teamsMode = omprt::ExecMode::kSPMD;

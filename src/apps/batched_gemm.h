@@ -14,6 +14,7 @@
 
 #include "apps/common.h"
 #include "gpusim/device.h"
+#include "gpusim/knobs.h"
 #include "omprt/modes.h"
 #include "support/status.h"
 
@@ -31,7 +32,7 @@ BatchedGemmWorkload generateBatchedGemm(uint32_t batch, uint32_t m,
 
 std::vector<double> batchedGemmReference(const BatchedGemmWorkload& w);
 
-struct BatchedGemmOptions {
+struct BatchedGemmOptions : gpusim::LaunchOptions {
   uint32_t numTeams = 32;
   uint32_t threadsPerTeam = 128;
   /// 1 = two-level baseline (serial M*M loop per thread).

@@ -70,6 +70,7 @@ Result<AppRunResult> runIdeal(gpusim::Device& device, const IdealWorkload& w,
   const uint32_t flops = options.flopsPerElement;
 
   dsl::LaunchSpec spec;
+  static_cast<gpusim::LaunchOptions&>(spec) = options;
   spec.numTeams = options.numTeams;
   spec.threadsPerTeam = options.threadsPerTeam;
   spec.teamsMode = omprt::ExecMode::kSPMD;

@@ -16,6 +16,7 @@
 
 #include "apps/common.h"
 #include "gpusim/device.h"
+#include "gpusim/knobs.h"
 #include "support/status.h"
 
 namespace simtomp::apps {
@@ -32,7 +33,7 @@ IdealWorkload generateIdeal(uint32_t outerTrip, uint32_t innerTrip,
 std::vector<double> idealReference(const IdealWorkload& w,
                                    uint32_t flopsPerElement = 8);
 
-struct IdealOptions {
+struct IdealOptions : gpusim::LaunchOptions {
   uint32_t numTeams = 108;
   uint32_t threadsPerTeam = 128;
   /// 1 = baseline (serial inner loop on each OpenMP thread).

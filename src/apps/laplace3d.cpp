@@ -93,6 +93,7 @@ Result<AppRunResult> runLaplace3d(gpusim::Device& device,
   const uint64_t inner = w.nz - 2;
 
   dsl::LaunchSpec spec;
+  static_cast<gpusim::LaunchOptions&>(spec) = options;
   spec.numTeams = options.numTeams;
   spec.threadsPerTeam = options.threadsPerTeam;
   spec.teamsMode = omprt::ExecMode::kSPMD;  // all Fig. 10 teams are SPMD

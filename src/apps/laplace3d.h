@@ -13,6 +13,7 @@
 
 #include "apps/common.h"
 #include "gpusim/device.h"
+#include "gpusim/knobs.h"
 #include "support/status.h"
 
 namespace simtomp::apps {
@@ -34,7 +35,7 @@ Laplace3dWorkload generateLaplace3d(uint32_t nx, uint32_t ny, uint32_t nz,
 /// One Jacobi sweep on the host (interior points only).
 std::vector<double> laplace3dReference(const Laplace3dWorkload& w);
 
-struct Laplace3dOptions {
+struct Laplace3dOptions : gpusim::LaunchOptions {
   SimdMode mode = SimdMode::kNoSimd;
   uint32_t numTeams = 32;
   uint32_t threadsPerTeam = 128;

@@ -12,6 +12,7 @@ using omprt::OmpContext;
 
 dsl::LaunchSpec specFor(const MuramOptions& options) {
   dsl::LaunchSpec spec;
+  static_cast<gpusim::LaunchOptions&>(spec) = options;
   spec.numTeams = options.numTeams;
   spec.threadsPerTeam = options.threadsPerTeam;
   spec.teamsMode = omprt::ExecMode::kSPMD;

@@ -16,6 +16,7 @@
 
 #include "apps/common.h"
 #include "gpusim/device.h"
+#include "gpusim/knobs.h"
 #include "support/status.h"
 
 namespace simtomp::apps {
@@ -33,7 +34,7 @@ MuramWorkload generateMuram(uint32_t nx, uint32_t ny, uint32_t nz,
 std::vector<double> muramTransposeReference(const MuramWorkload& w);
 std::vector<double> muramInterpolReference(const MuramWorkload& w);
 
-struct MuramOptions {
+struct MuramOptions : gpusim::LaunchOptions {
   SimdMode mode = SimdMode::kNoSimd;
   uint32_t numTeams = 32;
   uint32_t threadsPerTeam = 128;

@@ -64,12 +64,12 @@ Result<gpusim::KernelStats> launchTwoLevel(gpusim::Device& device,
                                            const DeviceCsr& d) {
   // teams distribute (generic) + parallel for (no simd level).
   dsl::LaunchSpec spec;
+  static_cast<gpusim::LaunchOptions&>(spec) = options;
   spec.numTeams = options.numTeams;
   spec.threadsPerTeam = options.threadsPerTeam;
   spec.teamsMode = omprt::ExecMode::kGeneric;
   spec.parallelMode = omprt::ExecMode::kSPMD;
   spec.simdlen = 1;
-  spec.hostWorkers = options.hostWorkers;
   return dsl::targetTeamsDistribute(
       device, spec, A.numRows, [&](OmpContext& ctx, uint64_t row) {
         gpusim::ThreadCtx& t = ctx.gpu();
@@ -91,12 +91,12 @@ Result<gpusim::KernelStats> launchThreeLevel(gpusim::Device& device,
                                              bool useReduction) {
   // teams distribute parallel for (SPMD teams) + simd (generic parallel).
   dsl::LaunchSpec spec;
+  static_cast<gpusim::LaunchOptions&>(spec) = options;
   spec.numTeams = options.numTeams;
   spec.threadsPerTeam = options.threadsPerTeam;
   spec.teamsMode = omprt::ExecMode::kSPMD;
   spec.parallelMode = options.parallelMode;
   spec.simdlen = options.simdlen;
-  spec.hostWorkers = options.hostWorkers;
   return dsl::targetTeamsDistributeParallelFor(
       device, spec, A.numRows, [&](OmpContext& ctx, uint64_t row) {
         gpusim::ThreadCtx& t = ctx.gpu();

@@ -110,6 +110,7 @@ Result<AppRunResult> runSu3(gpusim::Device& device, const Su3Workload& w,
 
   // Both teams and parallel regions run in SPMD mode (paper 6.3).
   dsl::LaunchSpec spec;
+  static_cast<gpusim::LaunchOptions&>(spec) = options;
   spec.numTeams = options.numTeams;
   spec.threadsPerTeam = options.threadsPerTeam;
   spec.teamsMode = omprt::ExecMode::kSPMD;

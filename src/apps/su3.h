@@ -14,6 +14,7 @@
 
 #include "apps/common.h"
 #include "gpusim/device.h"
+#include "gpusim/knobs.h"
 #include "support/status.h"
 
 namespace simtomp::apps {
@@ -37,7 +38,7 @@ Su3Workload generateSu3(uint32_t numSites, uint64_t seed);
 /// Host reference C = A*B per site/direction.
 std::vector<double> su3Reference(const Su3Workload& w);
 
-struct Su3Options {
+struct Su3Options : gpusim::LaunchOptions {
   uint32_t numTeams = 32;
   uint32_t threadsPerTeam = 128;
   /// SIMD group size; 1 = the serial-inner-loop baseline.

@@ -10,12 +10,14 @@
 #include "apps/muram.h"
 #include "apps/sparse_matvec.h"
 #include "apps/su3.h"
+#include "support/parse.h"
 
 namespace simtomp::apps {
 namespace {
 
+using gpusim::Device;
+using Knobs = gpusim::LaunchOptions;
 using omprt::ExecMode;
-using simtune::TuneAxes;
 using simtune::TuneCandidate;
 
 std::vector<uint32_t> simdlenAxis(const gpusim::ArchSpec& arch, bool small) {
@@ -34,17 +36,25 @@ SimdMode candidateSimdMode(const TuneCandidate& c) {
                                            : SimdMode::kGenericSimd;
 }
 
-Result<gpusim::KernelStats> finish(Result<AppRunResult> run,
-                                   const char* app) {
-  if (!run.isOk()) return run.status();
-  if (!run.value().verified) {
-    return Status::internal(std::string(app) +
-                            " trial produced wrong results");
-  }
-  return run.value().stats;
+/// The app options for a candidate: the launch's knobs plus the three
+/// shape fields every app takes.
+template <typename Options>
+Options shapedOptions(const TuneCandidate& c, const Knobs& knobs) {
+  Options options;
+  static_cast<Knobs&>(options) = knobs;
+  options.numTeams = c.numTeams;
+  options.threadsPerTeam = c.threadsPerTeam;
+  options.simdlen = c.simdlen;
+  return options;
 }
 
-}  // namespace
+/// Give the app its launcher, and derive its trial from it.
+void setRun(TunableApp& app, AppRunFn run) {
+  app.trial = [run, name = app.name](Device& scratch, const TuneCandidate& c) {
+    return verifiedStats(run(scratch, c, Knobs{}), name);
+  };
+  app.run = std::move(run);
+}
 
 TunableApp tunableSpmv(const gpusim::ArchSpec& arch, bool small) {
   CsrGenConfig gen;
@@ -71,18 +81,14 @@ TunableApp tunableSpmv(const gpusim::ArchSpec& arch, bool small) {
   app.axes.simdlens = simdlenAxis(arch, small);
   app.axes.scheduleChunks = {0};
   app.handPicked = {ExecMode::kSPMD, ExecMode::kGeneric, 64, 256, 8, 0};
-  app.trial = [A](gpusim::Device& scratch, const TuneCandidate& c) {
-    SpmvOptions options;
+  setRun(app, [A](Device& device, const TuneCandidate& c, const Knobs& knobs) {
+    auto options = shapedOptions<SpmvOptions>(c, knobs);
     options.variant = c.teamsMode == ExecMode::kGeneric
                           ? SpmvVariant::kTwoLevel
                           : SpmvVariant::kThreeLevelAtomic;
-    options.numTeams = c.numTeams;
-    options.threadsPerTeam = c.threadsPerTeam;
-    options.simdlen = c.simdlen;
     options.parallelMode = c.parallelMode;
-    options.hostWorkers = 1;  // trials are already fanned out
-    return finish(runSpmv(scratch, *A, options), "spmv");
-  };
+    return runSpmv(device, *A, options);
+  });
   return app;
 }
 
@@ -103,13 +109,9 @@ TunableApp tunableSu3(const gpusim::ArchSpec& arch, bool small) {
   app.axes.simdlens = simdlenAxis(arch, small);
   app.axes.scheduleChunks = {0};
   app.handPicked = {ExecMode::kSPMD, ExecMode::kSPMD, 32, 128, 1, 0};
-  app.trial = [w](gpusim::Device& scratch, const TuneCandidate& c) {
-    Su3Options options;
-    options.numTeams = c.numTeams;
-    options.threadsPerTeam = c.threadsPerTeam;
-    options.simdlen = c.simdlen;
-    return finish(runSu3(scratch, *w, options), "su3");
-  };
+  setRun(app, [w](Device& device, const TuneCandidate& c, const Knobs& knobs) {
+    return runSu3(device, *w, shapedOptions<Su3Options>(c, knobs));
+  });
   return app;
 }
 
@@ -132,57 +134,26 @@ TunableApp tunableIdeal(const gpusim::ArchSpec& arch, bool small) {
   app.axes.scheduleChunks = {0};
   app.handPicked = {ExecMode::kSPMD, ExecMode::kGeneric, arch.numSMs, 128, 1,
                     0};
-  app.trial = [w](gpusim::Device& scratch, const TuneCandidate& c) {
-    IdealOptions options;
-    options.numTeams = c.numTeams;
-    options.threadsPerTeam = c.threadsPerTeam;
-    options.simdlen = c.simdlen;
+  setRun(app, [w](Device& device, const TuneCandidate& c, const Knobs& knobs) {
+    auto options = shapedOptions<IdealOptions>(c, knobs);
     options.flopsPerElement = 2;  // the Fig. 9 setting
-    return finish(runIdeal(scratch, *w, options), "ideal");
-  };
+    return runIdeal(device, *w, options);
+  });
   return app;
 }
 
-TunableApp tunableLaplace3d(const gpusim::ArchSpec& arch, bool small) {
-  const auto w = std::make_shared<const Laplace3dWorkload>(
-      generateLaplace3d(small ? 18 : 34, /*seed=*/11));
-
+/// A Fig. 10 kernel (laplace3d, both muram kernels): teams always SPMD,
+/// the simd level one SimdMode variant per parallel mode, hand-picked
+/// as the No-SIMD baseline.
+template <typename Workload, typename Options>
+TunableApp fig10App(std::string name, uint64_t tripCount,
+                    const gpusim::ArchSpec& arch, bool small,
+                    std::shared_ptr<const Workload> w,
+                    Result<AppRunResult> (*launch)(Device&, const Workload&,
+                                                   const Options&)) {
   TunableApp app;
-  app.name = "laplace3d";
-  app.tripCount =
-      static_cast<uint64_t>(w->nx - 2) * static_cast<uint64_t>(w->ny - 2);
-  app.axes.teamsModes = {ExecMode::kSPMD};  // Fig. 10: teams always SPMD
-  app.axes.parallelModes = {ExecMode::kSPMD, ExecMode::kGeneric};
-  app.axes.numTeams = small ? std::vector<uint32_t>{32}
-                            : std::vector<uint32_t>{32, arch.numSMs};
-  app.axes.threadsPerTeam = small ? std::vector<uint32_t>{128}
-                                  : std::vector<uint32_t>{128, 256};
-  app.axes.simdlens = small ? std::vector<uint32_t>{1, 8, 32}
-                            : simdlenAxis(arch, false);
-  app.axes.scheduleChunks = {0};
-  app.handPicked = {ExecMode::kSPMD, ExecMode::kSPMD, 32, 128, 1, 0};
-  app.trial = [w](gpusim::Device& scratch, const TuneCandidate& c) {
-    Laplace3dOptions options;
-    options.mode = candidateSimdMode(c);
-    options.numTeams = c.numTeams;
-    options.threadsPerTeam = c.threadsPerTeam;
-    options.simdlen = c.simdlen;
-    return finish(runLaplace3d(scratch, *w, options), "laplace3d");
-  };
-  return app;
-}
-
-namespace {
-
-TunableApp tunableMuram(const gpusim::ArchSpec& arch, bool small,
-                        bool interpol) {
-  const uint32_t n = small ? 16 : 32;
-  const auto w = std::make_shared<const MuramWorkload>(
-      generateMuram(n, n, n, /*seed=*/13));
-
-  TunableApp app;
-  app.name = interpol ? "muram_interpol" : "muram_transpose";
-  app.tripCount = static_cast<uint64_t>(w->nx) * w->ny;
+  app.name = std::move(name);
+  app.tripCount = tripCount;
   app.axes.teamsModes = {ExecMode::kSPMD};
   app.axes.parallelModes = {ExecMode::kSPMD, ExecMode::kGeneric};
   app.axes.numTeams = small ? std::vector<uint32_t>{32}
@@ -193,27 +164,13 @@ TunableApp tunableMuram(const gpusim::ArchSpec& arch, bool small,
                             : simdlenAxis(arch, false);
   app.axes.scheduleChunks = {0};
   app.handPicked = {ExecMode::kSPMD, ExecMode::kSPMD, 32, 128, 1, 0};
-  app.trial = [w, interpol](gpusim::Device& scratch, const TuneCandidate& c) {
-    MuramOptions options;
+  setRun(app, [w, launch](Device& device, const TuneCandidate& c,
+                          const Knobs& knobs) {
+    auto options = shapedOptions<Options>(c, knobs);
     options.mode = candidateSimdMode(c);
-    options.numTeams = c.numTeams;
-    options.threadsPerTeam = c.threadsPerTeam;
-    options.simdlen = c.simdlen;
-    return finish(interpol ? runMuramInterpol(scratch, *w, options)
-                           : runMuramTranspose(scratch, *w, options),
-                  "muram");
-  };
+    return launch(device, *w, options);
+  });
   return app;
-}
-
-}  // namespace
-
-TunableApp tunableMuramTranspose(const gpusim::ArchSpec& arch, bool small) {
-  return tunableMuram(arch, small, /*interpol=*/false);
-}
-
-TunableApp tunableMuramInterpol(const gpusim::ArchSpec& arch, bool small) {
-  return tunableMuram(arch, small, /*interpol=*/true);
 }
 
 TunableApp tunableBatchedGemm(const gpusim::ArchSpec& arch, bool small) {
@@ -233,37 +190,56 @@ TunableApp tunableBatchedGemm(const gpusim::ArchSpec& arch, bool small) {
                             : std::vector<uint32_t>{1, 2, 4, 8, 16};
   app.axes.scheduleChunks = {0};
   app.handPicked = {ExecMode::kSPMD, ExecMode::kGeneric, 32, 128, 1, 0};
-  app.trial = [w](gpusim::Device& scratch, const TuneCandidate& c) {
-    BatchedGemmOptions options;
-    options.numTeams = c.numTeams;
-    options.threadsPerTeam = c.threadsPerTeam;
-    options.simdlen = c.simdlen;
+  setRun(app, [w](Device& device, const TuneCandidate& c, const Knobs& knobs) {
+    auto options = shapedOptions<BatchedGemmOptions>(c, knobs);
     options.parallelMode = c.parallelMode;
-    return finish(runBatchedGemm(scratch, *w, options), "batched_gemm");
-  };
+    return runBatchedGemm(device, *w, options);
+  });
   return app;
+}
+
+}  // namespace
+
+Result<gpusim::KernelStats> verifiedStats(Result<AppRunResult> run,
+                                          const std::string& app) {
+  if (!run.isOk()) return run.status();
+  if (!run.value().verified) {
+    return Status::internal(app + " trial produced wrong results");
+  }
+  return run.value().stats;
 }
 
 std::vector<TunableApp> tunableCorpus(const gpusim::ArchSpec& arch,
                                       bool small) {
-  std::vector<TunableApp> corpus;
-  corpus.push_back(tunableSpmv(arch, small));
-  corpus.push_back(tunableSu3(arch, small));
-  corpus.push_back(tunableIdeal(arch, small));
-  corpus.push_back(tunableLaplace3d(arch, small));
-  corpus.push_back(tunableMuramTranspose(arch, small));
-  corpus.push_back(tunableMuramInterpol(arch, small));
-  corpus.push_back(tunableBatchedGemm(arch, small));
-  return corpus;
+  // At full size, the Fig. 10 grids: long in the simd dimension.
+  const auto grid = std::make_shared<const Laplace3dWorkload>(
+      small ? generateLaplace3d(18, /*seed=*/11)
+            : generateLaplace3d(34, 34, 258, /*seed=*/9));
+  const auto muram = std::make_shared<const MuramWorkload>(
+      small ? generateMuram(16, 16, 16, /*seed=*/13)
+            : generateMuram(32, 32, 256, /*seed=*/11));
+  const uint64_t grid_trip = uint64_t{grid->nx - 2} * (grid->ny - 2);
+  const uint64_t muram_trip = uint64_t{muram->nx} * muram->ny;
+  return {tunableSpmv(arch, small),
+          tunableSu3(arch, small),
+          tunableIdeal(arch, small),
+          fig10App("laplace3d", grid_trip, arch, small, grid, &runLaplace3d),
+          fig10App("muram_transpose", muram_trip, arch, small, muram,
+                   &runMuramTranspose),
+          fig10App("muram_interpol", muram_trip, arch, small, muram,
+                   &runMuramInterpol),
+          tunableBatchedGemm(arch, small)};
 }
 
-TunableApp tunableByName(const std::string& name,
-                         const gpusim::ArchSpec& arch, bool small) {
+Result<TunableApp> tunableByName(const std::string& name,
+                                 const gpusim::ArchSpec& arch, bool small) {
+  std::string have;
   for (TunableApp& app : tunableCorpus(arch, small)) {
     if (app.name == name) return std::move(app);
+    have += " " + app.name;
   }
-  SIMTOMP_CHECK(false, "unknown tunable app: " + name);
-  return {};
+  return Status::invalidArgument("unknown app " + quoted(name) + " (have:" +
+                                 have + ")");
 }
 
 }  // namespace simtomp::apps

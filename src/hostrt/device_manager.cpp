@@ -82,8 +82,17 @@ Status DeviceManager::resolveTuning(size_t n, omprt::TargetConfig& config,
   // trial launches would reorder against queued work).
   if (mode == simtune::TuneMode::kTune && device != nullptr &&
       region != nullptr) {
+    // Trials re-run the region on this device, which forbids overlap: a
+    // serial fan-out. Non-idempotent updates repeat per trial.
+    simtune::TuneRequest serial = simtune::launchTuneRequest();
+    serial.hostWorkers = 1;
     const Result<simtune::TuneOutcome> tuned = tuner->tuneTarget(
-        *device, config, *region, simtune::launchTuneRequest());
+        dev.arch(), dev.costModel(), simtune::TuneAxes::defaults(dev.arch()),
+        config,
+        [device, region](gpusim::Device&, const omprt::TargetConfig& shape) {
+          return omprt::launchTarget(*device, shape, *region);
+        },
+        serial);
     if (!tuned.isOk()) return tuned.status();
   }
   return Status::ok();

@@ -96,17 +96,14 @@ constexpr MetricDef kCatalog[] = {
 static_assert(std::size(kCatalog) == MetricsRegistry::kNumMetrics,
               "metric catalog and registry cell count out of sync");
 
-/// Histogram bucket upper bounds: 4^1 .. 4^(kHistogramBuckets-1), +Inf.
-uint64_t bucketBound(size_t i) { return uint64_t{1} << (2 * (i + 1)); }
-
-size_t bucketFor(uint64_t value) {
-  for (size_t i = 0; i + 1 < MetricsRegistry::kHistogramBuckets; ++i) {
-    if (value <= bucketBound(i)) return i;
-  }
-  return MetricsRegistry::kHistogramBuckets - 1;
-}
-
 }  // namespace
+
+size_t histogramBucketFor(uint64_t value) {
+  for (size_t i = 0; i + 1 < kHistogramBuckets; ++i) {
+    if (value <= histogramBucketBound(i)) return i;
+  }
+  return kHistogramBuckets - 1;
+}
 
 std::string_view metricTypeName(MetricType type) {
   switch (type) {
@@ -184,7 +181,8 @@ void MetricsRegistry::observe(std::string_view name, uint64_t value) {
   Cell& cell = cells_[static_cast<size_t>(i)];
   cell.value.fetch_add(1, std::memory_order_relaxed);
   cell.sum.fetch_add(value, std::memory_order_relaxed);
-  cell.buckets[bucketFor(value)].fetch_add(1, std::memory_order_relaxed);
+  cell.buckets[histogramBucketFor(value)].fetch_add(
+      1, std::memory_order_relaxed);
 }
 
 uint64_t MetricsRegistry::value(std::string_view name) const {
@@ -211,7 +209,7 @@ void MetricsRegistry::writePrometheus(std::ostream& out) const {
         cumulative += cell.buckets[b].load(std::memory_order_relaxed);
         out << def.name << "_bucket{le=\"";
         if (b + 1 < kHistogramBuckets) {
-          out << bucketBound(b);
+          out << histogramBucketBound(b);
         } else {
           out << "+Inf";
         }

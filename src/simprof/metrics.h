@@ -20,6 +20,7 @@
 
 #include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <ostream>
 #include <span>
@@ -41,6 +42,14 @@ struct MetricDef {
 
 /// The full metric catalog, in exposition order.
 [[nodiscard]] std::span<const MetricDef> allMetricDefs();
+
+/// The histogram layout of the registry and the serving traces: upper
+/// bounds 4^(i+1) for bucket i < kHistogramBuckets - 1, then +Inf.
+inline constexpr size_t kHistogramBuckets = 15;
+[[nodiscard]] constexpr uint64_t histogramBucketBound(size_t i) {
+  return uint64_t{1} << (2 * (i + 1));
+}
+[[nodiscard]] size_t histogramBucketFor(uint64_t value);
 
 // Metric names (use these with the registry; typos become link errors
 // at the call site instead of silently minting new series).
@@ -131,8 +140,6 @@ inline constexpr std::string_view kFuzzMinimizeStepsTotal =
 /// and histogram cells are atomic adds, gauges are atomic fetch-max.
 class MetricsRegistry {
  public:
-  /// Histogram buckets: upper bounds 4^1 .. 4^14 cycles, plus +Inf.
-  static constexpr size_t kHistogramBuckets = 15;
   /// Catalog size (static_asserted against allMetricDefs()).
   static constexpr size_t kNumMetrics = 38;
 

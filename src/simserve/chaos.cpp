@@ -46,25 +46,6 @@ struct SeedRun {
   uint64_t violationsBefore = 0;
 };
 
-omprt::TargetConfig requestConfig(uint64_t trip, uint32_t simdlen,
-                                  const std::string& fault,
-                                  uint32_t workers) {
-  omprt::TargetConfig config;
-  config.teamsMode = omprt::ExecMode::kSPMD;
-  config.numTeams = 2;
-  config.threadsPerTeam = 64;
-  config.parallelMode = omprt::ExecMode::kSPMD;
-  config.simdlen = simdlen;
-  config.hostWorkers = workers;
-  config.check.mode = simcheck::CheckMode::kOff;
-  config.tripCount = trip;
-  // Pin the plan ("off" for clean requests) so SIMTOMP_FAULT cannot
-  // leak into the campaign.
-  config.fault.spec = fault.empty() ? "off" : fault;
-  config.watchdogSteps = kRequestWatchdogSteps;
-  return config;
-}
-
 void report(std::vector<ChaosViolation>& violations, uint64_t seed,
             const char* invariant, std::string detail) {
   simprof::MetricsRegistry::global().add(
@@ -80,12 +61,12 @@ void submitOne(LaunchService& service, SeedRun& run,
                uint64_t deadlineOverride, const std::string& fault,
                uint32_t workers) {
   auto out = std::make_shared<std::vector<uint64_t>>(trip, 0);
-  const std::string& name = mixKernelNames()[kernel];
-  const std::string fingerprint = name + "/t" + std::to_string(trip) + "/s" +
-                                  std::to_string(simdlen);
+  MixRequest request =
+      mixRequest(mixKernelNames()[kernel], trip, simdlen, fault, workers);
   const Result<uint64_t> admitted = service.submit(
-      kTenantNames[tenant], requestConfig(trip, simdlen, fault, workers),
-      makeMixRegion(kernel, trip, out), fingerprint, deadlineOverride);
+      kTenantNames[tenant], std::move(request.config),
+      makeMixRegion(kernel, trip, out), request.fingerprint,
+      deadlineOverride);
   if (admitted.isOk()) {
     Tracked t;
     t.id = admitted.value();

@@ -104,6 +104,27 @@ omprt::TargetRegionFn makeMixRegion(
   };
 }
 
+MixRequest mixRequest(const std::string& kernel, uint64_t trip,
+                      uint32_t simdlen, const std::string& fault,
+                      uint32_t hostWorkers) {
+  MixRequest request;
+  omprt::TargetConfig& config = request.config;
+  config.teamsMode = omprt::ExecMode::kSPMD;
+  config.numTeams = 2;
+  config.threadsPerTeam = 64;
+  config.parallelMode = omprt::ExecMode::kSPMD;
+  config.simdlen = simdlen;
+  config.hostWorkers = hostWorkers;
+  config.check.mode = simcheck::CheckMode::kOff;
+  config.tuneKey = kernel;
+  config.tripCount = trip;
+  config.fault.spec = fault.empty() ? "off" : fault;
+  config.watchdogSteps = kRequestWatchdogSteps;
+  request.fingerprint = kernel + "/t" + std::to_string(trip) + "/s" +
+                        std::to_string(simdlen);
+  return request;
+}
+
 size_t Mix::requestCount() const {
   size_t n = 0;
   for (const MixOp& op : ops) {
@@ -317,27 +338,13 @@ Result<ReplayReport> replayMix(LaunchService& service, const Mix& mix,
       case MixOp::Kind::kRequest: {
         const size_t kernel = kernelIndex(op.kernel);
         auto out = std::make_shared<std::vector<uint64_t>>(op.trip, 0);
-        omprt::TargetConfig config;
-        config.teamsMode = omprt::ExecMode::kSPMD;
-        config.numTeams = 2;
-        config.threadsPerTeam = 64;
-        config.parallelMode = omprt::ExecMode::kSPMD;
-        config.simdlen = op.simdlen;
-        config.hostWorkers = hostWorkers;
-        config.check.mode = simcheck::CheckMode::kOff;
-        config.tuneKey = op.kernel;
-        config.tripCount = op.trip;
-        // Pin the plan: an empty spec would consult SIMTOMP_FAULT and
-        // let the environment perturb the replay.
-        config.fault.spec = op.fault.empty() ? "off" : op.fault;
-        config.watchdogSteps = kRequestWatchdogSteps;
-        const std::string fingerprint =
-            op.kernel + "/t" + std::to_string(op.trip) + "/s" +
-            std::to_string(op.simdlen);
+        MixRequest request =
+            mixRequest(op.kernel, op.trip, op.simdlen, op.fault, hostWorkers);
         ++report.submitted;
         const Result<uint64_t> admitted = service.submit(
-            op.reqTenant, std::move(config),
-            makeMixRegion(kernel, op.trip, out), fingerprint, op.deadline);
+            op.reqTenant, std::move(request.config),
+            makeMixRegion(kernel, op.trip, out), request.fingerprint,
+            op.deadline);
         if (admitted.isOk()) {
           ++report.admitted;
           pending.push_back(Pending{admitted.value(), kernel, op.trip, out});

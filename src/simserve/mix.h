@@ -119,4 +119,18 @@ inline constexpr uint64_t kRequestWatchdogSteps = 2000000;
 [[nodiscard]] omprt::TargetRegionFn makeMixRegion(
     size_t kernel, uint64_t trip, std::shared_ptr<std::vector<uint64_t>> out);
 
+/// A request for LaunchService::submit.
+struct MixRequest {
+  omprt::TargetConfig config;
+  std::string fingerprint;  ///< "<kernel>/t<trip>/s<simdlen>"
+};
+
+/// The request the mix replay and the chaos campaign submit for one
+/// run of built-in kernel `kernel`: a 2 x 64 SPMD launch, checking off,
+/// the request watchdog budget and the fault plan pinned ("off" when
+/// empty, so SIMTOMP_FAULT cannot leak in), on `hostWorkers`.
+[[nodiscard]] MixRequest mixRequest(const std::string& kernel, uint64_t trip,
+                                    uint32_t simdlen, const std::string& fault,
+                                    uint32_t hostWorkers);
+
 }  // namespace simtomp::simserve

@@ -10,16 +10,6 @@ namespace simtomp::simserve {
 
 namespace {
 
-/// Histogram bucket upper bound: 4^(i+1) (mirrors simprof's registry).
-uint64_t bucketBound(size_t i) { return uint64_t{1} << (2 * (i + 1)); }
-
-size_t bucketFor(uint64_t value) {
-  for (size_t i = 0; i + 1 < LatencyHistogram::kBuckets; ++i) {
-    if (value <= bucketBound(i)) return i;
-  }
-  return LatencyHistogram::kBuckets - 1;
-}
-
 std::string boundText(uint64_t bound) {
   if (bound == std::numeric_limits<uint64_t>::max()) return "inf";
   return std::to_string(bound);
@@ -32,7 +22,7 @@ std::string deadlineText(uint64_t deadline) {
 }
 
 void LatencyHistogram::observe(uint64_t value) {
-  ++buckets_[bucketFor(value)];
+  ++buckets_[simprof::histogramBucketFor(value)];
   ++count_;
   sum_ += value;
 }
@@ -42,11 +32,12 @@ uint64_t LatencyHistogram::quantileUpperBound(double q) const {
   const auto rank = static_cast<uint64_t>(
       std::max(1.0, std::ceil(q * static_cast<double>(count_))));
   uint64_t cumulative = 0;
-  for (size_t i = 0; i < kBuckets; ++i) {
+  for (size_t i = 0; i < simprof::kHistogramBuckets; ++i) {
     cumulative += buckets_[i];
     if (cumulative >= rank) {
-      return i + 1 < kBuckets ? bucketBound(i)
-                              : std::numeric_limits<uint64_t>::max();
+      return i + 1 < simprof::kHistogramBuckets
+                 ? simprof::histogramBucketBound(i)
+                 : std::numeric_limits<uint64_t>::max();
     }
   }
   return std::numeric_limits<uint64_t>::max();

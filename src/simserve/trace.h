@@ -72,6 +72,7 @@
 #include <string>
 #include <string_view>
 
+#include "simprof/metrics.h"
 #include "simprof/recorder.h"
 #include "support/status.h"
 
@@ -87,12 +88,10 @@ inline constexpr uint64_t kInheritDeadline = kNoDeadline - 1;
 /// A resolved deadline as trace text: the budget, or "none".
 [[nodiscard]] std::string deadlineText(uint64_t deadline);
 
-/// Power-of-4 bucket histogram (4^1 .. 4^14, +Inf) mirroring the
-/// simprof registry's layout, with deterministic quantile bounds.
+/// A histogram in the simprof registry's bucket layout
+/// (simprof::histogramBucketFor), with deterministic quantile bounds.
 class LatencyHistogram {
  public:
-  static constexpr size_t kBuckets = 15;
-
   void observe(uint64_t value);
 
   [[nodiscard]] uint64_t count() const { return count_; }
@@ -104,7 +103,7 @@ class LatencyHistogram {
   [[nodiscard]] std::string toString() const;
 
  private:
-  std::array<uint64_t, kBuckets> buckets_{};
+  std::array<uint64_t, simprof::kHistogramBuckets> buckets_{};
   uint64_t count_ = 0;
   uint64_t sum_ = 0;
 };

@@ -1,8 +1,8 @@
 #include "simtune/cache.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -90,10 +90,17 @@ class Scanner {
           case 'r': out += '\r'; break;
           case 't': out += '\t'; break;
           case 'u': {
+            // jsonEscaped writes \u only for control bytes: exactly
+            // four hex digits below 0x20.
             if (pos_ + 4 > text_.size()) return false;
-            const std::string hex(text_.substr(pos_, 4));
+            const char* hex = text_.data() + pos_;
             pos_ += 4;
-            out += static_cast<char>(std::strtoul(hex.c_str(), nullptr, 16));
+            unsigned value = 0;
+            const auto [end, ec] = std::from_chars(hex, hex + 4, value, 16);
+            if (ec != std::errc() || end != hex + 4 || value >= 0x20) {
+              return false;
+            }
+            out += static_cast<char>(value);
             break;
           }
           default: return false;

@@ -103,6 +103,11 @@ void applyShape(const TuneCandidate& shape, omprt::TargetConfig& config) {
   if (config.scheduleChunk == 0) config.scheduleChunk = shape.scheduleChunk;
 }
 
+TuneCandidate shapeOf(const omprt::TargetConfig& config) {
+  return {config.teamsMode,      config.parallelMode, config.numTeams,
+          config.threadsPerTeam, config.simdlen,      config.scheduleChunk};
+}
+
 Tuner::Tuner(std::shared_ptr<TuneCache> cache) : cache_(std::move(cache)) {
   SIMTOMP_CHECK(cache_ != nullptr, "Tuner requires a cache");
 }
@@ -362,16 +367,18 @@ Result<TuneOutcome> Tuner::search(const TuneKey& key,
   return outcome;
 }
 
-Result<TuneOutcome> Tuner::tuneTarget(gpusim::Device& device,
+Result<TuneOutcome> Tuner::tuneTarget(const gpusim::ArchSpec& arch,
+                                      const gpusim::CostModel& cost,
+                                      const TuneAxes& base,
                                       omprt::TargetConfig& config,
-                                      const omprt::TargetRegionFn& region,
+                                      const TargetTrialFn& trial,
                                       const TuneRequest& request) {
   if (config.tuneKey.empty()) {
     return Status::invalidArgument("tuneTarget requires a tune key");
   }
   // Pin every explicit axis so the search space is exactly the auto
   // subspace of this launch.
-  TuneAxes axes = TuneAxes::defaults(device.arch());
+  TuneAxes axes = base;
   if (!config.teamsModeAuto) axes.teamsModes = {config.teamsMode};
   if (!config.parallelModeAuto) axes.parallelModes = {config.parallelMode};
   if (config.numTeams != 0) axes.numTeams = {config.numTeams};
@@ -381,25 +388,20 @@ Result<TuneOutcome> Tuner::tuneTarget(gpusim::Device& device,
 
   // A trial measures a shape, so it runs fault-free: the launch's fault
   // plan belongs to the launch that follows the search.
-  omprt::TargetConfig base = config;
-  base.fault.spec = "off";
-  const TrialFn trial = [&device, &base, &region](
-                            gpusim::Device& /*scratch*/,
-                            const TuneCandidate& candidate) {
-    omprt::TargetConfig tc = base;
+  omprt::TargetConfig fault_free = config;
+  fault_free.fault.spec = "off";
+  const TrialFn shaped = [&fault_free, &trial](
+                             gpusim::Device& scratch,
+                             const TuneCandidate& candidate) {
+    omprt::TargetConfig tc = fault_free;
     applyShape(candidate, tc);
-    return omprt::launchTarget(device, tc, region);
+    return trial(scratch, tc);
   };
 
-  // Trials run on the caller's device, which forbids overlap: force a
-  // serial fan-out.
-  TuneRequest serial = request;
-  serial.hostWorkers = 1;
-  if (serial.tripCount == 0) serial.tripCount = config.tripCount;
-
+  TuneRequest keyed = request;
+  if (keyed.tripCount == 0) keyed.tripCount = config.tripCount;
   Result<TuneOutcome> result =
-      tune(config.tuneKey, device.arch(), device.costModel(), axes, trial,
-           serial);
+      tune(config.tuneKey, arch, cost, axes, shaped, keyed);
   if (!result.isOk()) return result;
   applyShape(result.value().shape.candidate, config);
   return result;

@@ -68,6 +68,12 @@ struct TuneAxes {
 using TrialFn = std::function<Result<gpusim::KernelStats>(
     gpusim::Device& scratch, const TuneCandidate& candidate)>;
 
+/// Launch one trial of Tuner::tuneTarget, whose `trial` config holds
+/// the candidate; on the scratch device or, under a serial fan-out, on
+/// the caller's own.
+using TargetTrialFn = std::function<Result<gpusim::KernelStats>(
+    gpusim::Device& scratch, const omprt::TargetConfig& trial)>;
+
 enum class TuneStrategy : uint8_t {
   kExhaustive,  ///< rank every enumerated candidate
   kHillClimb,   ///< budgeted multi-start coordinate descent (one start
@@ -118,6 +124,10 @@ struct TuneOutcome {
 /// later cache application produces.
 void applyShape(const TuneCandidate& shape, omprt::TargetConfig& config);
 
+/// The launch shape a config's fields name (the inverse of applyShape
+/// once no field is auto).
+[[nodiscard]] TuneCandidate shapeOf(const omprt::TargetConfig& config);
+
 /// The autotuner. Thread-safe: the cache is internally locked and the
 /// per-tune search state is local, so concurrent tune() calls (e.g.
 /// from DeviceManager device threads) are fine.
@@ -143,15 +153,17 @@ class Tuner {
                            const TuneAxes& axes, const TrialFn& trial,
                            const TuneRequest& request);
 
-  /// Tune a target region in place: candidates are applied to the auto
-  /// fields of `config` and launched on `device` itself, *serially*
-  /// (launches on one Device must not overlap). The region must
-  /// tolerate re-execution — trial launches really run it, so outputs
-  /// are overwritten and non-idempotent updates (atomic accumulation)
-  /// repeat. On success `config`'s auto fields hold the winner.
-  Result<TuneOutcome> tuneTarget(gpusim::Device& device,
+  /// Tune a launch in place: the search space is `base` with every
+  /// explicit field of `config` pinned, so exactly the auto subspace is
+  /// searched. Each candidate is applied to the auto fields of a
+  /// fault-free copy of `config` and handed to `trial`. The tune key
+  /// and trip count come from `config` (the request's trip count wins
+  /// when set). On success `config`'s auto fields hold the winner.
+  Result<TuneOutcome> tuneTarget(const gpusim::ArchSpec& arch,
+                                 const gpusim::CostModel& cost,
+                                 const TuneAxes& base,
                                  omprt::TargetConfig& config,
-                                 const omprt::TargetRegionFn& region,
+                                 const TargetTrialFn& trial,
                                  const TuneRequest& request);
 
   /// Cache-only resolution for the launch path: when `config` has a

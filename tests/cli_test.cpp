@@ -1,5 +1,5 @@
 // The simtomp command line: the table-driven flag parser (tools/cli.h)
-// and smoke runs of the binary's exit codes.
+// and smoke runs of the binary's exit codes and tuned launches.
 #include "cli.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +10,9 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "apps/tunable.h"
+#include "gpusim/arch.h"
 
 namespace simtomp::cli {
 namespace {
@@ -141,10 +144,12 @@ struct Ran {
   std::string out;
 };
 
-/// Run the simtomp binary with `args` (shell words), capturing stdout.
-Ran runCli(const std::string& args) {
-  const std::string command =
-      std::string(SIMTOMP_CLI_BINARY) + " " + args + " 2>/dev/null";
+/// Run the simtomp binary with `args` (shell words) under the `env`
+/// assignments, capturing stdout.
+Ran runCli(const std::string& args, const std::string& env = "") {
+  const std::string command = "env " + env + " " +
+                              std::string(SIMTOMP_CLI_BINARY) + " " + args +
+                              " 2>/dev/null";
   Ran ran;
   FILE* pipe = popen(command.c_str(), "r");
   if (pipe == nullptr) return ran;
@@ -166,7 +171,9 @@ TEST(CliSmoke, HostileNumbersAreUsageErrors) {
         "info occupancy 64 4294967296", "serve gen --tenants 4294967297",
         "serve gen --tenants abc", "fuzz run --seeds=9..3",
         "serve chaos --seeds=4..4", "fault matrix --workers 0",
-        "tune tune --workers 66", "info --check", "run ideal"}) {
+        "tune tune --workers 66", "info --check", "run ideal",
+        "run transpose 'target teams distribute parallel for simd'",
+        "run gemm 'target teams distribute parallel for simd'"}) {
     EXPECT_EQ(runCli(args).exitCode, 2) << args;
   }
 }
@@ -178,6 +185,55 @@ TEST(CliSmoke, RunPrintsTheCsvRow) {
   EXPECT_EQ(ran.exitCode, 0);
   EXPECT_EQ(ran.out.rfind("kernel,cycles,", 0), 0u) << ran.out;
   EXPECT_NE(ran.out.find("\nideal,"), std::string::npos) << ran.out;
+}
+
+/// `run` with SIMTOMP_TUNE=2 over an in-memory cache, so every run
+/// searches.
+Ran runTuned(const std::string& app, const std::string& directive) {
+  return runCli("run " + app + " '" + directive + "'",
+                "-u SIMTOMP_TUNE_CACHE SIMTOMP_TUNE=2");
+}
+
+/// Expect a tuned run that printed a winner with the run's own cycles.
+void expectWinnerIsTheRun(const Ran& ran) {
+  const auto after = [&ran](const std::string& label) -> uint64_t {
+    const size_t at = ran.out.find(label);
+    if (at == std::string::npos) return 0;
+    return std::stoull(ran.out.substr(at + label.size()));
+  };
+  EXPECT_EQ(ran.exitCode, 0) << ran.out;
+  EXPECT_NE(after("winner "), 0u) << ran.out;
+  EXPECT_EQ(after("winner "), after("cycles     : ")) << ran.out;
+}
+
+TEST(CliTunedRun, WinnerIsTheRunForEveryCorpusApp) {
+  for (const apps::TunableApp& app :
+       apps::tunableCorpus(gpusim::ArchSpec::nvidiaA100(), true)) {
+    SCOPED_TRACE(app.name);
+    expectWinnerIsTheRun(runTuned(app.name,
+                                  "target teams distribute parallel for simd "
+                                  "num_teams(auto) simdlen(auto)"));
+  }
+}
+
+TEST(CliTunedRun, PinnedParallelModeBoundsTheSearch) {
+  // teams_mode(auto) leaves the combined directive's SPMD parallel mode
+  // pinned, although spmv's own axes list only generic.
+  const Ran ran = runTuned("spmv",
+                           "target teams distribute parallel for simd "
+                           "teams_mode(auto) simdlen(auto) num_teams(auto) "
+                           "thread_limit(auto)");
+  expectWinnerIsTheRun(ran);
+  EXPECT_NE(ran.out.find("parallel spmd"), std::string::npos) << ran.out;
+}
+
+TEST(CliTunedRun, TrialsRunFaultFree) {
+  // Tuned or not, the trap fires in the run, not in a trial.
+  const std::string directive =
+      "target teams distribute parallel for simd simdlen(auto) "
+      "fault(trap:block=0:step=50)";
+  EXPECT_EQ(runTuned("ideal", directive).exitCode, 7);
+  EXPECT_EQ(runCli("run ideal '" + directive + "'").exitCode, 7);
 }
 
 }  // namespace

@@ -186,22 +186,28 @@ TEST(TuneCacheTest, MissingFileIsEmptyMalformedIsError) {
   std::remove(path.c_str());
 }
 
+/// Load a cache file holding one SPMD entry with the given key and
+/// number fields.
+Status loadEntry(const std::string& key, const std::string& numbers) {
+  const std::string path = tempPath("simtune_entry.json");
+  {
+    std::ofstream out(path);
+    out << "{\"simtune_cache\": 1, \"entries\": [{\"key\": \"" << key
+        << "\", \"teamsMode\": \"spmd\", \"parallelMode\": \"spmd\", "
+        << numbers << "}]}";
+  }
+  TuneCache cache(path);
+  const Status status = cache.load();
+  std::remove(path.c_str());
+  return status;
+}
+
 TEST(TuneCacheTest, LoadRejectsOutOfRangeNumbers) {
   // Each number must fit the field it is stored in: a uint32_t field
   // refuses 2^32 + 108 rather than wrapping to 108, and no field takes
   // a number wider than 64 bits.
   const auto load = [](const std::string& numbers) {
-    const std::string path = tempPath("simtune_range.json");
-    {
-      std::ofstream out(path);
-      out << "{\"simtune_cache\": 1, \"entries\": [{\"key\": \"k\", "
-             "\"teamsMode\": \"spmd\", \"parallelMode\": \"spmd\", "
-          << numbers << "}]}";
-    }
-    TuneCache cache(path);
-    const Status status = cache.load();
-    std::remove(path.c_str());
-    return status;
+    return loadEntry("k", numbers);
   };
   const std::string rest =
       ", \"scheduleChunk\": 18446744073709551615, \"cycles\": 1, "
@@ -219,6 +225,23 @@ TEST(TuneCacheTest, LoadRejectsOutOfRangeNumbers) {
                     "\"simdlen\": 8, \"scheduleChunk\": "
                     "18446744073709551616")
                    .isOk());
+}
+
+TEST(TuneCacheTest, LoadRejectsMalformedUnicodeEscape) {
+  // The saver escapes only control bytes as \u, so the loader takes
+  // exactly four hex digits below 0x20 and refuses anything else rather
+  // than load a silently different key.
+  const auto load = [](const std::string& key) {
+    return loadEntry(key,
+                     "\"numTeams\": 32, \"threadsPerTeam\": 128, "
+                     "\"simdlen\": 8, \"scheduleChunk\": 0, \"cycles\": 1, "
+                     "\"trials\": 1");
+  };
+  EXPECT_TRUE(load("a\\u001Fb").isOk());
+  for (const char* bad : {"a\\u00zzb", "a\\u4e2db", "a\\u0020b", "a\\u+01fb",
+                          "a\\u001", "a\\u"}) {
+    EXPECT_FALSE(load(bad).isOk()) << bad;
+  }
 }
 
 TEST(TuneCacheTest, EvictByKernelPrefix) {
@@ -301,6 +324,10 @@ class CorpusTest : public ::testing::Test {
     request.tripCount = app.tripCount;
     return tuner.tune(app.name, arch_, cost_, app.axes, app.trial, request);
   }
+
+  apps::TunableApp corpusApp(const std::string& name) const {
+    return apps::tunableByName(name, arch_, /*small=*/true).value();
+  }
 };
 
 TEST_F(CorpusTest, ExhaustiveNeverLosesToHandPicked) {
@@ -336,7 +363,7 @@ TEST_F(CorpusTest, HillClimbAgreesWithExhaustiveOnSmallCorpus) {
 }
 
 TEST_F(CorpusTest, WinnerIsIdenticalForAnyWorkerCount) {
-  const apps::TunableApp app = apps::tunableSpmv(arch_, /*small=*/true);
+  const apps::TunableApp app = corpusApp("spmv");
   for (const TuneStrategy strategy :
        {TuneStrategy::kExhaustive, TuneStrategy::kHillClimb}) {
     const auto serial = tuneApp(app, strategy, 1);
@@ -348,7 +375,7 @@ TEST_F(CorpusTest, WinnerIsIdenticalForAnyWorkerCount) {
 }
 
 TEST_F(CorpusTest, WarmCacheRunsZeroTrials) {
-  const apps::TunableApp app = apps::tunableIdeal(arch_, /*small=*/true);
+  const apps::TunableApp app = corpusApp("ideal");
   auto cache = std::make_shared<TuneCache>();
   Tuner tuner(cache);
   TuneRequest request;
@@ -378,7 +405,7 @@ TEST_F(CorpusTest, TuningTwiceProducesByteIdenticalCacheFiles) {
     auto cache = std::make_shared<TuneCache>(path);
     Tuner tuner(cache);
     for (const apps::TunableApp& app :
-         {apps::tunableSu3(arch_, true), apps::tunableIdeal(arch_, true)}) {
+         {corpusApp("su3"), corpusApp("ideal")}) {
       TuneRequest request;
       request.tripCount = app.tripCount;
       // Different worker counts per run: the file must not care.
@@ -394,7 +421,7 @@ TEST_F(CorpusTest, TuningTwiceProducesByteIdenticalCacheFiles) {
 }
 
 TEST_F(CorpusTest, BudgetCapsTrialLaunches) {
-  const apps::TunableApp app = apps::tunableSpmv(arch_, /*small=*/true);
+  const apps::TunableApp app = corpusApp("spmv");
   Tuner tuner(std::make_shared<TuneCache>());
   TuneRequest request;
   request.maxTrials = 3;
@@ -412,7 +439,7 @@ TEST_F(CorpusTest, CheckedTrialsStillTune) {
   // checking mode from SIMTOMP_CHECK inside each trial launch, so a
   // fatal-mode sweep sanitizes every candidate — and, the apps being
   // race-free, must land on the same winner as an unchecked sweep.
-  const apps::TunableApp app = apps::tunableSu3(arch_, /*small=*/true);
+  const apps::TunableApp app = corpusApp("su3");
   TuneRequest request;
   request.tripCount = app.tripCount;
   request.hostWorkers = kWorkers;

@@ -35,7 +35,9 @@
 #          fresh cache files — twice at 1 host worker and once at 8 —
 #          and all three saved caches must be byte-identical, so a
 #          nondeterministic trial order or worker-count-dependent
-#          winner fails CI.
+#          winner fails CI; a `simtomp run` whose auto fields tune
+#          (SIMTOMP_TUNE=2, in-memory cache) must print the same winner
+#          and run at 1, 1 and 8 host workers.
 # Stage 6: fault-matrix smoke + resilience-determinism guard; every
 #          (fault kind x recovery policy) cell runs three times — twice
 #          at 1 host worker, once at 8 — and the printed
@@ -216,6 +218,11 @@ same_runs tune-guard "tune caches (rerun, 1 vs 8 host workers)" \
   "--cache:json" "--workers 1" "--workers 1" "--workers 8" -- \
   "${simtomp}" tune tune --apps su3,ideal --small --strategy hill --budget 12
 echo "tune caches byte-identical across reruns and worker counts"
+same_runs tune-run "tuned run output (rerun, 1 vs 8 host workers)" ">:txt" \
+  SIMTOMP_HOST_WORKERS=1 SIMTOMP_HOST_WORKERS=1 SIMTOMP_HOST_WORKERS=8 -- \
+  env SIMTOMP_TUNE=2 "${simtomp}" run laplace3d \
+  "target teams distribute parallel for simd num_teams(auto) simdlen(auto)"
+echo "tuned run output byte-identical across reruns and worker counts"
 
 echo "=== stage 6: fault-matrix smoke + resilience-determinism guard ==="
 same_runs fault-matrix "fault matrices (rerun, 1 vs 8 host workers)" \

@@ -1,6 +1,6 @@
 // simtomp: the command-line front end of the reproduction.
 //
-//   simtomp run <kernel> "<directive>" [--csv | --prof | --folded | --json]
+//   simtomp run <app> "<directive>" [--csv | --prof | --folded | --json]
 //               [--trace P] [--metrics P]
 //   simtomp info [occupancy|groups|check|tune|prof|counters|
 //                 metrics[=prom|json]]
@@ -36,12 +36,6 @@
 #include <string_view>
 #include <vector>
 
-#include "apps/batched_gemm.h"
-#include "apps/ideal_kernel.h"
-#include "apps/laplace3d.h"
-#include "apps/muram.h"
-#include "apps/sparse_matvec.h"
-#include "apps/su3.h"
 #include "apps/tunable.h"
 #include "cli.h"
 #include "dsl/dsl.h"
@@ -165,17 +159,16 @@ const ArchPreset kArchPresets[] = {
 };
 
 // ---------------------------------------------------------------------
-// run: a built-in workload under a directive you type.
+// run: a corpus app under a directive you type.
 //
-// The directive's constructs pick the execution modes via the
-// tightly-nested => SPMD rule (override with teams_mode/parallel_mode);
-// num_teams/thread_limit/simdlen shape the launch. The kernel runs on
-// the A100-like device and is verified against the host reference.
-// The app adapters build their launches internally, so the fault,
-// watchdog and profile clauses reach them through the environment
-// knobs the launch path consults. They launch on a plain device (no
-// DeviceManager): an injected fault surfaces with its exit class
-// instead of recovering; `simtomp fault matrix` covers recovery.
+// The app is a row of apps::tunableCorpus. The directive's constructs
+// pick the execution modes via the tightly-nested => SPMD rule
+// (override with teams_mode/parallel_mode); num_teams/thread_limit/
+// simdlen shape the launch, and auto fields tune (resolveLaunchTuning).
+// The app runs with the directive's knobs on the A100-like device and
+// is verified against the host reference. It launches on a plain
+// device (no DeviceManager): an injected fault surfaces with its exit
+// class instead of recovering; `simtomp fault matrix` covers recovery.
 //
 // Output: the default is a summary of cycles and counters; --csv
 // prints one KernelStats row; --prof, --folded and --json profile the
@@ -184,10 +177,6 @@ const ArchPreset kArchPresets[] = {
 // it: a profiled launch whose root differs from KernelStats.cycles
 // exits 8.
 // ---------------------------------------------------------------------
-
-constexpr std::string_view kKernels[] = {"spmv",      "su3",       "ideal",
-                                         "laplace3d", "transpose", "interpol",
-                                         "gemm"};
 
 /// Triage a failed launch into its documented exit code. The watchdog
 /// check comes first: its message also carries the [simfault] marker.
@@ -202,132 +191,44 @@ int exitCodeFor(const Status& status) {
   return kExitLaunchFailure;
 }
 
-apps::SimdMode modeFromSpec(const dsl::LaunchSpec& launch) {
-  if (launch.simdlen <= 1) return apps::SimdMode::kNoSimd;
-  return launch.parallelMode == omprt::ExecMode::kGeneric
-             ? apps::SimdMode::kGenericSimd
-             : apps::SimdMode::kSpmdSimd;
-}
-
-Result<apps::AppRunResult> runKernel(std::string_view kernel,
-                                     gpusim::Device& device,
-                                     const dsl::LaunchSpec& launch) {
-  if (kernel == "spmv") {
-    apps::CsrGenConfig config;
-    config.numRows = 4096;
-    config.meanRowLength = 8;
-    config.maxRowLength = 64;
-    const apps::CsrMatrix A = apps::generateCsr(config);
-    apps::SpmvOptions options;
-    options.variant = launch.simdlen > 1
-                          ? apps::SpmvVariant::kThreeLevelAtomic
-                          : apps::SpmvVariant::kTwoLevel;
-    options.numTeams = launch.numTeams;
-    options.threadsPerTeam = launch.threadsPerTeam;
-    options.simdlen = launch.simdlen;
-    options.parallelMode = launch.parallelMode;
-    return apps::runSpmv(device, A, options);
-  }
-  if (kernel == "su3") {
-    const apps::Su3Workload w = apps::generateSu3(5120, 3);
-    apps::Su3Options options;
-    options.numTeams = launch.numTeams;
-    options.threadsPerTeam = launch.threadsPerTeam;
-    options.simdlen = launch.simdlen;
-    return apps::runSu3(device, w, options);
-  }
-  if (kernel == "ideal") {
-    const apps::IdealWorkload w = apps::generateIdeal(432, 32, 5);
-    apps::IdealOptions options;
-    options.numTeams = launch.numTeams;
-    options.threadsPerTeam = launch.threadsPerTeam;
-    options.simdlen = launch.simdlen;
-    return apps::runIdeal(device, w, options);
-  }
-  if (kernel == "laplace3d") {
-    const apps::Laplace3dWorkload w = apps::generateLaplace3d(34, 34, 258, 9);
-    apps::Laplace3dOptions options;
-    options.mode = modeFromSpec(launch);
-    options.numTeams = launch.numTeams;
-    options.threadsPerTeam = launch.threadsPerTeam;
-    options.simdlen = launch.simdlen;
-    return apps::runLaplace3d(device, w, options);
-  }
-  if (kernel == "transpose" || kernel == "interpol") {
-    const apps::MuramWorkload w = apps::generateMuram(32, 32, 256, 11);
-    apps::MuramOptions options;
-    options.mode = modeFromSpec(launch);
-    options.numTeams = launch.numTeams;
-    options.threadsPerTeam = launch.threadsPerTeam;
-    options.simdlen = launch.simdlen;
-    return kernel == "transpose" ? apps::runMuramTranspose(device, w, options)
-                                 : apps::runMuramInterpol(device, w, options);
-  }
-  if (kernel == "gemm") {
-    const apps::BatchedGemmWorkload w = apps::generateBatchedGemm(2048, 4, 7);
-    apps::BatchedGemmOptions options;
-    options.numTeams = launch.numTeams;
-    options.threadsPerTeam = launch.threadsPerTeam;
-    options.simdlen = launch.simdlen;
-    options.parallelMode = launch.parallelMode;
-    return apps::runBatchedGemm(device, w, options);
-  }
-  return Status::invalidArgument("unknown kernel '" + std::string(kernel) +
-                                 "'");
-}
-
-/// The corpus adapter matching a CLI kernel name (the muram kernels
-/// share one workload but tune separately).
-std::string corpusNameFor(std::string_view kernel) {
-  if (kernel == "transpose") return "muram_transpose";
-  if (kernel == "interpol") return "muram_interpol";
-  if (kernel == "gemm") return "batched_gemm";
-  return std::string(kernel);
-}
-
-/// Resolve the launch's auto fields through simtune when the directive
-/// asked for it (tune(key) or auto clause arguments) and SIMTOMP_TUNE
-/// enables it. Cache-only under SIMTOMP_TUNE=1; SIMTOMP_TUNE=2 runs a
-/// budgeted hill-climb over the app's own trial adapter on a miss and
-/// persists the winner (SIMTOMP_TUNE_CACHE).
-Status resolveLaunchTuning(std::string_view kernel, gpusim::Device& device,
+/// Resolve the launch's auto fields through simtune when SIMTOMP_TUNE
+/// enables it: cache-only under SIMTOMP_TUNE=1; SIMTOMP_TUNE=2 runs the
+/// launch search over the app's axes on a miss, with fault-free trials
+/// on scratch devices, and persists the winner (SIMTOMP_TUNE_CACHE).
+Status resolveLaunchTuning(const apps::TunableApp& app,
+                           const gpusim::Device& device,
                            dsl::LaunchSpec& launch) {
-  const bool wants_tuning = !launch.tuneKey.empty() || launch.numTeams == 0 ||
-                            launch.threadsPerTeam == 0 || launch.simdlen == 0 ||
-                            launch.teamsModeAuto || launch.parallelModeAuto;
-  if (!wants_tuning) return Status::ok();
+  if (!omprt::hasAutoLaunchFields(launch)) return Status::ok();
   const gpusim::Resolved<simtune::TuneMode> mode =
       gpusim::resolveKnob(gpusim::kTuneKnob, simtune::TuneMode::kAuto);
   if (mode.value == simtune::TuneMode::kOff) return Status::ok();
-
-  apps::TunableApp app =
-      apps::tunableByName(corpusNameFor(kernel), device.arch(), false);
-  omprt::TargetConfig config = launch.targetConfig();
-  if (config.tuneKey.empty()) config.tuneKey = app.name;
-  config.tripCount = app.tripCount;
+  if (launch.tuneKey.empty()) launch.tuneKey = app.name;
+  launch.tripCount = app.tripCount;
 
   simtune::Tuner tuner;
-  if (tuner.resolveConfig(device.arch(), device.costModel(), config)) {
+  if (tuner.resolveConfig(device.arch(), device.costModel(), launch)) {
     std::printf("  tuning     : key %s resolved from cache (%s=%s)\n",
-                config.tuneKey.c_str(), mode.source, mode.envValue.c_str());
-  } else if (mode.value == simtune::TuneMode::kTune) {
-    simtune::TuneRequest request = simtune::launchTuneRequest();
-    request.tripCount = app.tripCount;
-    const Result<simtune::TuneOutcome> tuned =
-        tuner.tune(config.tuneKey, device.arch(), device.costModel(), app.axes,
-                   app.trial, request);
-    if (!tuned.isOk()) return tuned.status();
-    simtune::applyShape(tuned.value().shape.candidate, config);
-    std::printf("  tuning     : key %s searched (%u trials, winner %llu "
-                "cycles)\n",
-                config.tuneKey.c_str(), tuned.value().trialsRun,
-                static_cast<unsigned long long>(tuned.value().shape.cycles));
-  } else {
-    std::printf("  tuning     : key %s missed the cache; heuristics apply\n",
-                config.tuneKey.c_str());
+                launch.tuneKey.c_str(), mode.source, mode.envValue.c_str());
     return Status::ok();
   }
-  static_cast<omprt::TargetConfig&>(launch) = config;
+  if (mode.value != simtune::TuneMode::kTune) {
+    std::printf("  tuning     : key %s missed the cache; heuristics apply\n",
+                launch.tuneKey.c_str());
+    return Status::ok();
+  }
+  const simtune::TargetTrialFn trial =
+      [&app](gpusim::Device& scratch, const omprt::TargetConfig& shape) {
+        return apps::verifiedStats(
+            app.run(scratch, simtune::shapeOf(shape), shape), app.name);
+      };
+  const Result<simtune::TuneOutcome> tuned =
+      tuner.tuneTarget(device.arch(), device.costModel(), app.axes, launch,
+                       trial, simtune::launchTuneRequest());
+  if (!tuned.isOk()) return tuned.status();
+  std::printf("  tuning     : key %s searched (%u trials, winner %llu "
+              "cycles)\n",
+              launch.tuneKey.c_str(), tuned.value().trialsRun,
+              static_cast<unsigned long long>(tuned.value().shape.cycles));
   return Status::ok();
 }
 
@@ -393,12 +294,11 @@ int cmdRun(const Command& self, Args args) {
   if (const Status st = parseArgs(args, flags, pos, 2, 2); !st.isOk()) {
     return usageError(self, st);
   }
-  const std::string_view kernel = pos[0];
-  if (std::find(std::begin(kKernels), std::end(kKernels), kernel) ==
-      std::end(kKernels)) {
-    return usageError(self, Status::invalidArgument("unknown kernel '" +
-                                                    std::string(kernel) + "'"));
-  }
+  gpusim::Device device;
+  const Result<apps::TunableApp> found =
+      apps::tunableByName(std::string(pos[0]), device.arch(), false);
+  if (!found.isOk()) return usageError(self, found.status());
+  const apps::TunableApp& app = found.value();
   if (int{csv} + int{prof} + int{folded} + int{json} > 1) {
     return usageError(self, Status::invalidArgument(
                                 "--csv, --prof, --folded and --json are "
@@ -411,31 +311,22 @@ int cmdRun(const Command& self, Args args) {
                  parsed.status().toString().c_str());
     return kExitBuildError;
   }
-  gpusim::Device device;
   dsl::LaunchSpec launch = parsed.value().toLaunchSpec(device.arch());
   // The profile renderers switch profiling on unless the directive
   // pinned it off explicitly.
   const bool profiling = (prof || folded || json) &&
                          launch.profile.mode != simprof::ProfileMode::kOff;
-  if (profiling) setenv("SIMTOMP_PROF", "1", 1);
-  if (!launch.fault.spec.empty()) {
-    setenv("SIMTOMP_FAULT", launch.fault.spec.c_str(), 1);
-  }
-  if (launch.watchdogSteps != 0) {
-    setenv("SIMTOMP_WATCHDOG",
-           gpusim::knobValueName(gpusim::kWatchdogKnob, launch.watchdogSteps)
-               .c_str(),
-           1);
-  }
-  const Status tuned = resolveLaunchTuning(kernel, device, launch);
+  if (profiling) launch.profile.mode = simprof::ProfileMode::kOn;
+  const Status tuned = resolveLaunchTuning(app, device, launch);
   if (!tuned.isOk()) {
     std::fprintf(stderr, "tuning error: %s\n", tuned.toString().c_str());
     return kExitBuildError;
   }
+  omprt::resolveAutoConfig(device.arch(), launch);
   gpusim::TraceRecorder recorder;
   if (!trace_path.empty()) device.setTraceRecorder(&recorder);
 
-  auto result = runKernel(kernel, device, launch);
+  auto result = app.run(device, simtune::shapeOf(launch), launch);
   if (!result.isOk()) {
     std::fprintf(stderr, "run error: %s\n",
                  result.status().toString().c_str());
@@ -480,20 +371,19 @@ int cmdRun(const Command& self, Args args) {
 
   if (csv) {
     std::printf("kernel,%s\n", gpusim::KernelStats::csvHeader().c_str());
-    std::printf("%.*s,%s\n", static_cast<int>(kernel.size()), kernel.data(),
-                r.stats.csvRow().c_str());
+    std::printf("%s,%s\n", app.name.c_str(), r.stats.csvRow().c_str());
   } else if (folded) {
     std::fputs(profile.folded().c_str(), stdout);
   } else if (json) {
     profile.writeJson(std::cout, renderOptions());
     std::printf("\n");
   } else if (prof) {
-    std::printf("%.*s: verified (max error %.2e), %llu cycles\n",
-                static_cast<int>(kernel.size()), kernel.data(), r.maxError,
+    std::printf("%s: verified (max error %.2e), %llu cycles\n",
+                app.name.c_str(), r.maxError,
                 static_cast<unsigned long long>(r.stats.cycles));
     std::fputs(profile.table(renderOptions()).c_str(), stdout);
   } else {
-    printSummary(kernel, launch, r);
+    printSummary(app.name, launch, r);
   }
   return 0;
 }
@@ -725,7 +615,7 @@ int tuneTune(const Command& self, Args args) {
     return usageError(self, st);
   }
   // Every trial launch resolves SIMTOMP_CHECK, so the flag sets it for
-  // the process, as `run` does for a directive's fault and watchdog.
+  // the process.
   if (check != simcheck::CheckMode::kAuto) {
     setenv("SIMTOMP_CHECK",
            gpusim::knobValueName(gpusim::kCheckKnob, check).c_str(), 1);
@@ -750,21 +640,13 @@ int tuneTune(const Command& self, Args args) {
   const gpusim::ArchSpec& arch = preset->spec;
   const gpusim::CostModel cost{};
 
-  const std::vector<apps::TunableApp> all = apps::tunableCorpus(arch, small);
   std::vector<apps::TunableApp> corpus;
   for (const std::string& name : splitCsv(apps_csv)) {
-    const auto app = std::find_if(
-        all.begin(), all.end(), [&](const auto& a) { return a.name == name; });
-    if (app == all.end()) {
-      std::string have;
-      for (const auto& a : all) have += " " + a.name;
-      return usageError(self, Status::invalidArgument(
-                                  "unknown app '" + name + "' (have:" + have +
-                                  ")"));
-    }
-    corpus.push_back(*app);
+    Result<apps::TunableApp> app = apps::tunableByName(name, arch, small);
+    if (!app.isOk()) return usageError(self, app.status());
+    corpus.push_back(std::move(app.value()));
   }
-  if (corpus.empty()) corpus = all;
+  if (corpus.empty()) corpus = apps::tunableCorpus(arch, small);
 
   auto cache = std::make_shared<simtune::TuneCache>(
       simtune::resolveCachePath(cache_path));
@@ -1408,7 +1290,7 @@ int serveChaos(const Command& self, Args args) {
 
 const Command kCommands[] = {
     {"run", "",
-     "<spmv|su3|ideal|laplace3d|transpose|interpol|gemm> \"<directive>\" "
+     "<app> \"<directive>\" "
      "[--csv | --prof | --folded | --json] [--trace PATH] "
      "[--metrics PATH|-]",
      cmdRun},
@@ -1463,6 +1345,15 @@ int usage(std::string_view name) {
     std::string line = std::string("  simtomp ") + c.name;
     for (const char* word : {c.action, c.synopsis}) {
       if (*word != '\0') line += std::string(" ") + word;
+    }
+    // `<app>` is a choice of the app corpus names.
+    if (const size_t at = line.find("<app>"); at != std::string::npos) {
+      std::string names;
+      for (const apps::TunableApp& app :
+           apps::tunableCorpus(gpusim::ArchSpec::nvidiaA100(), true)) {
+        names += (names.empty() ? "<" : "|") + app.name;
+      }
+      line.replace(at, 5, names + ">");
     }
     std::fprintf(stderr, "%s\n", line.c_str());
   }
